@@ -17,8 +17,8 @@
 namespace ss::bench {
 
 /// Wall-clock seconds since `t0` — benches stamp their artifact headers
-/// with total run duration so benchdiff (and humans) can see how much
-/// machine time a committed baseline represents.
+/// with total run duration so a reader can see how much machine time a
+/// committed artifact represents.
 inline double elapsed_s(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();

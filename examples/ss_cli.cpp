@@ -342,17 +342,6 @@ int cmd_report(const ss::telemetry::ReportInputs& in,
   return 0;
 }
 
-/// `benchdiff`: the perf-regression keeper — exit 1 when the candidate
-/// artifact regressed beyond tolerance, 2 when the pair is not
-/// comparable, 0 when clean.
-int cmd_benchdiff(const std::string& baseline, const std::string& candidate,
-                  const ss::telemetry::BenchDiffOptions& opts) {
-  const auto res = ss::telemetry::bench_diff(baseline, candidate, opts);
-  std::printf("%s", res.text.c_str());
-  if (!res.comparable) return 2;
-  return res.regressions > 0 ? 1 : 0;
-}
-
 void usage() {
   std::puts("usage: ss_cli solve <streams> <frame_bytes> <gbps>");
   std::puts("       ss_cli admit <spec-file|->");
@@ -368,9 +357,6 @@ void usage() {
   std::puts("       ss_cli report [--metrics FILE] [--audit FILE]");
   std::puts("                  [--profile FILE] [--timeseries FILE]");
   std::puts("                  [--json-out FILE]");
-  std::puts("       ss_cli benchdiff <baseline.json> <candidate.json>");
-  std::puts("                  [--rate-tol PCT] [--cycles-tol PCT]");
-  std::puts("                  [--absolute]");
 }
 
 }  // namespace
@@ -448,23 +434,6 @@ int main(int argc, char** argv) {
       }
     }
     return cmd_report(in, json_out);
-  }
-  if (cmd == "benchdiff" && argc >= 4) {
-    ss::telemetry::BenchDiffOptions opts;
-    for (int i = 4; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a == "--rate-tol" && i + 1 < argc) {
-        opts.rate_tolerance_pct = std::atof(argv[++i]);
-      } else if (a == "--cycles-tol" && i + 1 < argc) {
-        opts.cycles_tolerance_pct = std::atof(argv[++i]);
-      } else if (a == "--absolute") {
-        opts.absolute = true;
-      } else {
-        usage();
-        return 1;
-      }
-    }
-    return cmd_benchdiff(argv[2], argv[3], opts);
   }
   if (cmd == "audit" && argc >= 4) {
     std::string out_path;

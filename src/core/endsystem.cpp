@@ -1,9 +1,9 @@
 #include "core/endsystem.hpp"
 
 #include <bit>
-#include <cassert>
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
 
 #include "telemetry/profiler.hpp"
 #include "util/sim_time.hpp"
@@ -33,7 +33,9 @@ Endsystem::Endsystem(const EndsystemConfig& cfg)
 std::uint32_t Endsystem::add_stream(const dwcs::StreamRequirement& req,
                                     std::unique_ptr<queueing::TrafficGen> gen,
                                     std::uint32_t frame_bytes) {
-  assert(streams_.size() < cfg_.chip.slots);
+  if (streams_.size() >= cfg_.chip.slots) {
+    throw std::length_error("Endsystem::add_stream: every chip slot is taken");
+  }
   StreamCtx ctx;
   ctx.req = req;
   ctx.gen = std::move(gen);
@@ -134,7 +136,10 @@ EndsystemReport Endsystem::run(std::uint64_t frames_per_stream) {
 
 EndsystemReport Endsystem::run(
     const std::vector<std::uint64_t>& frames_per_stream) {
-  assert(frames_per_stream.size() == streams_.size());
+  if (frames_per_stream.size() != streams_.size()) {
+    throw std::invalid_argument(
+        "Endsystem::run: need exactly one frame count per stream");
+  }
   if (!admitted_) finalize_admission();
   EndsystemReport rep{};
 

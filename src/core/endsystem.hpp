@@ -120,7 +120,8 @@ class Endsystem {
   /// Admit a stream: the requirement is mapped to a slot configuration
   /// (EDF / static-priority / fair-share / window-constrained) and loaded
   /// into the chip.  One stream per slot here; see AggregationManager for
-  /// the streamlet case.  Returns the stream index (== slot ID).
+  /// the streamlet case.  Returns the stream index (== slot ID).  Throws
+  /// std::length_error once every chip slot holds a stream.
   std::uint32_t add_stream(const dwcs::StreamRequirement& req,
                            std::unique_ptr<queueing::TrafficGen> gen,
                            std::uint32_t frame_bytes);
@@ -142,17 +143,13 @@ class Endsystem {
   /// Per-stream frame counts.  Weight-proportional counts keep every
   /// stream backlogged until the common end of the run, so the measured
   /// bandwidth ratios reflect the contended steady state rather than the
-  /// work-conserving redistribution after light streams drain.
+  /// work-conserving redistribution after light streams drain.  Throws
+  /// std::invalid_argument unless there is one count per stream.
   EndsystemReport run(const std::vector<std::uint64_t>& frames_per_stream);
 
   [[nodiscard]] const QosMonitor& monitor() const { return *monitor_; }
   [[nodiscard]] const hw::SchedulerChip& chip() const { return *chip_; }
   [[nodiscard]] double packet_time_ns() const { return packet_time_ns_; }
-
-  /// Fault-plane state (nullptr unless cfg.faults.enabled()).
-  [[nodiscard]] const robust::GuardedScheduler* guard() const {
-    return guard_.get();
-  }
 
   /// Streaming-unit statistics (nullptr unless use_streaming_unit).
   [[nodiscard]] const hw::StreamingStats* streaming_stats() const {

@@ -1,7 +1,7 @@
 #include "core/threaded_endsystem.hpp"
 
-#include <cassert>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "telemetry/profiler.hpp"
@@ -27,14 +27,20 @@ ThreadedEndsystem::ThreadedEndsystem(const ThreadedConfig& cfg)
 
 std::uint32_t ThreadedEndsystem::add_stream(
     const dwcs::StreamRequirement& req) {
-  assert(reqs_.size() < cfg_.chip.slots);
+  if (reqs_.size() >= cfg_.chip.slots) {
+    throw std::length_error(
+        "ThreadedEndsystem::add_stream: every chip slot is taken");
+  }
   reqs_.push_back(req);
   return qm_.add_stream(cfg_.ring_capacity);
 }
 
 void ThreadedEndsystem::request_reload(std::uint32_t stream,
                                        const dwcs::StreamRequirement& req) {
-  assert(stream < reqs_.size());
+  if (stream >= reqs_.size()) {
+    throw std::invalid_argument(
+        "ThreadedEndsystem::request_reload: unknown stream");
+  }
   {
     const std::lock_guard<std::mutex> lock(reload_mu_);
     pending_reloads_.push_back(

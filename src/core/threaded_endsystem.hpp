@@ -82,6 +82,7 @@ class ThreadedEndsystem {
   explicit ThreadedEndsystem(const ThreadedConfig& cfg);
 
   /// Admit a stream (requirement -> slot config, one slot per stream).
+  /// Throws std::length_error once every chip slot holds a stream.
   std::uint32_t add_stream(const dwcs::StreamRequirement& req);
 
   /// Run: the producer thread emits `frames_per_stream` frames per stream
@@ -96,7 +97,8 @@ class ThreadedEndsystem {
   /// the stream's ring survive the reload — the scheduler re-announces
   /// them to the freshly loaded slot, so conservation holds across
   /// reconfigurations.  The batch drain therefore races arbitrary
-  /// re-LOADs without losing or duplicating frames.
+  /// re-LOADs without losing or duplicating frames.  Throws
+  /// std::invalid_argument for a stream that was never added.
   void request_reload(std::uint32_t stream,
                       const dwcs::StreamRequirement& req);
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 
 #include "telemetry/audit.hpp"
 #include "telemetry/profiler.hpp"
@@ -19,17 +20,25 @@ ControlTiming effective_timing(const ChipConfig& cfg) {
   if (cfg.compute_ahead) t.update_cycles = 1;
   return t;
 }
+
+// Runs in cfg_'s initializer, so a bad slot count is rejected before any
+// member sized from it is built.
+const ChipConfig& validated(const ChipConfig& cfg) {
+  if (!is_pow2(cfg.slots) || cfg.slots < 2 || cfg.slots > kMaxSlots) {
+    throw std::invalid_argument(
+        "SchedulerChip: slots must be a power of two in 2..32");
+  }
+  return cfg;
+}
 }  // namespace
 
 SchedulerChip::SchedulerChip(const ChipConfig& cfg)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       slots_(cfg.slots),
       network_(cfg.slots, cfg.schedule, cfg.cmp_mode, cfg.kernel),
       control_(cfg.slots, schedule_passes(cfg.schedule, cfg.slots),
                effective_timing(cfg)),
-      tag_fifos_(cfg.slots) {
-  assert(is_pow2(cfg.slots) && cfg.slots >= 2 && cfg.slots <= kMaxSlots);
-}
+      tag_fifos_(cfg.slots) {}
 
 void SchedulerChip::load_slot(SlotId slot, const SlotConfig& cfg) {
   assert(slot < slots_.size());

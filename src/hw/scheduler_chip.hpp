@@ -90,6 +90,8 @@ struct DecisionOutcome {
 
 class SchedulerChip {
  public:
+  /// Throws std::invalid_argument unless cfg.slots is a power of two in
+  /// 2..32.
   explicit SchedulerChip(const ChipConfig& cfg);
 
   /// LOAD a stream-slot's configuration (systems software writes the

@@ -475,199 +475,4 @@ Report build_report(const ReportInputs& in) {
   return rep;
 }
 
-// ---- benchdiff ---------------------------------------------------------
-
-namespace {
-
-struct Cmp {
-  std::string row, metric;
-  double base = 0.0, cand = 0.0;
-  double limit_pct = 0.0;  ///< allowed change in the bad direction
-  bool higher_is_worse = false;
-  bool regressed = false;
-};
-
-void judge(std::vector<Cmp>& out, std::string row, std::string metric,
-           double base, double cand, double limit_pct, bool higher_is_worse) {
-  Cmp c{std::move(row), std::move(metric), base, cand, limit_pct,
-        higher_is_worse, false};
-  if (base > 0.0) {
-    const double change = (cand - base) / base * 100.0;
-    c.regressed = higher_is_worse ? change > limit_pct : change < -limit_pct;
-  } else {
-    // Zero baseline: any appearance in the bad direction regresses
-    // (exact-invariant style metrics); improvements never do.
-    c.regressed = higher_is_worse && cand > 0.0;
-  }
-  out.push_back(std::move(c));
-}
-
-double median_of(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
-}  // namespace
-
-BenchDiffResult bench_diff(const std::string& baseline_path,
-                           const std::string& candidate_path,
-                           const BenchDiffOptions& opts) {
-  BenchDiffResult res;
-  const auto base = ss::util::parse_json_file(baseline_path);
-  const auto cand = ss::util::parse_json_file(candidate_path);
-  char buf[256];
-  if (!base || !cand) {
-    res.text = fmt(buf, sizeof buf, "benchdiff: cannot parse %s\n",
-                   (!base ? baseline_path : candidate_path).c_str());
-    return res;
-  }
-  const std::string bench = base->str_at("bench");
-  if (bench.empty() || bench != cand->str_at("bench")) {
-    res.text = fmt(buf, sizeof buf,
-                   "benchdiff: bench types differ (\"%s\" vs \"%s\")\n",
-                   bench.c_str(), cand->str_at("bench").c_str());
-    return res;
-  }
-  res.comparable = true;
-
-  std::string t;
-  t += fmt(buf, sizeof buf, "benchdiff: %s\n", bench.c_str());
-  t += fmt(buf, sizeof buf, "  baseline:  %s\n", baseline_path.c_str());
-  t += fmt(buf, sizeof buf, "  candidate: %s\n", candidate_path.c_str());
-
-  std::vector<Cmp> cmps;
-  const auto rows_of = [](const JsonValue& doc) {
-    std::map<std::string, const JsonValue*> out;
-    if (const JsonValue* rows = doc.find("rows"); rows && rows->is_array()) {
-      for (const JsonValue& r : rows->as_array()) {
-        std::string key;
-        if (r.find("mode") != nullptr) {  // throughput row
-          key = r.str_at("mode") + "/d" +
-                std::to_string(static_cast<long long>(
-                    r.num_at("batch_depth"))) +
-                "/s" +
-                std::to_string(static_cast<long long>(r.num_at("streams")));
-        } else {  // pifo row
-          key = r.str_at("dist") + "/" + r.str_at("backend");
-        }
-        out[key] = &r;
-      }
-    }
-    return out;
-  };
-  const auto brows = rows_of(*base);
-  const auto crows = rows_of(*cand);
-
-  if (bench == "throughput_baseline") {
-    const bool same_depth =
-        base->num_at("frames_per_stream") == cand->num_at("frames_per_stream");
-    t += fmt(buf, sizeof buf,
-             "  mode: shape%s (pps normalized by artifact median; hw-model "
-             "metrics direct)\n",
-             opts.absolute ? "+absolute" : "");
-
-    // Shape normalization over the matched rows.
-    std::vector<double> bpps, cpps;
-    for (const auto& [key, br] : brows) {
-      const auto it = crows.find(key);
-      if (it == crows.end()) continue;
-      bpps.push_back(br->num_at("pps_excl_pci"));
-      cpps.push_back(it->second->num_at("pps_excl_pci"));
-    }
-    const double bmed = median_of(bpps), cmed = median_of(cpps);
-
-    for (const auto& [key, br] : brows) {
-      const auto it = crows.find(key);
-      if (it == crows.end()) {
-        t += fmt(buf, sizeof buf, "  [skip] %s missing in candidate\n",
-                 key.c_str());
-        continue;
-      }
-      const JsonValue* cr = it->second;
-      if (bmed > 0.0 && cmed > 0.0) {
-        judge(cmps, key, "pps_shape", br->num_at("pps_excl_pci") / bmed,
-              cr->num_at("pps_excl_pci") / cmed, opts.rate_tolerance_pct,
-              /*higher_is_worse=*/false);
-      }
-      if (opts.absolute) {
-        judge(cmps, key, "pps_excl_pci", br->num_at("pps_excl_pci"),
-              cr->num_at("pps_excl_pci"), opts.rate_tolerance_pct, false);
-      }
-      judge(cmps, key, "hw_cycles_per_decision",
-            br->num_at("hw_cycles_per_decision"),
-            cr->num_at("hw_cycles_per_decision"), opts.cycles_tolerance_pct,
-            /*higher_is_worse=*/true);
-      if (same_depth) {
-        judge(cmps, key, "frames_per_decision",
-              br->num_at("frames_per_decision"),
-              cr->num_at("frames_per_decision"), 1.0, false);
-      }
-    }
-    const JsonValue* bs = base->find("simd_speedup");
-    const JsonValue* cs = cand->find("simd_speedup");
-    if (bs != nullptr && cs != nullptr &&
-        bs->str_at("kernel") == cs->str_at("kernel") &&
-        !bs->str_at("kernel").empty()) {
-      judge(cmps, "simd", "speedup(" + bs->str_at("kernel") + ")",
-            bs->num_at("speedup"), cs->num_at("speedup"),
-            opts.rate_tolerance_pct, false);
-    } else if (bs != nullptr && cs != nullptr) {
-      t += fmt(buf, sizeof buf, "  [skip] simd kernels differ (%s vs %s)\n",
-               bs->str_at("kernel").c_str(), cs->str_at("kernel").c_str());
-    }
-  } else if (bench == "pifo_inversions") {
-    t += "  mode: hw-model metrics direct (machine-independent)\n";
-    const double bops = base->num_at("ops"), cops = cand->num_at("ops");
-    for (const auto& [key, br] : brows) {
-      const auto it = crows.find(key);
-      if (it == crows.end()) {
-        t += fmt(buf, sizeof buf, "  [skip] %s missing in candidate\n",
-                 key.c_str());
-        continue;
-      }
-      const JsonValue* cr = it->second;
-      const bool exact = key.find("exact-pifo") != std::string::npos;
-      if (exact) {
-        // Hard invariants: an exact substrate must never invert.
-        judge(cmps, key, "inverted_pops", 0.0, cr->num_at("inverted_pops"),
-              0.0, true);
-        judge(cmps, key, "pairwise_excess", 0.0,
-              cr->num_at("pairwise_excess"), 0.0, true);
-      } else {
-        judge(cmps, key, "inversion_rate_pct",
-              br->num_at("inversion_rate_pct"),
-              cr->num_at("inversion_rate_pct"), opts.cycles_tolerance_pct,
-              true);
-      }
-      if (bops > 0.0 && cops > 0.0) {
-        judge(cmps, key, "hw_cycles/op", br->num_at("hw_cycles") / bops,
-              cr->num_at("hw_cycles") / cops, opts.cycles_tolerance_pct,
-              true);
-      }
-      judge(cmps, key, "area_slices", br->num_at("area_slices"),
-            cr->num_at("area_slices"), opts.cycles_tolerance_pct, true);
-    }
-  } else {
-    res.comparable = false;
-    t += fmt(buf, sizeof buf, "  unknown bench type \"%s\"\n", bench.c_str());
-    res.text = std::move(t);
-    return res;
-  }
-
-  for (const Cmp& c : cmps) {
-    const double change =
-        c.base > 0.0 ? (c.cand - c.base) / c.base * 100.0 : 0.0;
-    t += fmt(buf, sizeof buf, "  [%s] %s %s %.6g -> %.6g (%+.1f%%, tol %s%g%%)\n",
-             c.regressed ? "REGRESS" : "ok", c.row.c_str(), c.metric.c_str(),
-             c.base, c.cand, change, c.higher_is_worse ? "+" : "-",
-             c.limit_pct);
-    if (c.regressed) ++res.regressions;
-  }
-  t += fmt(buf, sizeof buf, "  verdict: %d regression(s) across %zu check(s)\n",
-           res.regressions, cmps.size());
-  res.text = std::move(t);
-  return res;
-}
-
 }  // namespace ss::telemetry

@@ -1,4 +1,4 @@
-// report.hpp — unified run reports and the bench regression keeper.
+// report.hpp — unified run reports.
 //
 // The observability planes each export one document (ss-metrics-v1,
 // ss-audit-v2, ss-profile-v1, ss-timeseries-v1) and understanding one
@@ -8,22 +8,8 @@
 // intervals, top SLO burn causes, profiler flame shares, and watchdog
 // firings with their window context — the one page a run leaves behind.
 //
-// `bench_diff` is the perf-regression keeper: a noise-aware comparator
-// for two committed bench artifacts (BENCH_throughput.json or
-// BENCH_pifo.json).  Throughput numbers are machine-speed-dependent and
-// CI compares a --quick run on a runner against a full-depth baseline
-// from another machine, so rate metrics are compared in *shape mode* —
-// each row's pps normalized by its own artifact's median pps across the
-// matched rows, cancelling machine speed while catching any row that
-// regressed relative to its siblings.  Hardware-model counts
-// (hw_cycles_per_decision, pifo hw_cycles/ops, inversion rates) are
-// workload-deterministic and compared directly.  Exact-PIFO invariants
-// (zero inverted pops / pairwise excess) are hard gates.  `absolute`
-// adds direct pps comparison for same-machine artifact pairs.
-//
-// Both live in the telemetry library (not the CLI) so tests drive them
-// without process spawns; `ss_cli report` / `ss_cli benchdiff` are thin
-// argument shims.
+// It lives in the telemetry library (not the CLI) so tests drive it
+// without process spawns; `ss_cli report` is a thin argument shim.
 #pragma once
 
 #include <string>
@@ -46,21 +32,5 @@ struct Report {
 };
 
 Report build_report(const ReportInputs& in);
-
-struct BenchDiffOptions {
-  double rate_tolerance_pct = 10.0;    ///< shape-normalized pps drop allowed
-  double cycles_tolerance_pct = 10.0;  ///< hw-model metric growth allowed
-  bool absolute = false;  ///< also compare raw pps (same-machine pairs)
-};
-
-struct BenchDiffResult {
-  bool comparable = false;  ///< both parsed and are the same bench type
-  int regressions = 0;
-  std::string text;  ///< per-metric table + verdict
-};
-
-BenchDiffResult bench_diff(const std::string& baseline_path,
-                           const std::string& candidate_path,
-                           const BenchDiffOptions& opts = {});
 
 }  // namespace ss::telemetry

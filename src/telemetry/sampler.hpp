@@ -1,6 +1,6 @@
 // sampler.hpp — deterministic per-N decision sampling for the audit plane.
 //
-// BENCH_throughput.json put a number on the problem: full rule-provenance
+// The overhead rows put a number on the problem: full rule-provenance
 // audit costs ~60% of throughput at sim rates, so the richest signals were
 // exactly the ones that had to be switched off under load.  The
 // DecisionSampler is the fix: the chip asks it once per committed decision

@@ -2,9 +2,9 @@
 //
 // The repo's observability surfaces all *write* JSON (single-line
 // documents CI checks with jq), but the post-run tooling — `ss_cli
-// report` merging four export documents, `ss_cli benchdiff` comparing
-// two committed bench artifacts — has to *read* them back without
-// shelling out to jq.  This is the smallest parser that round-trips the
+// report` merging four export documents, the test that pins the
+// committed BENCH_pifo.json — has to *read* them back without shelling
+// out to jq.  This is the smallest parser that round-trips the
 // documents we emit: the full JSON value grammar (null/bool/number/
 // string/array/object), doubles for every number, no streaming, no
 // writer (producers keep their hand-rolled emitters so the export
@@ -61,8 +61,8 @@ class JsonValue {
   [[nodiscard]] bool is_bool() const noexcept { return type_ == Type::kBool; }
 
   /// Typed accessors with defaults — reading a field that is absent or of
-  /// another type yields the default, so report/benchdiff degrade
-  /// gracefully on older artifacts missing newer fields.
+  /// another type yields the default, so the report degrades gracefully
+  /// on older documents missing newer fields.
   [[nodiscard]] double as_num(double dflt = 0.0) const noexcept {
     return type_ == Type::kNumber ? num_ : dflt;
   }

@@ -13,13 +13,19 @@
 //                    of the batch_depth=1 stream, per stream, plus FIFO
 //                    and conservation invariants at every depth;
 //   * differential — the chip-vs-oracle executor agrees grant-by-grant on
-//                    fuzzer scenarios that sample the batch_depth axis.
+//                    fuzzer scenarios that sample the batch_depth axis;
+//   * sweep        — the endsystem's deterministic outputs across the
+//                    winner-only / depth 1 / 4 / whole-block sweep at
+//                    4, 16 and 32 streams are pinned exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/block_policy.hpp"
+#include "core/endsystem.hpp"
 #include "hw/scheduler_chip.hpp"
 #include "queueing/link_model.hpp"
 #include "queueing/queue_manager.hpp"
@@ -219,6 +225,114 @@ TEST(BlockBatchDifferential, ChipMatchesOracleWithBatchDepthSampled) {
   }
   // The axis must actually have been exercised, not just permitted.
   EXPECT_GE(batched_seen, 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Sweep level: the block-vs-winner depth sweep through Endsystem::run.
+// Backlogged fair-share streams (weights 1..4, every frame queued at t=0)
+// on the tag-only bitonic datapath.  Host time varies from run to run;
+// every output pinned here is a function of the schedule alone.  The
+// delay percentiles are read off the log-binned delay histogram.
+
+struct SweepPoint {
+  bool block;
+  unsigned batch_depth;
+  unsigned streams;
+  std::uint64_t frames;
+  std::uint64_t decisions;
+  std::uint64_t committed;
+  double hw_cycles_per_decision;  ///< per committed decision
+  double frames_per_decision;     ///< per committed decision
+  double p50_delay_us;            ///< worst stream
+  double p99_delay_us;            ///< worst stream
+};
+
+SweepPoint run_sweep_point(bool block, unsigned batch_depth,
+                           unsigned streams) {
+  core::EndsystemConfig cfg;
+  cfg.chip.slots = streams;
+  cfg.chip.cmp_mode = hw::ComparisonMode::kTagOnly;
+  cfg.chip.schedule = hw::SortSchedule::kBitonic;
+  cfg.chip.block_mode = block;
+  cfg.chip.batch_depth = block ? batch_depth : 0;
+  cfg.pci_batch = 32;
+  cfg.keep_series = false;
+  cfg.delay_histogram = true;
+  core::Endsystem es(cfg);
+  for (unsigned i = 0; i < streams; ++i) {
+    dwcs::StreamRequirement r;
+    r.kind = dwcs::RequirementKind::kFairShare;
+    r.weight = 1.0 + static_cast<double>(i % 4);
+    r.droppable = false;
+    es.add_stream(r, std::make_unique<queueing::CbrGen>(0), 1500);
+  }
+  const std::uint64_t hw_before = es.chip().hw_cycles();
+  const core::EndsystemReport rep = es.run(2000);
+  const auto hw_cycles =
+      static_cast<double>(es.chip().hw_cycles() - hw_before);
+  const auto committed = static_cast<double>(rep.committed_decisions);
+  SweepPoint p{block,
+               batch_depth,
+               streams,
+               rep.frames,
+               rep.decision_cycles,
+               rep.committed_decisions,
+               hw_cycles / committed,
+               static_cast<double>(rep.frames) / committed,
+               0.0,
+               0.0};
+  for (unsigned i = 0; i < streams; ++i) {
+    p.p50_delay_us =
+        std::max(p.p50_delay_us, es.monitor().delay_percentile_est_us(i, 50));
+    p.p99_delay_us =
+        std::max(p.p99_delay_us, es.monitor().delay_percentile_est_us(i, 99));
+  }
+  return p;
+}
+
+TEST(BlockBatchSweep, DeterministicOutputsArePinnedExactly) {
+  // 2,000 frames per stream.  Cycles per decision depend only on the
+  // slot count (14 / 33 / 54); frames per decision is the burst size.
+  const SweepPoint golden[] = {
+      {false, 1, 4, 8000, 8000, 8000, 14, 1, 83643.661484253826,
+       96551.079351543449},
+      {true, 1, 4, 8000, 8000, 8000, 14, 1, 83643.661484253826,
+       96551.079351543449},
+      {true, 4, 4, 8000, 2000, 2000, 14, 4, 48022.560516469566,
+       95074.686895392762},
+      {true, 0, 4, 8000, 2000, 2000, 14, 4, 48022.560516469566,
+       95074.686895392762},
+      {false, 1, 16, 32000, 32000, 32000, 33, 1, 334737.51821382705,
+       383513.9781659111},
+      {true, 1, 16, 32000, 32000, 32000, 33, 1, 334737.51821382705,
+       383513.9781659111},
+      {true, 4, 16, 32000, 8000, 8000, 33, 4, 334737.51821382705,
+       383513.9781659111},
+      {true, 0, 16, 32000, 2000, 2000, 33, 16, 192086.16845357255,
+       380482.87549935933},
+      {false, 1, 32, 64000, 64000, 64000, 54, 1, 668382.3636829009,
+       770046.05908581405},
+      {true, 1, 32, 64000, 64000, 64000, 54, 1, 668382.3636829009,
+       770046.05908581405},
+      {true, 4, 32, 64000, 16000, 16000, 54, 4, 668489.03611206927,
+       770046.05908581405},
+      {true, 0, 32, 64000, 2000, 2000, 54, 32, 384168.26335962932,
+       760593.03435779887},
+  };
+  for (const SweepPoint& want : golden) {
+    SCOPED_TRACE(::testing::Message()
+                 << (want.block ? "block" : "wr") << " depth "
+                 << want.batch_depth << ", " << want.streams << " streams");
+    const SweepPoint got =
+        run_sweep_point(want.block, want.batch_depth, want.streams);
+    EXPECT_EQ(got.frames, want.frames);
+    EXPECT_EQ(got.decisions, want.decisions);
+    EXPECT_EQ(got.committed, want.committed);
+    EXPECT_EQ(got.hw_cycles_per_decision, want.hw_cycles_per_decision);
+    EXPECT_EQ(got.frames_per_decision, want.frames_per_decision);
+    EXPECT_EQ(got.p50_delay_us, want.p50_delay_us);
+    EXPECT_EQ(got.p99_delay_us, want.p99_delay_us);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "core/aggregation.hpp"
 #include "core/block_policy.hpp"
@@ -351,6 +353,41 @@ TEST(Endsystem, PciBatchingReducesModelledOverhead) {
     return es.run(2000).pci_ns;
   };
   EXPECT_LT(run_with_batch(64), run_with_batch(1));
+}
+
+// Set-up errors are exceptions, not asserts, so they hold in every build
+// type: an over-full stream set used to make run() spin forever once
+// NDEBUG compiled the assert away.
+dwcs::StreamRequirement fair_share(double w) {
+  dwcs::StreamRequirement r;
+  r.kind = dwcs::RequirementKind::kFairShare;
+  r.weight = w;
+  return r;
+}
+
+TEST(Endsystem, RejectsMoreStreamsThanSlots) {
+  EndsystemConfig cfg;
+  cfg.chip.slots = 4;
+  Endsystem es(cfg);
+  for (int i = 0; i < 4; ++i) {
+    es.add_stream(fair_share(1.0), std::make_unique<queueing::CbrGen>(0),
+                  1500);
+  }
+  EXPECT_THROW(es.add_stream(fair_share(1.0),
+                             std::make_unique<queueing::CbrGen>(0), 1500),
+               std::length_error);
+}
+
+TEST(Endsystem, RejectsFrameCountsOfTheWrongLength) {
+  EndsystemConfig cfg;
+  cfg.chip.slots = 4;
+  Endsystem es(cfg);
+  for (int i = 0; i < 2; ++i) {
+    es.add_stream(fair_share(1.0), std::make_unique<queueing::CbrGen>(0),
+                  1500);
+  }
+  EXPECT_THROW(es.run(std::vector<std::uint64_t>{10, 10, 10}),
+               std::invalid_argument);
 }
 
 }  // namespace

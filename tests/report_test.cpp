@@ -1,5 +1,4 @@
-// report_test.cpp — the JSON reader, the unified run report, and the
-// bench regression keeper.
+// report_test.cpp — the JSON reader and the unified run report.
 //
 // The JsonValue suite pins the reader's contract (full value grammar,
 // insertion-order objects, default-on-absence accessors, rejection of
@@ -8,11 +7,7 @@
 // from the time-series counters, watchdog firings localized via
 // watchdog.fired deltas, burn attribution summed across stream profiles,
 // the audit watchdog context re-serialized verbatim — plus one
-// round-trip over documents real producers wrote.  The BenchDiff suite
-// drives the comparator's noise model: self-compare is clean, a
-// single-row relative regression and a hw-model regression are caught,
-// a uniform slowdown is (by design) invisible in shape mode but caught
-// with absolute=true, and exact-PIFO invariants are hard gates.
+// round-trip over documents real producers wrote.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -27,8 +22,6 @@
 namespace ss {
 namespace {
 
-using telemetry::BenchDiffOptions;
-using telemetry::BenchDiffResult;
 using telemetry::Report;
 using telemetry::ReportInputs;
 using util::JsonValue;
@@ -253,176 +246,6 @@ TEST(RunReport, RoundTripsRealProducerDocuments) {
   EXPECT_TRUE(JsonValue::parse(rep.json).has_value());
   std::remove(mpath.c_str());
   std::remove(tpath.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// bench_diff
-// ---------------------------------------------------------------------------
-
-std::string throughput_doc(double r1_pps, double r2_pps, double r3_pps,
-                           double hw_cycles, double speedup) {
-  char buf[2048];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\"bench\": \"throughput_baseline\", \"version\": 2, "
-      "\"quick\": true, "
-      "\"env\": {\"duration_s\": 1.5, \"peak_rss_kb\": 20000}, "
-      "\"frames_per_stream\": 2000, \"rows\": ["
-      "{\"mode\": \"wr\", \"batch_depth\": 1, \"streams\": 16, "
-      "\"pps_excl_pci\": %.1f, \"hw_cycles_per_decision\": %.2f, "
-      "\"frames_per_decision\": 1.0},"
-      "{\"mode\": \"block\", \"batch_depth\": 1, \"streams\": 16, "
-      "\"pps_excl_pci\": %.1f, \"hw_cycles_per_decision\": %.2f, "
-      "\"frames_per_decision\": 1.0},"
-      "{\"mode\": \"block\", \"batch_depth\": 4, \"streams\": 16, "
-      "\"pps_excl_pci\": %.1f, \"hw_cycles_per_decision\": %.2f, "
-      "\"frames_per_decision\": 3.2}], "
-      "\"simd_speedup\": {\"kernel\": \"avx2\", \"speedup\": %.2f}}",
-      r1_pps, hw_cycles, r2_pps, hw_cycles, r3_pps, hw_cycles, speedup);
-  return buf;
-}
-
-std::string pifo_doc(double exact_inverted, double exact_excess,
-                     double sp_rate_pct, double exact_hw_cycles) {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\"bench\": \"pifo_inversions\", \"version\": 1, \"quick\": true, "
-      "\"env\": {\"duration_s\": 0.4, \"peak_rss_kb\": 9000}, "
-      "\"ops\": 4000, \"rows\": ["
-      "{\"dist\": \"heavy-tailed\", \"backend\": \"exact-pifo/binary-heap\", "
-      "\"inverted_pops\": %.0f, \"pairwise_excess\": %.0f, "
-      "\"inversion_rate_pct\": 0.0, \"hw_cycles\": %.0f, "
-      "\"area_slices\": 120},"
-      "{\"dist\": \"heavy-tailed\", \"backend\": \"sp-pifo/8\", "
-      "\"bands\": 8, \"inverted_pops\": 50, \"pairwise_excess\": 40, "
-      "\"inversion_rate_pct\": %.3f, \"hw_cycles\": 0, "
-      "\"area_slices\": 0}]}",
-      exact_inverted, exact_excess, exact_hw_cycles, sp_rate_pct);
-  return buf;
-}
-
-TEST(BenchDiff, SelfCompareIsClean) {
-  const std::string a = tmp_path("bd_base.json");
-  write_file(a, throughput_doc(100000, 200000, 400000, 50.0, 2.0));
-  const BenchDiffResult r = telemetry::bench_diff(a, a);
-  EXPECT_TRUE(r.comparable);
-  EXPECT_EQ(r.regressions, 0) << r.text;
-  EXPECT_NE(r.text.find("verdict: 0 regression(s)"), std::string::npos);
-  std::remove(a.c_str());
-}
-
-// One row falling behind its siblings is visible in shape mode even
-// though every absolute number could be explained by a slower machine.
-TEST(BenchDiff, SingleRowRelativeRegressionCaught) {
-  const std::string a = tmp_path("bd_base2.json");
-  const std::string b = tmp_path("bd_cand2.json");
-  write_file(a, throughput_doc(100000, 200000, 400000, 50.0, 2.0));
-  // The depth-4 row loses half its pps relative to the others.
-  write_file(b, throughput_doc(100000, 200000, 200000, 50.0, 2.0));
-  const BenchDiffResult r = telemetry::bench_diff(a, b);
-  EXPECT_TRUE(r.comparable);
-  EXPECT_GT(r.regressions, 0) << r.text;
-  EXPECT_NE(r.text.find("pps_shape"), std::string::npos);
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-}
-
-// A uniform slowdown is indistinguishable from a slower machine and must
-// NOT regress in shape mode — that is the point of the normalization —
-// but absolute mode (same-machine pairs) catches it.
-TEST(BenchDiff, UniformSlowdownNeedsAbsoluteMode) {
-  const std::string a = tmp_path("bd_base3.json");
-  const std::string b = tmp_path("bd_cand3.json");
-  write_file(a, throughput_doc(100000, 200000, 400000, 50.0, 2.0));
-  write_file(b, throughput_doc(50000, 100000, 200000, 50.0, 2.0));
-  const BenchDiffResult shape = telemetry::bench_diff(a, b);
-  EXPECT_TRUE(shape.comparable);
-  EXPECT_EQ(shape.regressions, 0) << shape.text;
-
-  BenchDiffOptions opts;
-  opts.absolute = true;
-  const BenchDiffResult abs = telemetry::bench_diff(a, b, opts);
-  EXPECT_GT(abs.regressions, 0) << abs.text;
-  EXPECT_NE(abs.text.find("pps_excl_pci"), std::string::npos);
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-}
-
-// Hardware-model metrics are workload-deterministic: growth past the
-// tolerance regresses regardless of machine speed.
-TEST(BenchDiff, HwCyclesGrowthRegresses) {
-  const std::string a = tmp_path("bd_base4.json");
-  const std::string b = tmp_path("bd_cand4.json");
-  write_file(a, throughput_doc(100000, 200000, 400000, 50.0, 2.0));
-  write_file(b, throughput_doc(100000, 200000, 400000, 60.0, 2.0));  // +20%
-  const BenchDiffResult r = telemetry::bench_diff(a, b);
-  EXPECT_GT(r.regressions, 0) << r.text;
-  EXPECT_NE(r.text.find("hw_cycles_per_decision"), std::string::npos);
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-}
-
-TEST(BenchDiff, SimdSpeedupDropRegresses) {
-  const std::string a = tmp_path("bd_base5.json");
-  const std::string b = tmp_path("bd_cand5.json");
-  write_file(a, throughput_doc(100000, 200000, 400000, 50.0, 2.0));
-  write_file(b, throughput_doc(100000, 200000, 400000, 50.0, 1.2));  // -40%
-  const BenchDiffResult r = telemetry::bench_diff(a, b);
-  EXPECT_GT(r.regressions, 0) << r.text;
-  EXPECT_NE(r.text.find("speedup(avx2)"), std::string::npos);
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-}
-
-TEST(BenchDiff, ExactPifoInvariantIsHardGate) {
-  const std::string a = tmp_path("bd_pifo_base.json");
-  const std::string b = tmp_path("bd_pifo_cand.json");
-  write_file(a, pifo_doc(0, 0, 5.0, 10000));
-  // Even a single inverted pop on an exact substrate regresses — no
-  // tolerance applies to an invariant.
-  write_file(b, pifo_doc(1, 0, 5.0, 10000));
-  const BenchDiffResult r = telemetry::bench_diff(a, b);
-  EXPECT_TRUE(r.comparable);
-  EXPECT_GT(r.regressions, 0) << r.text;
-  EXPECT_NE(r.text.find("inverted_pops"), std::string::npos);
-
-  // And the SP-PIFO approximation degrading past tolerance is caught.
-  const std::string c = tmp_path("bd_pifo_cand2.json");
-  write_file(c, pifo_doc(0, 0, 8.0, 10000));  // +60% inversion rate
-  const BenchDiffResult r2 = telemetry::bench_diff(a, c);
-  EXPECT_GT(r2.regressions, 0) << r2.text;
-  EXPECT_NE(r2.text.find("inversion_rate_pct"), std::string::npos);
-
-  // Self-compare of the pifo artifact stays clean.
-  const BenchDiffResult r3 = telemetry::bench_diff(a, a);
-  EXPECT_EQ(r3.regressions, 0) << r3.text;
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-  std::remove(c.c_str());
-}
-
-TEST(BenchDiff, MismatchedBenchTypesNotComparable) {
-  const std::string a = tmp_path("bd_mix_a.json");
-  const std::string b = tmp_path("bd_mix_b.json");
-  write_file(a, throughput_doc(100000, 200000, 400000, 50.0, 2.0));
-  write_file(b, pifo_doc(0, 0, 5.0, 10000));
-  const BenchDiffResult r = telemetry::bench_diff(a, b);
-  EXPECT_FALSE(r.comparable);
-  EXPECT_EQ(r.regressions, 0);
-  EXPECT_NE(r.text.find("bench types differ"), std::string::npos);
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-}
-
-TEST(BenchDiff, UnparseableArtifactNotComparable) {
-  const std::string a = tmp_path("bd_bad.json");
-  write_file(a, "{not json");
-  const BenchDiffResult r =
-      telemetry::bench_diff(a, "/nonexistent/cand.json");
-  EXPECT_FALSE(r.comparable);
-  EXPECT_NE(r.text.find("cannot parse"), std::string::npos);
-  std::remove(a.c_str());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // block emission, drops, virtual time, counters, fair-queuing tags.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "hw/scheduler_chip.hpp"
 
 namespace ss::hw {
@@ -37,6 +39,16 @@ ChipConfig block_config(unsigned slots, bool min_first = false,
   c.min_first = min_first;
   c.schedule = sched;
   return c;
+}
+
+TEST(SchedulerChip, RejectsSlotCountsOutsidePowersOfTwoTo32) {
+  for (const unsigned slots : {0u, 1u, 3u, 6u, 64u}) {
+    EXPECT_THROW(SchedulerChip chip(wr_config(slots)), std::invalid_argument)
+        << slots << " slots";
+  }
+  for (const unsigned slots : {2u, 32u}) {
+    EXPECT_NO_THROW(SchedulerChip chip(wr_config(slots))) << slots;
+  }
 }
 
 TEST(SchedulerChip, IdleDecisionCycleBurnsAPacketTime) {

@@ -2,6 +2,8 @@
 // synchronization-free rings (the Section 5.1 concurrency claim).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/threaded_endsystem.hpp"
 
 namespace ss::core {
@@ -20,6 +22,19 @@ dwcs::StreamRequirement fair(double w, bool droppable = false) {
   r.weight = w;
   r.droppable = droppable;
   return r;
+}
+
+TEST(ThreadedEndsystem, RejectsMoreStreamsThanSlots) {
+  ThreadedEndsystem es(cfg(2));
+  es.add_stream(fair(1.0));
+  es.add_stream(fair(1.0));
+  EXPECT_THROW(es.add_stream(fair(1.0)), std::length_error);
+}
+
+TEST(ThreadedEndsystem, RejectsReloadOfUnknownStream) {
+  ThreadedEndsystem es(cfg());
+  es.add_stream(fair(1.0));
+  EXPECT_THROW(es.request_reload(1, fair(2.0)), std::invalid_argument);
 }
 
 TEST(ThreadedEndsystem, EveryProducedFrameIsTransmitted) {
