@@ -11,101 +11,35 @@
 namespace ss::core {
 
 Endsystem::Endsystem(const EndsystemConfig& cfg)
-    : cfg_(cfg),
-      packet_time_ns_(
-          ss::packet_time_ns(cfg.ref_frame_bytes, cfg.link_gbps)),
-      chip_(std::make_unique<hw::SchedulerChip>(cfg.chip)),
+    : Pipeline(cfg, cfg.ref_frame_bytes),
+      cfg_(cfg),
       pci_(cfg.pci),
-      bank_(1 << 16, Nanos{2000}),
-      qm_(static_cast<std::uint64_t>(packet_time_ns_)),
-      link_(cfg.link_gbps),
-      te_(qm_, link_) {
-  if (cfg_.faults.enabled()) {
-    fault_plan_ = std::make_unique<robust::FaultPlan>(cfg_.faults);
-    robust::GuardedScheduler::Options go;
-    go.recovery = cfg_.recovery;
-    guard_ = std::make_unique<robust::GuardedScheduler>(
-        *chip_, fault_plan_.get(), go);
-    pci_.attach_faults(fault_plan_.get());
-  }
+      bank_(1 << 16, Nanos{2000}) {
+  pci_.attach_faults(fault_plan_.get());
 }
 
 std::uint32_t Endsystem::add_stream(const dwcs::StreamRequirement& req,
                                     std::unique_ptr<queueing::TrafficGen> gen,
                                     std::uint32_t frame_bytes) {
-  if (streams_.size() >= cfg_.chip.slots) {
-    throw std::length_error("Endsystem::add_stream: every chip slot is taken");
-  }
-  StreamCtx ctx;
-  ctx.req = req;
-  ctx.gen = std::move(gen);
-  ctx.frame_bytes = frame_bytes;
-  streams_.push_back(std::move(ctx));
+  const std::uint32_t id = admit(req, cfg_.ring_capacity);
+  streams_.push_back({std::move(gen), frame_bytes});
   admitted_ = false;
-  const auto id = static_cast<std::uint32_t>(streams_.size() - 1);
-  qm_.add_stream(cfg_.ring_capacity);
   return id;
 }
 
 void Endsystem::finalize_admission() {
-  std::vector<dwcs::StreamRequirement> reqs;
-  reqs.reserve(streams_.size());
-  for (const StreamCtx& s : streams_) reqs.push_back(s.req);
-  const auto periods = dwcs::fair_share_periods(reqs);
-  for (std::uint32_t i = 0; i < streams_.size(); ++i) {
-    hw::SlotConfig sc = dwcs::to_slot_config(reqs[i], periods[i]);
-    // Stagger first deadlines one period out so a feasible set starts
-    // without an artificial time-zero pile-up.
-    if (reqs[i].kind == dwcs::RequirementKind::kFairShare) {
-      sc.initial_deadline = hw::Deadline{periods[i]};
-    }
-    if (guard_) {
-      dwcs::StreamSpec spec = dwcs::to_stream_spec(reqs[i], periods[i]);
-      if (reqs[i].kind == dwcs::RequirementKind::kFairShare) {
-        spec.initial_deadline = periods[i];
-      }
-      guard_->load_slot(static_cast<hw::SlotId>(i), sc, spec);
-    } else {
-      chip_->load_slot(static_cast<hw::SlotId>(i), sc);
-    }
-  }
+  load();
   monitor_ = std::make_unique<QosMonitor>(
       static_cast<std::uint32_t>(streams_.size()), cfg_.bw_window_ns);
   monitor_->set_keep_series(cfg_.keep_series);
   monitor_->set_delay_histogram(cfg_.delay_histogram);
   if (cfg_.metrics) {
-    chip_metrics_ = telemetry::ChipMetrics::create(*cfg_.metrics);
     pci_metrics_ = telemetry::PciMetrics::create(*cfg_.metrics);
     sram_metrics_ = telemetry::SramMetrics::create(*cfg_.metrics);
-    qm_metrics_ = telemetry::QueueMetrics::create(*cfg_.metrics);
-    tx_metrics_ = telemetry::TxMetrics::create(
-        *cfg_.metrics, static_cast<std::uint32_t>(streams_.size()));
-    es_metrics_ = telemetry::EndsystemMetrics::create(*cfg_.metrics);
-    chip_->attach_metrics(&chip_metrics_);
     pci_.attach_metrics(&pci_metrics_);
     bank_.attach_metrics(&sram_metrics_);
-    qm_.attach_metrics(&qm_metrics_);
-    te_.attach_metrics(&tx_metrics_);
-    if (guard_) {
-      robust_metrics_ = telemetry::RobustMetrics::create(*cfg_.metrics);
-      guard_->attach_metrics(&robust_metrics_);
-    }
     if (cfg_.frame_trace) cfg_.frame_trace->bind_registry(*cfg_.metrics);
   }
-  SS_TELEM(if (cfg_.profiler != nullptr) {
-    chip_->attach_profiler(cfg_.profiler);
-    if (cfg_.metrics != nullptr) cfg_.profiler->bind_registry(*cfg_.metrics);
-  });
-  SS_TELEM(if (cfg_.audit != nullptr) {
-    // The guard forwards to the chip and the fault plan; an unguarded run
-    // attaches to the chip directly.
-    if (guard_) {
-      guard_->attach_audit(cfg_.audit);
-    } else {
-      chip_->attach_audit(cfg_.audit);
-    }
-    if (cfg_.metrics != nullptr) cfg_.audit->audit().bind_registry(*cfg_.metrics);
-  });
   if (cfg_.use_streaming_unit) {
     streaming_ = std::make_unique<hw::StreamingUnit>(
         cfg_.streaming, pci_, bank_,
@@ -115,16 +49,13 @@ void Endsystem::finalize_admission() {
 }
 
 double Endsystem::utilization() const {
-  std::vector<dwcs::StreamRequirement> reqs;
-  reqs.reserve(streams_.size());
-  for (const StreamCtx& s : streams_) reqs.push_back(s.req);
-  const auto periods = dwcs::fair_share_periods(reqs);
+  const auto periods = dwcs::fair_share_periods(reqs_);
   double u = 0.0;
-  for (std::uint32_t i = 0; i < streams_.size(); ++i) {
-    if (reqs[i].kind == dwcs::RequirementKind::kStaticPriority) continue;
-    const auto p = (reqs[i].kind == dwcs::RequirementKind::kFairShare)
+  for (std::uint32_t i = 0; i < reqs_.size(); ++i) {
+    if (reqs_[i].kind == dwcs::RequirementKind::kStaticPriority) continue;
+    const auto p = (reqs_[i].kind == dwcs::RequirementKind::kFairShare)
                        ? periods[i]
-                       : reqs[i].period;
+                       : reqs_[i].period;
     if (p > 0) u += 1.0 / static_cast<double>(p);
   }
   return u;
@@ -156,8 +87,7 @@ EndsystemReport Endsystem::run(
   std::vector<unsigned> batch_fill(streams_.size(), 0);
   std::uint64_t transmitted = 0;
   std::uint64_t pci_ns = 0;
-  const std::uint64_t decisions0 =
-      guard_ ? guard_->decision_cycles() : chip_->decision_cycles();
+  const std::uint64_t decisions0 = guard_.decision_cycles();
 
   // Fallible PCI accounting: with the fault plane enabled every transfer
   // is driven through the recovery policy (failed attempts still burn bus
@@ -166,12 +96,12 @@ EndsystemReport Endsystem::run(
   robust::RecoveryStats pci_rstats{};
   const auto pci_xfer_ns = [&](std::size_t bytes, bool read) {
     SS_PROF(cfg_.profiler, telemetry::ProfStage::kPci);
-    if (!guard_) {
+    if (!fault_plan_) {
       if (read) return count(pci_.pio_read(bytes));
       return count(cfg_.dma_bulk ? pci_.dma_transfer(bytes)
                                  : pci_.pio_write(bytes));
     }
-    if (guard_->failed_over()) return std::uint64_t{0};
+    if (guard_.failed_over()) return std::uint64_t{0};
     const robust::RetryResult r = robust::with_retry(
         cfg_.recovery, pci_rstats, nullptr,
         cfg_.metrics ? &robust_metrics_ : nullptr, [&] {
@@ -179,12 +109,11 @@ EndsystemReport Endsystem::run(
           return cfg_.dma_bulk ? pci_.try_dma_transfer(bytes)
                                : pci_.try_pio_write(bytes);
         });
-    if (!r.ok) guard_->force_failover();
+    if (!r.ok) guard_.force_failover();
     return count(r.elapsed);
   };
   // Block-drain staging, reused every decision cycle so the hot loop does
   // no per-cycle allocation once the vectors reach the block size.
-  std::vector<queueing::BlockGrant> burst;
   std::vector<queueing::TxRecord> burst_records;
   hw::DecisionOutcome out;  // grant/block/drop capacity reused per cycle
   // Drainable-stream mask: bit i stays set while stream i may still
@@ -209,8 +138,7 @@ EndsystemReport Endsystem::run(
   while (transmitted < total) {
     SS_TELEM(if (em) em->loop_iterations->add(1));
     const auto now_ns = static_cast<std::uint64_t>(
-        static_cast<double>(guard_ ? guard_->vtime() : chip_->vtime()) *
-        packet_time_ns_);
+        static_cast<double>(guard_.vtime()) * packet_time_ns_);
 
     // Deliver due arrivals: frame into the QM ring, arrival offset to the
     // card — either through the Streaming unit's watermark machinery or
@@ -243,11 +171,7 @@ EndsystemReport Endsystem::run(
           if (streaming_) continue;  // the unit moves the offsets below
           const auto off = static_cast<std::uint64_t>(
               static_cast<double>(f.arrival_ns) / packet_time_ns_);
-          if (guard_) {
-            guard_->push_request(static_cast<hw::SlotId>(i), off);
-          } else {
-            chip_->push_request(static_cast<hw::SlotId>(i), hw::Arrival{off});
-          }
+          guard_.push_request(static_cast<hw::SlotId>(i), off);
           if (++batch_fill[i] >= cfg_.pci_batch) {
             batch_fill[i] = 0;
             const std::size_t bytes = std::size_t{cfg_.pci_batch} * 2;
@@ -269,22 +193,13 @@ EndsystemReport Endsystem::run(
           if (streaming_->needs_refill(i)) streaming_->refill(i, qm_);
           std::uint16_t off16;
           while (streaming_->pop_arrival(i, off16)) {
-            if (guard_) {
-              guard_->push_request(static_cast<hw::SlotId>(i), off16);
-            } else {
-              chip_->push_request(static_cast<hw::SlotId>(i),
-                                  hw::Arrival{off16});
-            }
+            guard_.push_request(static_cast<hw::SlotId>(i), off16);
           }
         }
       }
     }
 
-    if (guard_) {
-      guard_->run_decision_cycle(out);
-    } else {
-      chip_->run_decision_cycle(out);
-    }
+    guard_.run_decision_cycle(out);
     rep.committed_decisions += static_cast<std::uint64_t>(!out.idle);
 
     // Droppable slots that discarded a late head on the card: the systems
@@ -326,34 +241,22 @@ EndsystemReport Endsystem::run(
     });
 
     // Drain the whole grant burst in one Transmission Engine pass.
-    burst.clear();
-    for (const hw::Grant& g : out.grants) {
-      burst.push_back({g.slot,
-                       static_cast<std::uint64_t>(
-                           static_cast<double>(g.emit_vtime) *
-                           packet_time_ns_)});
-    }
-    burst_records.clear();
-    {
-      SS_PROF(cfg_.profiler, telemetry::ProfStage::kTransmit);
-      transmitted += te_.transmit_block(burst, &burst_records);
-    }
-    SS_TELEM(if (em) em->frames_completed->add(burst_records.size());
-             if (ft) {
-               const std::uint64_t dcycle = chip_->decision_cycles();
-               for (std::size_t bi = 0; bi < burst_records.size(); ++bi) {
-                 const queueing::TxRecord& rec = burst_records[bi];
-                 const std::uint64_t seq = consumed_seq[rec.stream]++;
-                 ft->grant(rec.stream, seq, now_ns, dcycle,
-                           static_cast<std::uint32_t>(bi));
-                 const auto ser_ns = static_cast<std::uint64_t>(
-                     static_cast<double>(rec.bytes) * 8.0 / cfg_.link_gbps);
-                 const std::uint64_t start =
-                     rec.departure_ns > ser_ns ? rec.departure_ns - ser_ns
-                                               : rec.departure_ns;
-                 ft->transmit(rec.stream, seq, start, ser_ns, rec.bytes);
-               }
-             });
+    transmitted += transmit_grants(out, burst_records);
+    SS_TELEM(if (ft) {
+      const std::uint64_t dcycle = guard_.decision_cycles();
+      for (std::size_t bi = 0; bi < burst_records.size(); ++bi) {
+        const queueing::TxRecord& rec = burst_records[bi];
+        const std::uint64_t seq = consumed_seq[rec.stream]++;
+        ft->grant(rec.stream, seq, now_ns, dcycle,
+                  static_cast<std::uint32_t>(bi));
+        const auto ser_ns = static_cast<std::uint64_t>(
+            static_cast<double>(rec.bytes) * 8.0 / cfg_.link_gbps);
+        const std::uint64_t start = rec.departure_ns > ser_ns
+                                        ? rec.departure_ns - ser_ns
+                                        : rec.departure_ns;
+        ft->transmit(rec.stream, seq, start, ser_ns, rec.bytes);
+      }
+    });
     for (const queueing::TxRecord& rec : burst_records) {
       drainable |= std::uint64_t{1} << rec.stream;
       monitor_->record(rec);
@@ -393,20 +296,14 @@ EndsystemReport Endsystem::run(
   rep.link_ns = link_.busy_until_ns();
   rep.host_seconds = std::chrono::duration<double>(t1 - t0).count();
   rep.pci_ns = pci_ns;
-  rep.decision_cycles =
-      (guard_ ? guard_->decision_cycles() : chip_->decision_cycles()) -
-      decisions0;
+  rep.decision_cycles = guard_.decision_cycles() - decisions0;
   rep.spurious_schedules = te_.spurious_schedules();
-  if (guard_) {
-    rep.robust = guard_->stats();
-    rep.robust.faults += pci_rstats.faults;
-    rep.robust.retries += pci_rstats.retries;
-    rep.robust.recoveries += pci_rstats.recoveries;
-    rep.robust.exhausted += pci_rstats.exhausted;
-    rep.robust.backoff_ns += pci_rstats.backoff_ns;
-    rep.faults_injected = fault_plan_->total_injected();
-    rep.failed_over = guard_->failed_over();
-  }
+  report_faults(rep);
+  rep.robust.faults += pci_rstats.faults;
+  rep.robust.retries += pci_rstats.retries;
+  rep.robust.recoveries += pci_rstats.recoveries;
+  rep.robust.exhausted += pci_rstats.exhausted;
+  rep.robust.backoff_ns += pci_rstats.backoff_ns;
   if (rep.host_seconds > 0) {
     rep.pps_excl_pci = static_cast<double>(transmitted) / rep.host_seconds;
     rep.pps_incl_pci =

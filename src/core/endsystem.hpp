@@ -13,6 +13,11 @@
 // packet-time is pinned to the serialization time of `ref_frame_bytes` at
 // the link rate, so chip vtime * packet_time_ns == link time.
 //
+// The pipeline itself (chip behind its scheduler front, QM, TE, LOAD,
+// metric bundles) is core::Pipeline; this realization adds what is its
+// own: timed delivery of pre-generated frames from the drain loop, PCI
+// and Streaming-unit accounting, the frame trace and the QoS monitor.
+//
 // Throughput accounting mirrors Section 5.2 exactly: the run is clocked
 // after all frames are queued ("we start the clock after 64000 packets
 // from each stream are queued"), pps-excluding-PCI divides frames by the
@@ -24,29 +29,20 @@
 #include <memory>
 #include <vector>
 
+#include "core/pipeline.hpp"
 #include "core/qos_monitor.hpp"
-#include "dwcs/modes.hpp"
 #include "hw/pci.hpp"
-#include "hw/scheduler_chip.hpp"
 #include "hw/sram.hpp"
 #include "hw/streaming_unit.hpp"
-#include "queueing/link_model.hpp"
-#include "queueing/queue_manager.hpp"
 #include "queueing/traffic_gen.hpp"
-#include "queueing/transmission_engine.hpp"
-#include "robust/fault_plan.hpp"
-#include "robust/guarded_scheduler.hpp"
-#include "robust/recovery.hpp"
-#include "telemetry/audit.hpp"
 #include "telemetry/frame_trace.hpp"
-#include "telemetry/instruments.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace ss::core {
 
-struct EndsystemConfig {
-  hw::ChipConfig chip{};
-  double link_gbps = 1.0;
+/// The shared fields are PipelineConfig's.  Here the fault plane makes
+/// every PCI transfer fallible too, metrics add the PCI and SRAM layers,
+/// and the audit's burn attribution is imported into the QoS monitor.
+struct EndsystemConfig : PipelineConfig {
   std::uint32_t ref_frame_bytes = 1500;     ///< defines one packet-time
   hw::PciConfig pci{};
   unsigned pci_batch = 32;                  ///< arrival offsets per PIO push
@@ -64,35 +60,12 @@ struct EndsystemConfig {
   /// Streaming per-frame delay histogram in the QoS monitor (estimated
   /// percentiles at O(1) memory; independent of keep_series).
   bool delay_histogram = false;
-  /// Pipeline-wide metrics (nullptr = off, the default: the hot path then
-  /// pays one null test per layer event).  Every layer — chip, PCI, SRAM,
-  /// QM, TE, the host loop itself — registers its instruments here at
-  /// finalize_admission() time; the registry may be snapshot from another
-  /// thread while the run is in flight.
-  telemetry::MetricsRegistry* metrics = nullptr;
   /// Frame-lifecycle trace sink (nullptr = off): arrival -> enqueue ->
   /// grant -> PCI -> transmit/drop events for Perfetto.
   telemetry::FrameTrace* frame_trace = nullptr;
-  /// Decision-audit session (nullptr = off): rule provenance per
-  /// comparison, the flight-recorder ring, and SLO burn attribution
-  /// (imported into the QoS monitor at end of run).  A forced failover
-  /// dumps the session automatically (cause "failover") when it carries a
-  /// dump path.
-  telemetry::AuditSession* audit = nullptr;
-  /// Hot-path self-profiler (nullptr = off): the chip attributes decision
-  /// and shuffle-pass time, the host loop attributes queue-drain, PCI and
-  /// transmit time.  Compiled away under -DSS_TELEMETRY=OFF.
-  telemetry::Profiler* profiler = nullptr;
-  /// Fault plane (seed == 0 = disabled, the default: the run is then
-  /// bit-identical to a build without the fault plane).  When enabled,
-  /// every PCI transfer and chip decision cycle becomes fallible and is
-  /// driven through the recovery policy below; exhaustion fails the run
-  /// over to the software reference scheduler mid-flight.
-  robust::FaultProfile faults{};
-  robust::RecoveryConfig recovery{};
 };
 
-struct EndsystemReport {
+struct EndsystemReport : FaultReport {
   std::uint64_t frames = 0;       ///< completed (delivered + dropped late)
   std::uint64_t dropped_late = 0; ///< late heads discarded by the card
   std::uint64_t link_ns = 0;      ///< simulated link time span
@@ -107,13 +80,9 @@ struct EndsystemReport {
   double pps_excl_pci = 0.0;
   double pps_incl_pci = 0.0;
   std::uint64_t spurious_schedules = 0;
-  // Fault-plane outcome (all zero when the plane is disabled).
-  robust::RecoveryStats robust{};
-  std::uint64_t faults_injected = 0;
-  bool failed_over = false;
 };
 
-class Endsystem {
+class Endsystem : private Pipeline {
  public:
   explicit Endsystem(const EndsystemConfig& cfg);
 
@@ -148,8 +117,8 @@ class Endsystem {
   EndsystemReport run(const std::vector<std::uint64_t>& frames_per_stream);
 
   [[nodiscard]] const QosMonitor& monitor() const { return *monitor_; }
-  [[nodiscard]] const hw::SchedulerChip& chip() const { return *chip_; }
-  [[nodiscard]] double packet_time_ns() const { return packet_time_ns_; }
+  using Pipeline::chip;
+  using Pipeline::packet_time_ns;
 
   /// Streaming-unit statistics (nullptr unless use_streaming_unit).
   [[nodiscard]] const hw::StreamingStats* streaming_stats() const {
@@ -158,35 +127,22 @@ class Endsystem {
 
  private:
   EndsystemConfig cfg_;
-  double packet_time_ns_;
-  std::unique_ptr<hw::SchedulerChip> chip_;
-  std::unique_ptr<robust::FaultPlan> fault_plan_;
-  std::unique_ptr<robust::GuardedScheduler> guard_;
   hw::PciModel pci_;
   hw::SramBank bank_;
   std::unique_ptr<hw::StreamingUnit> streaming_;
-  queueing::QueueManager qm_;
-  queueing::LinkModel link_;
-  queueing::TransmissionEngine te_;
   std::unique_ptr<QosMonitor> monitor_;
 
   struct StreamCtx {
-    dwcs::StreamRequirement req;
     std::unique_ptr<queueing::TrafficGen> gen;
     std::uint32_t frame_bytes;
   };
-  std::vector<StreamCtx> streams_;
+  std::vector<StreamCtx> streams_;  ///< parallel to Pipeline::reqs_
   bool admitted_ = false;
 
-  // Pre-resolved metric handles (attached to each layer when
-  // cfg_.metrics is set; the structs must outlive the attached layers).
-  telemetry::ChipMetrics chip_metrics_;
+  // Pre-resolved metric handles for the layers only this realization has
+  // (attached when cfg_.metrics is set; they must outlive the layers).
   telemetry::PciMetrics pci_metrics_;
   telemetry::SramMetrics sram_metrics_;
-  telemetry::QueueMetrics qm_metrics_;
-  telemetry::TxMetrics tx_metrics_;
-  telemetry::EndsystemMetrics es_metrics_;
-  telemetry::RobustMetrics robust_metrics_;
 };
 
 }  // namespace ss::core

@@ -5,34 +5,17 @@
 #include <thread>
 
 #include "telemetry/profiler.hpp"
-#include "util/sim_time.hpp"
 
 namespace ss::core {
 
 ThreadedEndsystem::ThreadedEndsystem(const ThreadedConfig& cfg)
-    : cfg_(cfg),
-      chip_(std::make_unique<hw::SchedulerChip>(cfg.chip)),
-      qm_(1000),
-      link_(cfg.link_gbps),
-      te_(qm_, link_) {
+    : Pipeline(cfg, cfg.frame_bytes), cfg_(cfg) {
   te_.set_record_frames(false);
-  if (cfg_.faults.enabled()) {
-    fault_plan_ = std::make_unique<robust::FaultPlan>(cfg_.faults);
-    robust::GuardedScheduler::Options go;
-    go.recovery = cfg_.recovery;
-    guard_ = std::make_unique<robust::GuardedScheduler>(
-        *chip_, fault_plan_.get(), go);
-  }
 }
 
 std::uint32_t ThreadedEndsystem::add_stream(
     const dwcs::StreamRequirement& req) {
-  if (reqs_.size() >= cfg_.chip.slots) {
-    throw std::length_error(
-        "ThreadedEndsystem::add_stream: every chip slot is taken");
-  }
-  reqs_.push_back(req);
-  return qm_.add_stream(cfg_.ring_capacity);
+  return admit(req, cfg_.ring_capacity);
 }
 
 void ThreadedEndsystem::request_reload(std::uint32_t stream,
@@ -51,44 +34,9 @@ void ThreadedEndsystem::request_reload(std::uint32_t stream,
 
 ThreadedReport ThreadedEndsystem::run(std::uint64_t frames_per_stream) {
   const auto n = static_cast<std::uint32_t>(reqs_.size());
-  const auto periods = dwcs::fair_share_periods(reqs_);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (guard_) {
-      guard_->load_slot(static_cast<hw::SlotId>(i),
-                        dwcs::to_slot_config(reqs_[i], periods[i]),
-                        dwcs::to_stream_spec(reqs_[i], periods[i]));
-    } else {
-      chip_->load_slot(static_cast<hw::SlotId>(i),
-                       dwcs::to_slot_config(reqs_[i], periods[i]));
-    }
-  }
-  if (guard_ && cfg_.metrics) {
-    robust_metrics_ = telemetry::RobustMetrics::create(*cfg_.metrics);
-    guard_->attach_metrics(&robust_metrics_);
-  }
-  SS_TELEM(telemetry::EndsystemMetrics* em = nullptr;
-           if (cfg_.metrics) {
-             chip_metrics_ = telemetry::ChipMetrics::create(*cfg_.metrics);
-             qm_metrics_ = telemetry::QueueMetrics::create(*cfg_.metrics);
-             tx_metrics_ = telemetry::TxMetrics::create(*cfg_.metrics, n);
-             es_metrics_ = telemetry::EndsystemMetrics::create(*cfg_.metrics);
-             chip_->attach_metrics(&chip_metrics_);
-             qm_.attach_metrics(&qm_metrics_);
-             te_.attach_metrics(&tx_metrics_);
-             em = &es_metrics_;
-           });
-  SS_TELEM(if (cfg_.audit != nullptr) {
-    if (guard_) {
-      guard_->attach_audit(cfg_.audit);
-    } else {
-      chip_->attach_audit(cfg_.audit);
-    }
-    if (cfg_.metrics != nullptr) cfg_.audit->audit().bind_registry(*cfg_.metrics);
-  });
-  SS_TELEM(if (cfg_.profiler != nullptr) {
-    chip_->attach_profiler(cfg_.profiler);
-    if (cfg_.metrics != nullptr) cfg_.profiler->bind_registry(*cfg_.metrics);
-  });
+  load();
+  SS_TELEM(telemetry::EndsystemMetrics* const em =
+               cfg_.metrics ? &es_metrics_ : nullptr);
 
   ThreadedReport rep{};
   rep.per_stream_tx.assign(n, 0);
@@ -138,7 +86,6 @@ ThreadedReport ThreadedEndsystem::run(std::uint64_t frames_per_stream) {
   std::vector<std::uint64_t> consumed(n, 0);
   const std::uint64_t total = frames_per_stream * n;
   std::uint64_t transmitted = 0;
-  std::vector<queueing::BlockGrant> burst;
   std::vector<queueing::TxRecord> burst_records;
   hw::DecisionOutcome out;  // grant/block/drop capacity reused per cycle
   while (transmitted < total) {
@@ -156,17 +103,7 @@ ThreadedReport ThreadedEndsystem::run(std::uint64_t frames_per_stream) {
         reload_pending_.store(false, std::memory_order_relaxed);
       }
       for (const PendingReload& pr : batch) {
-        reqs_[pr.stream] = pr.req;
-        const auto new_periods = dwcs::fair_share_periods(reqs_);
-        const hw::SlotConfig sc =
-            dwcs::to_slot_config(pr.req, new_periods[pr.stream]);
-        if (guard_) {
-          guard_->load_slot(static_cast<hw::SlotId>(pr.stream), sc,
-                            dwcs::to_stream_spec(pr.req,
-                                                 new_periods[pr.stream]));
-        } else {
-          chip_->load_slot(static_cast<hw::SlotId>(pr.stream), sc);
-        }
+        reload(pr.stream, pr.req);
         announced[pr.stream] = consumed[pr.stream];
         ++rep.reloads_applied;
         SS_TELEM(if (em) {
@@ -184,21 +121,13 @@ ThreadedReport ThreadedEndsystem::run(std::uint64_t frames_per_stream) {
         em->arrivals_delivered->add(arrived - announced[i]);
       });
       while (announced[i] < arrived) {
-        if (guard_) {
-          // Mirror of the chip's default-arrival push: stamp the current
-          // virtual time on both paths.
-          guard_->push_request(static_cast<hw::SlotId>(i), guard_->vtime());
-        } else {
-          chip_->push_request(static_cast<hw::SlotId>(i));
-        }
+        // Stamped at the current virtual time, as the chip's
+        // default-arrival push does.
+        guard_.push_request(static_cast<hw::SlotId>(i), guard_.vtime());
         ++announced[i];
       }
     }
-    if (guard_) {
-      guard_->run_decision_cycle(out);
-    } else {
-      chip_->run_decision_cycle(out);
-    }
+    guard_.run_decision_cycle(out);
     for (const hw::SlotId s : out.drops) {
       if (qm_.consume(s)) {
         ++consumed[s];
@@ -219,19 +148,7 @@ ThreadedReport ThreadedEndsystem::run(std::uint64_t frames_per_stream) {
     // Drain the whole grant burst in one Transmission Engine pass: one
     // bulk ring pop per scheduled stream, bookkeeping amortized over the
     // block instead of paid per packet.
-    const double ptime = packet_time_ns(cfg_.frame_bytes, cfg_.link_gbps);
-    burst.clear();
-    for (const hw::Grant& g : out.grants) {
-      burst.push_back({g.slot, static_cast<std::uint64_t>(
-                                   static_cast<double>(g.emit_vtime) *
-                                   ptime)});
-    }
-    burst_records.clear();
-    {
-      SS_PROF(cfg_.profiler, telemetry::ProfStage::kTransmit);
-      transmitted += te_.transmit_block(burst, &burst_records);
-    }
-    SS_TELEM(if (em) em->frames_completed->add(burst_records.size()));
+    transmitted += transmit_grants(out, burst_records);
     for (const queueing::TxRecord& rec : burst_records) {
       ++consumed[rec.stream];
       ++rep.per_stream_tx[rec.stream];
@@ -247,11 +164,7 @@ ThreadedReport ThreadedEndsystem::run(std::uint64_t frames_per_stream) {
   rep.pps = rep.wall_seconds > 0
                 ? static_cast<double>(transmitted) / rep.wall_seconds
                 : 0.0;
-  if (guard_) {
-    rep.robust = guard_->stats();
-    rep.faults_injected = fault_plan_->total_injected();
-    rep.failed_over = guard_->failed_over();
-  }
+  report_faults(rep);
   return rep;
 }
 

@@ -13,57 +13,34 @@
 // The scheduler thread discovers new arrivals by observing ring occupancy
 // (consumed + size = arrived), exactly how the card-side streaming unit
 // discovers arrival-time batches.
+//
+// Everything else is the shared core::Pipeline, so a stream set loads the
+// same slots here as in Endsystem.  The producer thread only pushes into
+// the rings (feeding the QM counters, and the audit's atomic
+// note_overflow() on a full ring); the scheduler thread owns the chip, the
+// TE, the fault plane and every profiled stage (decisions, transmit
+// bursts, reload commits), so a failover is invisible to the producer.
+// Metric counter cells are per-thread, so the threads never contend on a
+// cache line while a monitor thread snapshots the registry.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
-#include "dwcs/modes.hpp"
-#include "hw/scheduler_chip.hpp"
-#include "queueing/link_model.hpp"
-#include "queueing/queue_manager.hpp"
-#include "queueing/traffic_gen.hpp"
-#include "queueing/transmission_engine.hpp"
-#include "robust/fault_plan.hpp"
-#include "robust/guarded_scheduler.hpp"
-#include "robust/recovery.hpp"
-#include "telemetry/audit.hpp"
-#include "telemetry/instruments.hpp"
-#include "telemetry/metrics.hpp"
+#include "core/pipeline.hpp"
 
 namespace ss::core {
 
-struct ThreadedConfig {
-  hw::ChipConfig chip{};
-  double link_gbps = 1.0;
-  std::uint32_t frame_bytes = 1500;
+/// The shared fields are PipelineConfig's.
+struct ThreadedConfig : PipelineConfig {
+  std::uint32_t frame_bytes = 1500;  ///< every frame; one packet-time
   std::size_t ring_capacity = 4096;
-  /// Pipeline-wide metrics (nullptr = off).  The producer thread feeds the
-  /// QM counters while the scheduler thread feeds chip/TE/loop counters —
-  /// a monitor thread may snapshot the registry concurrently; the counter
-  /// cells are per-thread so the threads never contend on a cache line.
-  telemetry::MetricsRegistry* metrics = nullptr;
-  /// Decision-audit session (nullptr = off).  The scheduler thread feeds
-  /// the comparison/decision hooks; the producer thread only touches the
-  /// atomic note_overflow() path on ring-full stalls.
-  telemetry::AuditSession* audit = nullptr;
-  /// Hot-path self-profiler (nullptr = off).  The scheduler thread owns
-  /// every profiled stage here — decision cycles, transmit bursts and
-  /// reload commits; the producer thread never records.
-  telemetry::Profiler* profiler = nullptr;
-  /// Fault plane (seed == 0 = disabled).  Faults are injected and
-  /// recovered entirely on the scheduler thread; the producer thread
-  /// never touches the fallible hardware, so the failover is invisible to
-  /// it — the rings keep draining.
-  robust::FaultProfile faults{};
-  robust::RecoveryConfig recovery{};
 };
 
-struct ThreadedReport {
+struct ThreadedReport : FaultReport {
   std::uint64_t frames_produced = 0;
   std::uint64_t frames_transmitted = 0;
   std::uint64_t producer_full_stalls = 0;  ///< pushes that found a ring full
@@ -71,13 +48,9 @@ struct ThreadedReport {
   double wall_seconds = 0.0;
   double pps = 0.0;
   std::vector<std::uint64_t> per_stream_tx;
-  // Fault-plane outcome (all zero when the plane is disabled).
-  robust::RecoveryStats robust{};
-  std::uint64_t faults_injected = 0;
-  bool failed_over = false;
 };
 
-class ThreadedEndsystem {
+class ThreadedEndsystem : private Pipeline {
  public:
   explicit ThreadedEndsystem(const ThreadedConfig& cfg);
 
@@ -104,13 +77,6 @@ class ThreadedEndsystem {
 
  private:
   ThreadedConfig cfg_;
-  std::unique_ptr<hw::SchedulerChip> chip_;
-  std::unique_ptr<robust::FaultPlan> fault_plan_;
-  std::unique_ptr<robust::GuardedScheduler> guard_;
-  queueing::QueueManager qm_;
-  queueing::LinkModel link_;
-  queueing::TransmissionEngine te_;
-  std::vector<dwcs::StreamRequirement> reqs_;
 
   // Control-plane mailbox (cold path): the flag keeps the scheduler loop's
   // common case to one relaxed atomic load, no lock.  Each request is
@@ -124,13 +90,6 @@ class ThreadedEndsystem {
   std::mutex reload_mu_;
   std::vector<PendingReload> pending_reloads_;
   std::atomic<bool> reload_pending_{false};
-
-  // Pre-resolved metric handles (attached when cfg_.metrics is set).
-  telemetry::ChipMetrics chip_metrics_;
-  telemetry::QueueMetrics qm_metrics_;
-  telemetry::TxMetrics tx_metrics_;
-  telemetry::EndsystemMetrics es_metrics_;
-  telemetry::RobustMetrics robust_metrics_;
 };
 
 }  // namespace ss::core

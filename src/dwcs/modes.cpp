@@ -71,6 +71,9 @@ hw::SlotConfig to_slot_config(const StreamRequirement& r,
       cfg.period = static_cast<std::uint16_t>(fair_period);
       cfg.loss_num = 0;
       cfg.loss_den = 1;
+      // First deadline one period out, so a feasible set starts without
+      // an artificial time-zero pile-up.
+      cfg.initial_deadline = hw::Deadline{fair_period};
       break;
     case RequirementKind::kWindowConstrained:
       cfg.mode = hw::SlotMode::kDwcs;
@@ -106,6 +109,7 @@ StreamSpec to_stream_spec(const StreamRequirement& r,
       spec.period = fair_period;
       spec.loss_num = 0;
       spec.loss_den = 1;
+      spec.initial_deadline = fair_period;  // as in to_slot_config
       break;
     case RequirementKind::kWindowConstrained:
       spec.mode = StreamMode::kDwcs;

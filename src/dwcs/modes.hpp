@@ -12,7 +12,8 @@
 //     the loss-denominator field (Table-2 rule 3 orders by it), no updates;
 //   * fair share — weight w_i becomes request period T_i = W / w_i where
 //     W = sum of weights, so stream i receives w_i / W of the link
-//     (utilization sums to exactly 1);
+//     (utilization sums to exactly 1); the first deadline is one period
+//     out, whatever the requirement's initial_deadline says;
 //   * window-constrained — the full DWCS (T_i, x_i/y_i) specification.
 #pragma once
 
@@ -39,7 +40,7 @@ struct StreamRequirement {
   std::uint8_t loss_num = 0;   ///< window-constrained x_i
   std::uint8_t loss_den = 1;   ///< window-constrained y_i
   bool droppable = true;
-  std::uint64_t initial_deadline = 1;
+  std::uint64_t initial_deadline = 1;  ///< ignored by fair share (= T_i)
 };
 
 /// Fair-share period assignment for a set of weights: T_i = round(W/w_i),

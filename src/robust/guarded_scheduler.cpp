@@ -1,5 +1,7 @@
 #include "robust/guarded_scheduler.hpp"
 
+#include <stdexcept>
+
 #include "telemetry/audit.hpp"
 
 namespace ss::robust {
@@ -43,16 +45,15 @@ GuardedScheduler::GuardedScheduler(hw::SchedulerChip& chip, FaultPlan* plan,
     : chip_(chip),
       plan_(plan),
       opt_(opt),
-      shadow_(shadow_options(chip.config())),
       sram_(opt.sram_words, Nanos{opt.sram_switch_ns}),
       health_(opt.health) {
+  if (!plan_) return;
+  shadow_.emplace(shadow_options(chip_.config()));
   for (unsigned i = 0; i < chip_.config().slots; ++i) {
-    shadow_.add_stream({});
+    shadow_->add_stream({});
   }
-  if (plan_) {
-    chip_.attach_faults(plan_);
-    sram_.attach_faults(plan_);
-  }
+  chip_.attach_faults(plan_);
+  sram_.attach_faults(plan_);
 }
 
 void GuardedScheduler::attach_metrics(telemetry::RobustMetrics* m) {
@@ -71,12 +72,12 @@ void GuardedScheduler::load_slot(hw::SlotId slot,
                                  const hw::SlotConfig& hw_cfg,
                                  const dwcs::StreamSpec& sw_spec) {
   if (!failed_over_) chip_.load_slot(slot, hw_cfg);
-  shadow_.reload_stream(slot, sw_spec);
+  if (shadow_) shadow_->reload_stream(slot, sw_spec);
 }
 
 void GuardedScheduler::push_request(hw::SlotId slot, std::uint64_t arrival) {
   if (!failed_over_) chip_.push_request(slot, hw::Arrival{arrival});
-  shadow_.push_request(slot, arrival);
+  if (shadow_) shadow_->push_request(slot, arrival);
 }
 
 void GuardedScheduler::push_tagged_request(hw::SlotId slot, std::uint64_t tag,
@@ -84,10 +85,15 @@ void GuardedScheduler::push_tagged_request(hw::SlotId slot, std::uint64_t tag,
   if (!failed_over_) {
     chip_.push_tagged_request(slot, hw::Deadline{tag}, hw::Arrival{arrival});
   }
-  shadow_.push_tagged_request(slot, tag, arrival);
+  if (shadow_) shadow_->push_tagged_request(slot, tag, arrival);
 }
 
 void GuardedScheduler::force_failover() {
+  if (!plan_) {
+    throw std::logic_error(
+        "GuardedScheduler::force_failover: no fault plan, so no shadow to "
+        "fail over to");
+  }
   if (failed_over_) return;
   failed_over_ = true;
   ++stats_.failovers;
@@ -107,7 +113,7 @@ void GuardedScheduler::force_failover() {
 }
 
 void GuardedScheduler::shadow_decide(hw::DecisionOutcome& out) {
-  const dwcs::SwDecision sd = shadow_.run_decision_cycle();
+  const dwcs::SwDecision sd = shadow_->run_decision_cycle();
   out.idle = sd.idle;
   out.circulated.reset();
   out.grants.clear();
@@ -141,6 +147,7 @@ hw::DecisionOutcome GuardedScheduler::run_decision_cycle() {
 }
 
 void GuardedScheduler::run_decision_cycle(hw::DecisionOutcome& out) {
+  if (!plan_) return chip_.run_decision_cycle(out);
   if (failed_over_) return shadow_decide(out);
 
   // Publish the current health FSM state so the decision record committed
@@ -177,7 +184,7 @@ void GuardedScheduler::run_decision_cycle(hw::DecisionOutcome& out) {
 
   // 3. Lockstep mirror: the shadow executes the same cycle so a later
   //    failover hands over without losing a single queued request.
-  (void)shadow_.run_decision_cycle();
+  (void)shadow_->run_decision_cycle();
 
   // 4. Host takes the bank back and parity-reads the grant words.  The
   //    decision already happened on both paths, so exhaustion here only
@@ -209,18 +216,18 @@ void GuardedScheduler::run_decision_cycle(hw::DecisionOutcome& out) {
 }
 
 std::uint64_t GuardedScheduler::vtime() const {
-  return failed_over_ ? shadow_.vtime() : chip_.vtime();
+  return failed_over_ ? shadow_->vtime() : chip_.vtime();
 }
 
 dwcs::StreamCounters GuardedScheduler::counters(std::uint32_t slot) const {
-  if (failed_over_) return shadow_.stream(slot).counters;
+  if (failed_over_) return shadow_->stream(slot).counters;
   const auto& c = chip_.slot(static_cast<hw::SlotId>(slot)).counters();
   return {c.missed_deadlines, c.violations, c.serviced, c.late_transmissions,
           c.winner_cycles};
 }
 
 std::uint32_t GuardedScheduler::backlog(std::uint32_t slot) const {
-  return failed_over_ ? shadow_.stream(slot).backlog
+  return failed_over_ ? shadow_->stream(slot).backlog
                       : chip_.slot(static_cast<hw::SlotId>(slot)).backlog();
 }
 

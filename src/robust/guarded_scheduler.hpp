@@ -1,16 +1,22 @@
-// guarded_scheduler.hpp — the fault-tolerant front door to the chip.
+// guarded_scheduler.hpp — the scheduler front every drain loop calls.
 //
-// A GuardedScheduler wraps a hw::SchedulerChip and keeps a software
-// dwcs::ReferenceScheduler *shadow* in lockstep with it: every load, every
-// request push and every decision cycle is mirrored.  The shadow's
-// semantics are bit-identical to the chip's within the serial horizon
-// (that equivalence is exactly what the differential fuzz campaigns
-// assert), so when the hardware path exhausts its retry budget the guard
-// can fail over mid-run — the shadow already holds the chip's state, no
-// queued request is dropped, and the grant sequence continues exactly
-// where the hardware would have taken it.
+// Endsystem, ThreadedEndsystem and the differential executor load, push
+// and decide only through a GuardedScheduler; fault tolerance is set by
+// the fault plan it is built with.  Without a plan (the fault-free
+// default) the guard is the plain chip: each call forwards to
+// hw::SchedulerChip, no shadow is kept, and force_failover() throws.
 //
-// Decision path, per cycle:
+// With a plan, the guard keeps a software dwcs::ReferenceScheduler
+// *shadow* in lockstep with the chip: every load, every request push and
+// every decision cycle is mirrored.  The shadow's semantics are
+// bit-identical to the chip's within the serial horizon (that equivalence
+// is exactly what the differential fuzz campaigns assert), so when the
+// hardware path exhausts its retry budget the guard can fail over mid-run
+// — the shadow already holds the chip's state, no queued request is
+// dropped, and the grant sequence continues exactly where the hardware
+// would have taken it.
+//
+// Decision path with a plan, per cycle:
 //   1. (optional transport model) FPGA acquires the SRAM bank — retried
 //      across arbitration stalls.
 //   2. Chip decision cycle — retried across injected stalls; the fallible
@@ -26,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "dwcs/reference_scheduler.hpp"
 #include "hw/scheduler_chip.hpp"
@@ -44,15 +51,17 @@ class GuardedScheduler {
     HealthMonitor::Options health{};
     /// Model the decision's SRAM transport (ownership handoffs + parity
     /// reads) so the kSramAcquire/kSramData fault sites are exercised.
+    /// Only a guard with a fault plan models it.
     bool model_transport = false;
     std::size_t sram_words = 64;
     std::uint64_t sram_switch_ns = 2000;
   };
 
-  /// The chip is held by reference (the endsystem owns it); `plan` may be
-  /// null for a guard with the fault plane disabled.  Construct the guard
-  /// before loading any slots: it pre-populates one shadow stream per
-  /// chip slot so load_slot maps onto reload_stream.
+  /// The chip is held by reference (the caller owns it); `plan` may be
+  /// null for a guard with the fault plane disabled, which is then the
+  /// plain chip.  Construct the guard before loading any slots: with a
+  /// plan it pre-populates one shadow stream per chip slot so load_slot
+  /// maps onto reload_stream.
   GuardedScheduler(hw::SchedulerChip& chip, FaultPlan* plan);
   GuardedScheduler(hw::SchedulerChip& chip, FaultPlan* plan, Options opt);
 
@@ -62,9 +71,10 @@ class GuardedScheduler {
   void push_tagged_request(hw::SlotId slot, std::uint64_t tag,
                            std::uint64_t arrival);
 
-  /// One decision cycle through whichever path is currently healthy.
-  /// Post-failover, `block` mirrors `grants` (the software path has no
-  /// separate block readout) and hw_cycles is 0.
+  /// One decision cycle through whichever path is currently healthy (the
+  /// chip's own when there is no plan).  Post-failover, `block` mirrors
+  /// `grants` (the software path has no separate block readout) and
+  /// hw_cycles is 0.
   hw::DecisionOutcome run_decision_cycle();
 
   /// Allocation-free variant (`out` fully overwritten) — mirrors the
@@ -72,7 +82,8 @@ class GuardedScheduler {
   void run_decision_cycle(hw::DecisionOutcome& out);
 
   /// Abandon the hardware path now (operator-initiated failover, or the
-  /// legacy inject_fault_at_grant contract).
+  /// legacy inject_fault_at_grant contract).  Throws std::logic_error on
+  /// a guard without a fault plan: it has no shadow to fail over to.
   void force_failover();
 
   [[nodiscard]] bool failed_over() const { return failed_over_; }
@@ -87,7 +98,7 @@ class GuardedScheduler {
   /// Decisions served through the guard on either path.  (The shadow
   /// steps on every cycle, so its counter spans the failover seamlessly.)
   [[nodiscard]] std::uint64_t decision_cycles() const {
-    return shadow_.decision_cycles();
+    return shadow_ ? shadow_->decision_cycles() : chip_.decision_cycles();
   }
   [[nodiscard]] dwcs::StreamCounters counters(std::uint32_t slot) const;
   [[nodiscard]] std::uint32_t backlog(std::uint32_t slot) const;
@@ -109,7 +120,7 @@ class GuardedScheduler {
   hw::SchedulerChip& chip_;
   FaultPlan* plan_;
   Options opt_;
-  dwcs::ReferenceScheduler shadow_;
+  std::optional<dwcs::ReferenceScheduler> shadow_;  ///< engaged iff plan_
   hw::SramBank sram_;
   RecoveryStats stats_;
   HealthMonitor health_;

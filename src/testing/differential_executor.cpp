@@ -78,20 +78,19 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
   }
   hw::SchedulerChip chip(hc);
 
-  // Fault plane: the chip is wrapped in a GuardedScheduler that retries
-  // injected faults and fails over to its own software shadow on
-  // exhaustion.  The oracle below never faults, so the diff checks the
-  // recovery contract end to end: the guarded grant stream must stay
-  // oracle-equivalent across every fault and across the failover seam.
+  // The chip is driven through its scheduler front.  Under the scenario's
+  // fault plane the guard retries injected faults and fails over to its
+  // own software shadow on exhaustion.  The oracle below never faults, so
+  // the diff checks the recovery contract end to end: the guarded grant
+  // stream must stay oracle-equivalent across every fault and across the
+  // failover seam.  Without a plane the guard is the plain chip.
   std::unique_ptr<robust::FaultPlan> fault_plan;
-  std::unique_ptr<robust::GuardedScheduler> guard;
   if (sc.faults.enabled()) {
     fault_plan = std::make_unique<robust::FaultPlan>(sc.faults);
-    robust::GuardedScheduler::Options go;
-    go.model_transport = true;  // exercise the SRAM fault sites too
-    guard = std::make_unique<robust::GuardedScheduler>(chip, fault_plan.get(),
-                                                       go);
   }
+  robust::GuardedScheduler::Options go;
+  go.model_transport = true;  // exercise the SRAM fault sites too
+  robust::GuardedScheduler guard(chip, fault_plan.get(), go);
 
   // Diagnosis context: the waveform window divergence reports render, and
   // (when the driver passed a registry) the chip's metric stream.
@@ -103,19 +102,15 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
     chip.attach_metrics(&chip_metrics);
   }
   telemetry::RobustMetrics robust_metrics;
-  if (opt_.metrics && guard) {
+  if (opt_.metrics && fault_plan) {
     robust_metrics = telemetry::RobustMetrics::create(*opt_.metrics);
-    guard->attach_metrics(&robust_metrics);
+    guard.attach_metrics(&robust_metrics);
   }
   if (opt_.audit) {
     // Observation only: the audit hooks read chip state and never steer a
     // comparison, so a run's digest is identical with or without a session
     // attached (asserted by AuditDigest.ObservationOnly10k).
-    if (guard) {
-      guard->attach_audit(opt_.audit);
-    } else {
-      chip.attach_audit(opt_.audit);
-    }
+    guard.attach_audit(opt_.audit);
     opt_.audit->begin_run();
   }
 
@@ -133,17 +128,9 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
         to_slot_config(sc.fabric.discipline, sc.streams[i]);
     const dwcs::StreamSpec spec =
         to_stream_spec(sc.fabric.discipline, sc.streams[i]);
-    if (guard) {
-      guard->load_slot(static_cast<hw::SlotId>(i), slot_cfg, spec);
-    } else {
-      chip.load_slot(static_cast<hw::SlotId>(i), slot_cfg);
-    }
+    guard.load_slot(static_cast<hw::SlotId>(i), slot_cfg, spec);
     oracle.add_stream(spec);
   }
-
-  const auto fabric_vtime = [&] {
-    return guard ? guard->vtime() : chip.vtime();
-  };
 
   // The four related-work PQ structures join the diff in fair-tag WR
   // scenarios, where the fabric's grant order is a pure pop-min sequence.
@@ -195,7 +182,7 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
       case EventKind::kArrival:
       case EventKind::kTaggedArrival: {
         const std::uint32_t s = e.stream;
-        const std::uint64_t arr = fabric_vtime();
+        const std::uint64_t arr = guard.vtime();
         if (sc.fabric.discipline == Discipline::kFairTag) {
           // Service tags must advance monotonically per stream; a plain
           // arrival in a fair-tag scenario degrades to increment 1 so any
@@ -212,22 +199,13 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
             tag_clock[s] += inc;
             tag = tag_clock[s];
           }
-          if (guard) {
-            guard->push_tagged_request(static_cast<hw::SlotId>(s), tag, arr);
-          } else {
-            chip.push_tagged_request(static_cast<hw::SlotId>(s),
-                                     hw::Deadline{tag}, hw::Arrival{arr});
-          }
+          guard.push_tagged_request(static_cast<hw::SlotId>(s), tag, arr);
           oracle.push_tagged_request(s, tag, arr);
           for (auto& pq : pqs) {
             pq->push({pq_key(tag, s), s});
           }
         } else {
-          if (guard) {
-            guard->push_request(static_cast<hw::SlotId>(s), arr);
-          } else {
-            chip.push_request(static_cast<hw::SlotId>(s), hw::Arrival{arr});
-          }
+          guard.push_request(static_cast<hw::SlotId>(s), arr);
           oracle.push_request(s, arr);
         }
         ++res.arrivals;
@@ -235,14 +213,9 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
       }
 
       case EventKind::kReconfig: {
-        if (guard) {
-          guard->load_slot(static_cast<hw::SlotId>(e.stream),
-                           to_slot_config(sc.fabric.discipline, e.setup),
-                           to_stream_spec(sc.fabric.discipline, e.setup));
-        } else {
-          chip.load_slot(static_cast<hw::SlotId>(e.stream),
-                         to_slot_config(sc.fabric.discipline, e.setup));
-        }
+        guard.load_slot(static_cast<hw::SlotId>(e.stream),
+                        to_slot_config(sc.fabric.discipline, e.setup),
+                        to_stream_spec(sc.fabric.discipline, e.setup));
         oracle.reload_stream(
             e.stream, to_stream_spec(sc.fabric.discipline, e.setup));
         // The PQs have no "discard this stream's entries" operation (the
@@ -253,11 +226,7 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
       }
 
       case EventKind::kDecide: {
-        if (guard) {
-          guard->run_decision_cycle(h);
-        } else {
-          chip.run_decision_cycle(h);
-        }
+        guard.run_decision_cycle(h);
         dwcs::SwDecision s = oracle.run_decision_cycle();
         ++res.decisions;
         res.grants += h.grants.size();
@@ -272,8 +241,8 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
           if (sc.faults.enabled()) {
             for (const dwcs::SwGrant& g : s.grants) {
               (void)g;
-              if (++grant_ordinal == sc.inject_fault_at_grant && guard) {
-                guard->force_failover();
+              if (++grant_ordinal == sc.inject_fault_at_grant) {
+                guard.force_failover();
               }
             }
           } else {
@@ -349,8 +318,8 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
           hash.mix_byte(kTagDrop);
           hash.mix(d);
         }
-        if (fabric_vtime() != oracle.vtime()) {
-          diverge(ei, "vtime: chip=" + std::to_string(fabric_vtime()) +
+        if (guard.vtime() != oracle.vtime()) {
+          diverge(ei, "vtime: chip=" + std::to_string(guard.vtime()) +
                           " oracle=" + std::to_string(oracle.vtime()));
           break;
         }
@@ -403,16 +372,8 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
   // --- end-of-run state comparison ---------------------------------------
   if (!res.diverged) {
     for (unsigned i = 0; i < n; ++i) {
-      const hw::SlotCounters& raw =
-          chip.slot(static_cast<hw::SlotId>(i)).counters();
-      const dwcs::StreamCounters hmap =
-          guard ? guard->counters(i)
-                : dwcs::StreamCounters{raw.missed_deadlines, raw.violations,
-                                       raw.serviced, raw.late_transmissions,
-                                       raw.winner_cycles};
-      const std::uint32_t hbacklog =
-          guard ? guard->backlog(i)
-                : chip.slot(static_cast<hw::SlotId>(i)).backlog();
+      const dwcs::StreamCounters hmap = guard.counters(i);
+      const std::uint32_t hbacklog = guard.backlog(i);
       const dwcs::StreamCounters& scnt = oracle.stream(i).counters;
       if (!(hmap == scnt)) {
         diverge(sc.events.size(),
@@ -513,10 +474,10 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
 
   res.hwpq_checked = hwpq_active && !pqs.empty();
   res.digest = hash.digest();
-  if (guard) {
+  if (fault_plan) {
     res.faults_injected = fault_plan->total_injected();
-    res.robust = guard->stats();
-    res.failed_over = guard->failed_over();
+    res.robust = guard.stats();
+    res.failed_over = guard.failed_over();
   }
   if (res.diverged) {
     res.chip_trace_tail = tracer.render_all();

@@ -285,6 +285,18 @@ TEST(Modes, WindowConstrainedCarriesFullSpec) {
   EXPECT_FALSE(hwc.droppable);
 }
 
+TEST(Modes, FairShareFirstDeadlineIsOnePeriodOut) {
+  // One stagger rule for every caller: a fair-share slot's first deadline
+  // is its period, whatever the requirement's initial_deadline says.
+  StreamRequirement r;
+  r.kind = RequirementKind::kFairShare;
+  r.weight = 2;
+  r.initial_deadline = 1;
+  constexpr std::uint32_t kPeriod = 7;
+  EXPECT_EQ(to_slot_config(r, kPeriod).initial_deadline.raw(), kPeriod);
+  EXPECT_EQ(to_stream_spec(r, kPeriod).initial_deadline, kPeriod);
+}
+
 TEST(Modes, EdfMapsCleanly) {
   StreamRequirement r;
   r.kind = RequirementKind::kEdf;

@@ -11,6 +11,7 @@
 // with the fault-free runs.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "robust/fault_plan.hpp"
@@ -229,7 +230,8 @@ TEST(GuardedScheduler, ForcedFailoverPreservesTheGrantSequence) {
   for (const std::uint64_t fail_at : {0ull, 1ull, 37ull, 100ull}) {
     hw::SchedulerChip pristine(small_chip());
     hw::SchedulerChip chip(small_chip());
-    GuardedScheduler guard(chip, nullptr);
+    FaultPlan plan(profile(1));
+    GuardedScheduler guard(chip, &plan);
     for (unsigned i = 0; i < 4; ++i) {
       const testing::StreamSetup s = setup_for(i);
       const auto cfg = testing::to_slot_config(testing::Discipline::kDwcs, s);
@@ -261,6 +263,60 @@ TEST(GuardedScheduler, ForcedFailoverPreservesTheGrantSequence) {
           << "slot " << i << " failover at " << fail_at;
     }
   }
+}
+
+TEST(GuardedScheduler, WithoutAFaultPlanIsThePlainChip) {
+  constexpr std::uint64_t kCycles = 200;
+  hw::SchedulerChip pristine(small_chip());
+  hw::SchedulerChip chip(small_chip());
+  GuardedScheduler guard(chip, nullptr);
+  for (unsigned i = 0; i < 4; ++i) {
+    const testing::StreamSetup s = setup_for(i);
+    const auto cfg = testing::to_slot_config(testing::Discipline::kDwcs, s);
+    const auto spec = testing::to_stream_spec(testing::Discipline::kDwcs, s);
+    pristine.load_slot(static_cast<hw::SlotId>(i), cfg);
+    guard.load_slot(static_cast<hw::SlotId>(i), cfg, spec);
+  }
+  GrantLog want, got;
+  for (std::uint64_t c = 0; c < kCycles; ++c) {
+    for (unsigned i = 0; i < 4; ++i) {
+      if ((c + i) % (2 + i) != 0) continue;
+      pristine.push_request(static_cast<hw::SlotId>(i));
+      guard.push_request(static_cast<hw::SlotId>(i), guard.vtime());
+    }
+    append(want, pristine.run_decision_cycle());
+    append(got, guard.run_decision_cycle());
+  }
+  ASSERT_EQ(got.slots, want.slots);
+  EXPECT_EQ(got.vtimes, want.vtimes);
+  EXPECT_EQ(got.met, want.met);
+  EXPECT_EQ(guard.vtime(), pristine.vtime());
+  EXPECT_EQ(guard.decision_cycles(), pristine.decision_cycles());
+  for (unsigned i = 0; i < 4; ++i) {
+    const hw::SlotCounters& c = pristine.slot(i).counters();
+    EXPECT_EQ(guard.counters(i),
+              (dwcs::StreamCounters{c.missed_deadlines, c.violations,
+                                    c.serviced, c.late_transmissions,
+                                    c.winner_cycles}))
+        << "slot " << i;
+    EXPECT_EQ(guard.backlog(i), pristine.slot(i).backlog()) << "slot " << i;
+  }
+
+  // No plan, no shadow: there is nothing to fail over to, and the refused
+  // failover leaves the guard on the chip.
+  EXPECT_THROW(guard.force_failover(), std::logic_error);
+  EXPECT_FALSE(guard.failed_over());
+  for (unsigned i = 0; i < 4; ++i) {
+    pristine.push_request(static_cast<hw::SlotId>(i));
+    guard.push_request(static_cast<hw::SlotId>(i), guard.vtime());
+  }
+  GrantLog want_next, got_next;
+  append(want_next, pristine.run_decision_cycle());
+  append(got_next, guard.run_decision_cycle());
+  EXPECT_EQ(got_next.slots, want_next.slots);
+  EXPECT_EQ(got_next.vtimes, want_next.vtimes);
+  EXPECT_EQ(got_next.met, want_next.met);
+  EXPECT_EQ(guard.vtime(), pristine.vtime());
 }
 
 TEST(GuardedScheduler, ChipDeathExhaustsRetriesAndFailsOver) {
