@@ -15,14 +15,15 @@
 //
 // The pipeline itself (chip behind its scheduler front, QM, TE, LOAD,
 // metric bundles) is core::Pipeline; this realization adds what is its
-// own: timed delivery of pre-generated frames from the drain loop, PCI
-// and Streaming-unit accounting, the frame trace and the QoS monitor.
+// own: timed delivery of frames generated in fixed-size chunks from the
+// drain loop, PCI and Streaming-unit accounting, the frame trace and the
+// QoS monitor.  Memory is O(streams x (ring + chunk)) for any run length.
 //
 // Throughput accounting mirrors Section 5.2 exactly: the run is clocked
 // after all frames are queued ("we start the clock after 64000 packets
 // from each stream are queued"), pps-excluding-PCI divides frames by the
 // measured host loop time, and pps-including-PCI adds the modeled PCI
-// PIO/DMA exchange time.
+// PIO/DMA exchange time.  Generating a later chunk is not host loop time.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +57,8 @@ struct EndsystemConfig : PipelineConfig {
   hw::StreamingUnitConfig streaming{};
   std::uint64_t bw_window_ns = 10'000'000;  ///< Figure-8 window (10 ms)
   bool keep_series = true;
+  /// QM ring slots per stream.  This reserves address space; a ring
+  /// commits memory only as far as its backlog first reaches.
   std::size_t ring_capacity = 1 << 17;
   /// Streaming per-frame delay histogram in the QoS monitor (estimated
   /// percentiles at O(1) memory; independent of keep_series).
@@ -69,7 +72,9 @@ struct EndsystemReport : FaultReport {
   std::uint64_t frames = 0;       ///< completed (delivered + dropped late)
   std::uint64_t dropped_late = 0; ///< late heads discarded by the card
   std::uint64_t link_ns = 0;      ///< simulated link time span
-  double host_seconds = 0.0;      ///< measured wall time of the drain loop
+  /// Measured wall time of the drain loop, less the time spent
+  /// generating frame chunks after the first.
+  double host_seconds = 0.0;
   std::uint64_t pci_ns = 0;       ///< modeled PCI exchange time
   std::uint64_t decision_cycles = 0;
   /// Decision cycles that committed a grant (non-idle).  The per-decision
@@ -104,9 +109,9 @@ class Endsystem : private Pipeline {
   /// degradation region).
   [[nodiscard]] double utilization() const;
 
-  /// Pre-generate `frames_per_stream` frames per stream, deliver them at
-  /// their generated arrival times, and drain through the scheduler until
-  /// every queue is empty.
+  /// Generate `frames_per_stream` frames per stream, a chunk at a time,
+  /// deliver them at their generated arrival times, and drain through the
+  /// scheduler until every queue is empty.
   EndsystemReport run(std::uint64_t frames_per_stream);
 
   /// Per-stream frame counts.  Weight-proportional counts keep every

@@ -9,9 +9,7 @@
 namespace ss::core {
 
 ThreadedEndsystem::ThreadedEndsystem(const ThreadedConfig& cfg)
-    : Pipeline(cfg, cfg.frame_bytes), cfg_(cfg) {
-  te_.set_record_frames(false);
-}
+    : Pipeline(cfg, cfg.frame_bytes), cfg_(cfg) {}
 
 std::uint32_t ThreadedEndsystem::add_stream(
     const dwcs::StreamRequirement& req) {

@@ -10,7 +10,7 @@ QueueManager::QueueManager(std::uint64_t quantum_ns)
 std::uint32_t QueueManager::add_stream(std::size_t ring_capacity) {
   rings_.push_back(std::make_unique<SpscRing<Frame>>(ring_capacity));
   stats_.emplace_back();
-  pending_arrivals_.emplace_back();
+  batched_.push_back(0);
   return static_cast<std::uint32_t>(rings_.size() - 1);
 }
 
@@ -27,7 +27,6 @@ bool QueueManager::produce(std::uint32_t stream, const Frame& f) {
     metrics_->occupancy_hwm->update_max(
         static_cast<std::int64_t>(rings_[stream]->size()));
   });
-  pending_arrivals_[stream].push_back(f.arrival_ns);
   return true;
 }
 
@@ -67,14 +66,18 @@ std::size_t QueueManager::depth(std::uint32_t stream) const {
 std::vector<std::uint16_t> QueueManager::batch_arrivals(std::uint32_t stream,
                                                         std::size_t max) {
   assert(stream < rings_.size());
-  auto& pend = pending_arrivals_[stream];
-  const std::size_t n = std::min(max, pend.size());
+  // The ring's head is frame number `dequeued`, so the first frame not yet
+  // batched sits `batched - dequeued` slots behind it.
+  const std::uint64_t dequeued = stats_[stream].dequeued;
+  std::uint64_t& batched = batched_[stream];
+  if (batched < dequeued) batched = dequeued;
   std::vector<std::uint16_t> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(arrival_offset(pend[i], quantum_ns_));
+  Frame f;
+  for (std::size_t k = batched - dequeued;
+       out.size() < max && rings_[stream]->try_peek_at(k, f); ++k) {
+    out.push_back(arrival_offset(f.arrival_ns, quantum_ns_));
   }
-  pend.erase(pend.begin(), pend.begin() + static_cast<std::ptrdiff_t>(n));
+  batched += out.size();
   return out;
 }
 

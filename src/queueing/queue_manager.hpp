@@ -55,8 +55,10 @@ class QueueManager {
 
   /// Batch the next `max` arrival offsets of `stream` for transfer to the
   /// card WITHOUT consuming frames (the card schedules on arrival times;
-  /// frames leave the host only when their ID is scheduled).  `cursor` is
-  /// the per-stream count already transferred; the QM tracks it.
+  /// frames leave the host only when their ID is scheduled).  Consumer
+  /// side: the offsets are read from the frames still in the ring, just
+  /// past those already batched; the QM counts the batched frames.  A
+  /// frame consumed before it was batched never reaches the card.
   std::vector<std::uint16_t> batch_arrivals(std::uint32_t stream,
                                             std::size_t max);
 
@@ -74,9 +76,7 @@ class QueueManager {
   std::uint64_t quantum_ns_;
   std::vector<std::unique_ptr<SpscRing<Frame>>> rings_;
   std::vector<QueueStats> stats_;
-  // Arrival times awaiting transfer to the card, kept host-side because
-  // the ring is consumed only on transmission.
-  std::vector<std::vector<std::uint64_t>> pending_arrivals_;
+  std::vector<std::uint64_t> batched_;  ///< frames batched to the card
   telemetry::QueueMetrics* metrics_ = nullptr;
 };
 

@@ -13,13 +13,18 @@
 // distinguish full from empty.  Cache-line padding keeps the two indices
 // from false-sharing — the modern statement of "separate read and write
 // pointers".
+//
+// The buffer is raw storage that no slot is written to before try_push
+// fills it, so a ring commits memory page by page as it first fills: a
+// 2^17-slot ring costs address space up front, not 3 MB of zeroed pages.
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <new>
-#include <vector>
+#include <type_traits>
 
 #include "util/bitops.hpp"
 
@@ -32,11 +37,17 @@ inline constexpr std::size_t kCacheLine = 64;
 
 template <typename T>
 class SpscRing {
+  // Slots are copied in and out of uninitialized storage, never
+  // constructed or destroyed one by one.
+  static_assert(std::is_trivially_copyable_v<T>,
+                "SpscRing holds trivially copyable items only");
+
  public:
   /// Capacity is rounded up to a power of two; usable slots = capacity-1.
   explicit SpscRing(std::size_t capacity)
-      : buf_(next_pow2(capacity < 2 ? 2 : capacity)),
-        mask_(buf_.size() - 1) {}
+      : mask_(next_pow2(capacity < 2 ? 2 : capacity) - 1),
+        buf_(static_cast<T*>(::operator new((mask_ + 1) * sizeof(T),
+                                            std::align_val_t{alignof(T)}))) {}
 
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
@@ -80,10 +91,15 @@ class SpscRing {
 
   /// Consumer-side peek without consuming (the scheduler reads head
   /// attributes before committing to a grant).
-  bool try_peek(T& out) const {
+  bool try_peek(T& out) const { return try_peek_at(0, out); }
+
+  /// Consumer side: copy the `k`-th queued item (0 = the head) without
+  /// consuming anything.  Returns false when `k` items or fewer are queued.
+  bool try_peek_at(std::size_t k, T& out) const {
     const std::size_t r = read_.load(std::memory_order_relaxed);
-    if (r == write_.load(std::memory_order_acquire)) return false;
-    out = buf_[r];
+    const std::size_t w = write_.load(std::memory_order_acquire);
+    if (k >= ((w - r) & mask_)) return false;
+    out = buf_[(r + k) & mask_];
     return true;
   }
 
@@ -100,11 +116,16 @@ class SpscRing {
     return n <= capacity() ? n : capacity();
   }
   [[nodiscard]] bool empty() const { return size() == 0; }
-  [[nodiscard]] std::size_t capacity() const { return buf_.size() - 1; }
+  [[nodiscard]] std::size_t capacity() const { return mask_; }
 
  private:
-  std::vector<T> buf_;
+  struct Release {
+    void operator()(T* p) const {
+      ::operator delete(p, std::align_val_t{alignof(T)});
+    }
+  };
   std::size_t mask_;
+  std::unique_ptr<T[], Release> buf_;
   alignas(kCacheLine) std::atomic<std::size_t> read_{0};
   alignas(kCacheLine) std::atomic<std::size_t> write_{0};
 };

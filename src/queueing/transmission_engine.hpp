@@ -55,8 +55,9 @@ class TransmissionEngine {
   std::size_t transmit_block(std::span<const BlockGrant> grants,
                              std::vector<TxRecord>* out = nullptr);
 
-  /// Keep full per-frame records (memory-heavy; benches that only need
-  /// aggregates disable it and read the per-stream byte counters).
+  /// Keep every frame's record in records() (off by default: the log
+  /// grows by one record per frame for the whole run).  The per-stream
+  /// counters and transmit_block's `out` records do not depend on it.
   void set_record_frames(bool v) { record_ = v; }
 
   /// Attach live metrics (nullptr detaches): transmit volume, grant-burst
@@ -78,7 +79,7 @@ class TransmissionEngine {
  private:
   QueueManager& qm_;
   LinkModel& link_;
-  bool record_ = true;
+  bool record_ = false;
   std::vector<Frame> scratch_;  ///< bulk-pop staging, reused across bursts
   std::vector<TxRecord> records_;
   std::vector<std::uint64_t> bytes_per_stream_;

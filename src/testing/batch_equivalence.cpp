@@ -62,7 +62,6 @@ PipelineRun run_block_pipeline(const Scenario& sc, unsigned batch_depth) {
   queueing::QueueManager qm(1000);
   queueing::LinkModel link(1.0);
   queueing::TransmissionEngine te(qm, link);
-  te.set_record_frames(false);
 
   for (unsigned i = 0; i < n; ++i) {
     chip.load_slot(static_cast<hw::SlotId>(i),

@@ -1,9 +1,12 @@
 // core_test.cpp — the system layer: QoS monitor, aggregation manager,
 // block-reuse policy, the Figure-1 framework, and the two realizations.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <memory>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/aggregation.hpp"
@@ -12,6 +15,7 @@
 #include "core/framework.hpp"
 #include "core/linecard.hpp"
 #include "core/qos_monitor.hpp"
+#include "telemetry/frame_trace.hpp"
 
 namespace ss::core {
 namespace {
@@ -388,6 +392,101 @@ TEST(Endsystem, RejectsFrameCountsOfTheWrongLength) {
   }
   EXPECT_THROW(es.run(std::vector<std::uint64_t>{10, 10, 10}),
                std::invalid_argument);
+}
+
+// 16 equal-weight fair-share streams (the run stays inside the chip's
+// 16-bit horizon), every frame queued at t=0, whole-block decisions.
+std::uint64_t run_backlog16(std::uint64_t frames_per_stream) {
+  EndsystemConfig cfg;
+  cfg.chip.slots = 16;
+  cfg.chip.cmp_mode = hw::ComparisonMode::kTagOnly;
+  cfg.chip.schedule = hw::SortSchedule::kBitonic;
+  cfg.chip.block_mode = true;
+  cfg.chip.batch_depth = 0;
+  cfg.ring_capacity = 1024;
+  cfg.keep_series = false;
+  cfg.delay_histogram = true;
+  Endsystem es(cfg);
+  for (int i = 0; i < 16; ++i) {
+    dwcs::StreamRequirement r = fair_share(1.0);
+    r.droppable = false;
+    es.add_stream(r, std::make_unique<queueing::CbrGen>(0), 1500);
+  }
+  return es.run(frames_per_stream).frames;
+}
+
+// Peak resident set of this process so far, in KiB.
+long peak_rss_kib() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizerAllocator = true;
+#else
+constexpr bool kSanitizerAllocator = false;
+#endif
+
+// Frames are generated a chunk at a time and no per-frame log is kept,
+// so a run 40x longer peaks at the same resident set.
+TEST(Endsystem, LongRunPeakMemoryIsBounded) {
+  if (kSanitizerAllocator) {
+    GTEST_SKIP() << "AddressSanitizer and ThreadSanitizer allocators keep "
+                    "freed chunk buffers resident, so peak RSS grows with "
+                    "the run for reasons outside the program";
+  }
+  EXPECT_EQ(run_backlog16(10'000), 160'000u);
+  const long short_run_kib = peak_rss_kib();
+  EXPECT_EQ(run_backlog16(400'000), 6'400'000u);
+  const long long_run_kib = peak_rss_kib();
+  EXPECT_LE(static_cast<double>(long_run_kib),
+            1.10 * static_cast<double>(short_run_kib))
+      << "peak RSS " << short_run_kib << " KiB after 160k frames, "
+      << long_run_kib << " KiB after 6.4M";
+}
+
+// The ids of every async span event of phase `ph` ("b" opens a frame's
+// span at arrival, "e" closes it at transmit or drop).
+std::set<std::string> span_ids(const std::string& json, char ph) {
+  const std::string key = std::string("{\"ph\":\"") + ph +
+                          "\",\"cat\":\"frame\",\"id\":\"";
+  std::set<std::string> ids;
+  for (std::size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + 1)) {
+    const std::size_t from = at + key.size();
+    ids.insert(json.substr(from, json.find('"', from) - from));
+  }
+  return ids;
+}
+
+TEST(Endsystem, FrameTraceSpansPairAcrossGenerationChunks) {
+#if !SS_TELEMETRY_ENABLED
+  GTEST_SKIP() << "frame-trace hooks compile away under -DSS_TELEMETRY=OFF";
+#endif
+  // 5,000 frames a stream span two generation chunks; the trace keeps
+  // every event, so each frame's span must open and close under one id.
+  telemetry::FrameTrace ft(1 << 17);
+  EndsystemConfig cfg;
+  cfg.chip.slots = 2;
+  cfg.chip.cmp_mode = hw::ComparisonMode::kTagOnly;
+  cfg.keep_series = false;
+  cfg.frame_trace = &ft;
+  Endsystem es(cfg);
+  for (int i = 0; i < 2; ++i) {
+    dwcs::StreamRequirement r = fair_share(1.0);
+    r.droppable = false;
+    es.add_stream(r, std::make_unique<queueing::CbrGen>(100), 1500);
+  }
+  const auto rep = es.run(5'000);
+  ASSERT_EQ(rep.frames, 10'000u);
+  ASSERT_EQ(ft.dropped(), 0u);
+
+  const std::string json = ft.to_chrome_json();
+  const std::set<std::string> opened = span_ids(json, 'b');
+  EXPECT_EQ(opened.size(), 10'000u) << "frame ids repeat";
+  EXPECT_TRUE(opened == span_ids(json, 'e'))
+      << "span ids that open and close differ";
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 // queueing_test.cpp — SPSC rings (including a real two-thread stress),
 // traffic generators, the Queue Manager and the Transmission Engine.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdint>
+#include <fstream>
 #include <thread>
+#include <vector>
 
 #include "queueing/frame.hpp"
 #include "queueing/link_model.hpp"
@@ -222,6 +226,87 @@ TEST(QueueManager, BatchArrivalsQuantizesAndDrains) {
   EXPECT_TRUE(qm.batch_arrivals(s, 10).empty());
 }
 
+TEST(QueueManager, BatchArrivalsFollowTheRingAcrossWrap) {
+  // A 4-slot ring (3 usable) wraps every few frames.  Each round fills
+  // the ring, batches at most two offsets, and consumes one frame the card
+  // already knows of, so unbatched frames sit behind consumed slots.
+  QueueManager qm(/*quantum_ns=*/1000);
+  const auto s = qm.add_stream(4);
+  std::uint64_t produced = 0;
+  std::uint64_t consumed = 0;
+  std::vector<std::uint16_t> offsets;
+  const auto fill = [&] {
+    for (;;) {
+      Frame f;
+      f.arrival_ns = produced * 1000;  // offset == frame number
+      f.seq = produced;
+      if (!qm.produce(s, f)) return;
+      ++produced;
+    }
+  };
+  const auto take = [&](std::size_t max) {
+    for (const std::uint16_t off : qm.batch_arrivals(s, max)) {
+      offsets.push_back(off);
+    }
+  };
+  for (int round = 0; round < 40; ++round) {
+    fill();
+    take(1 + round % 2);
+    ASSERT_LT(consumed, offsets.size());
+    const auto f = qm.consume(s);
+    ASSERT_TRUE(f);
+    EXPECT_EQ(f->seq, consumed++);
+  }
+  take(10);
+  while (qm.consume(s)) ++consumed;
+  EXPECT_TRUE(qm.batch_arrivals(s, 10).empty());
+
+  EXPECT_GT(produced, 40u);  // the ring wrapped many times
+  EXPECT_EQ(consumed, produced);
+  ASSERT_EQ(offsets.size(), produced);
+  for (std::uint64_t n = 0; n < produced; ++n) {
+    EXPECT_EQ(offsets[n], n) << "offset " << n;
+  }
+}
+
+// Resident bytes of this process (field 2 of /proc/self/statm, in pages).
+std::uint64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t size_pages = 0;
+  std::uint64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(QueueManager, RingsCommitMemoryOnFirstTouch) {
+  // 32 rings of 2^17 frames reserve 96 MB of address space; zero-filling
+  // them would make all of it resident.
+  const std::uint64_t before = resident_bytes();
+  ASSERT_GT(before, 0u) << "no /proc/self/statm";
+  QueueManager qm;
+  for (int i = 0; i < 32; ++i) qm.add_stream(1 << 17);
+  const std::uint64_t after = resident_bytes();
+  const std::uint64_t rise = after > before ? after - before : 0;
+  EXPECT_LT(rise, std::uint64_t{25} << 20)
+      << "resident set rose by " << (rise >> 20) << " MB";
+
+  const std::uint32_t s = 7;
+  for (std::uint64_t n = 0; n < 1600; ++n) {
+    Frame f;
+    f.stream = s;
+    f.seq = n;
+    f.arrival_ns = n * 10;
+    ASSERT_TRUE(qm.produce(s, f));
+  }
+  for (std::uint64_t n = 0; n < 1600; ++n) {
+    const auto f = qm.consume(s);
+    ASSERT_TRUE(f);
+    EXPECT_EQ(f->seq, n);
+    EXPECT_EQ(f->arrival_ns, n * 10);
+  }
+  EXPECT_FALSE(qm.consume(s));
+}
+
 TEST(QueueManager, PeekLeavesFrame) {
   QueueManager qm;
   const auto s = qm.add_stream(8);
@@ -244,6 +329,7 @@ TEST(TransmissionEngine, TransmitsAndRecordsDelay) {
   f.bytes = 1500;
   f.arrival_ns = 1000;
   qm.produce(s, f);
+  te.set_record_frames(true);
   const auto rec = te.transmit(s, /*now=*/5000);
   ASSERT_TRUE(rec);
   EXPECT_EQ(rec->departure_ns, 5000u + 12000u);
