@@ -33,12 +33,13 @@
 // scripts rely on 2-vs-3 to tell "bad file" from "stale file".
 #include <chrono>
 #include <cstdint>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 
-#include "telemetry/timeseries.hpp"
+#include "telemetry/observability.hpp"
 #include "testing/differential_executor.hpp"
 #include "testing/rank_equivalence.hpp"
 #include "testing/shrinker.hpp"
@@ -58,16 +59,14 @@ struct Args {
   std::uint64_t fault_seed = 0;  // non-zero: every scenario gets a fault plane
   bool explore_batch = false;
   bool explore_rank = false;
-  std::string out;     // trace capture path (fuzz mode)
-  std::string replay;  // replay path; empty = fuzz mode
-  std::string metrics_json;  // write the run's metrics snapshot here
-  std::string trace_out;     // write chip Chrome trace-event JSON here
-  std::string audit_out;     // write the ss-audit-v2 black-box dump here
-  std::string timeseries_out;  // write the ss-timeseries-v1 rings here
-  // Audit sampling period (1 = every decision).  The fuzzer keeps full
-  // audit by default — it is a correctness tool, not a production loop —
-  // but the flag lets campaigns measure the sampled configuration.
-  unsigned sample_every = 1;
+  std::string out;         // trace capture path (fuzz mode)
+  std::string replay;      // replay path; empty = fuzz mode
+  std::string chip_trace;  // --trace-out: the chip's Chrome trace-event JSON
+  // The metrics, audit and time-series exports.  The fuzzer keeps full
+  // audit by default (sample_every 1) — it is a correctness tool, not a
+  // production loop — but --sample-every lets campaigns measure the
+  // sampled configuration.
+  ss::telemetry::ObservabilityOptions obs;
 };
 
 bool write_text_file(const std::string& path, const std::string& body) {
@@ -80,21 +79,32 @@ bool write_text_file(const std::string& path, const std::string& body) {
   return static_cast<bool>(f);
 }
 
-DifferentialExecutor::Options exec_options(
-    const Args& args, ss::telemetry::MetricsRegistry* reg,
-    ss::telemetry::AuditSession* audit) {
+DifferentialExecutor::Options exec_options(const Args& args,
+                                           ss::telemetry::Observability& obs) {
   DifferentialExecutor::Options opt;
-  opt.metrics = reg;
-  opt.audit = audit;
-  if (!args.trace_out.empty()) {
+  // Divergence reports always carry a metrics snapshot and the
+  // time-series tail, so the registry rides along without --metrics-json.
+  opt.metrics = &obs.registry();
+  opt.audit = obs.audit();
+  if (!args.chip_trace.empty()) {
     opt.export_chrome_trace = true;
     opt.trace_depth = 4096;  // a Perfetto-sized window, not just the tail
   }
   return opt;
 }
 
-void print_divergence_context(const RunResult& r, const Args& args,
-                              const ss::telemetry::TimeSeries* ts) {
+/// Write every requested export; false on any I/O error.
+bool write_exports(const Args& args, ss::telemetry::Observability& obs,
+                   const std::string& chrome_trace) {
+  bool ok = obs.finish("fuzz_ss");
+  if (!args.chip_trace.empty()) {
+    ok = write_text_file(args.chip_trace, chrome_trace) && ok;
+  }
+  return ok;
+}
+
+void print_divergence_context(const RunResult& r,
+                              const ss::telemetry::TimeSeries& ts) {
   if (!r.chip_trace_tail.empty()) {
     std::cout << "  chip trace (last decision cycles before divergence):\n"
               << r.chip_trace_tail;
@@ -102,15 +112,11 @@ void print_divergence_context(const RunResult& r, const Args& args,
   if (!r.metrics_json.empty()) {
     std::cout << "  metrics: " << r.metrics_json << '\n';
   }
-  if (ts != nullptr && ts->size() > 0) {
+  if (ts.size() > 0) {
     // One interval per scenario (manually sampled): the rate context
     // around the diverging scenario, not just end-of-campaign totals.
     std::cout << "  time-series tail (one interval per scenario):\n"
-              << ts->tail_text(8);
-  }
-  if (!r.audit_json.empty() && !args.audit_out.empty()) {
-    std::cout << "  audit dump (cause \"divergence\") -> " << args.audit_out
-              << '\n';
+              << ts.tail_text(8);
   }
 }
 
@@ -147,12 +153,10 @@ int usage() {
       "usage: fuzz_ss [--seed S] [--scenarios K] [--events N] [--seconds T]\n"
       "               [--out FILE] [--inject-fault G] [--fault-seed S]\n"
       "               [--explore-batch] [--explore-rank]\n"
-      "               [--metrics-json FILE]\n"
-      "               [--trace-out FILE] [--audit-out FILE]\n"
-      "               [--timeseries-out FILE] [--sample-every N]\n"
-      "       fuzz_ss --replay FILE [--metrics-json FILE] [--trace-out FILE]\n"
-      "               [--audit-out FILE] [--timeseries-out FILE]\n"
-      "               [--sample-every N]\n";
+            << ss::telemetry::ObservabilityOptions::usage(15) <<
+      "       fuzz_ss --replay FILE [the observability flags above]\n"
+      "--trace-out writes the chip's decision-cycle trace; --profile-out and\n"
+      "--watchdog need a live pipeline (ss_cli run) and exit 2 here.\n";
   return 2;
 }
 
@@ -164,17 +168,12 @@ int replay_mode(const Args& args) {
     std::cerr << "fuzz_ss: " << e.what() << '\n';
     return 2;
   }
-  ss::telemetry::MetricsRegistry reg;
   // The audit session is sized for the widest fabric; the executor resets
   // the violation baselines per run (begin_run).
-  ss::telemetry::AuditSession audit(ss::telemetry::kAuditMaxStreams);
-  audit.set_dump_path(args.audit_out);
-  audit.set_sampling(args.sample_every);
-  ss::telemetry::TimeSeries ts(reg);
-  const DifferentialExecutor ex(exec_options(
-      args, &reg, args.audit_out.empty() ? nullptr : &audit));
+  ss::telemetry::Observability obs(args.obs, ss::telemetry::kAuditMaxStreams);
+  const DifferentialExecutor ex(exec_options(args, obs));
   const RunResult r = ex.run(tf.scenario);
-  ts.sample_once();  // one interval: the whole replay
+  obs.timeseries().sample_once();  // one interval: the whole replay
   std::cout << "replay ";
   print_point(tf.scenario);
   std::cout << "\n  decisions=" << r.decisions << " grants=" << r.grants
@@ -184,25 +183,13 @@ int replay_mode(const Args& args) {
     std::cout << "  STALE: digest differs from capture ("
               << *tf.expected_digest << ") — semantics changed since\n";
   }
-  if (!args.metrics_json.empty() &&
-      !write_text_file(args.metrics_json, reg.to_json() + "\n")) {
-    return 2;
-  }
-  if (!args.trace_out.empty() &&
-      !write_text_file(args.trace_out, r.chip_trace_chrome_json)) {
-    return 2;
-  }
-  if (!args.timeseries_out.empty() && !ts.write_json(args.timeseries_out)) {
-    std::cerr << "fuzz_ss: cannot open " << args.timeseries_out << '\n';
-    return 2;
-  }
+  if (!write_exports(args, obs, r.chip_trace_chrome_json)) return 2;
   if (r.diverged) {
     std::cout << "  DIVERGENCE at event " << r.event_index << " (decision "
               << r.decision_cycle << "): " << r.detail << '\n';
-    print_divergence_context(r, args, &ts);
+    print_divergence_context(r, obs.timeseries());
     return 1;
   }
-  if (!args.audit_out.empty() && !audit.dumped()) audit.dump("on_demand");
   std::cout << "  no divergence\n";
   return stale ? 3 : 0;
 }
@@ -221,19 +208,14 @@ int fuzz_mode(const Args& args) {
     fo.fault_seed = args.fault_seed;
   }
   WorkloadFuzzer fuzzer(fo);
-  ss::telemetry::MetricsRegistry reg;
   // One audit session spans the whole campaign: the rule profile
   // accumulates across scenarios while the flight recorder keeps the last
   // decisions, so a late divergence still dumps a populated black box.
-  ss::telemetry::AuditSession audit(ss::telemetry::kAuditMaxStreams);
-  audit.set_dump_path(args.audit_out);
-  audit.set_sampling(args.sample_every);
-  // Sampled manually, one interval per scenario: the campaign's rate
-  // history with scenario granularity, and on divergence the tail shows
-  // which scenarios around the failure were doing what.
-  ss::telemetry::TimeSeries ts(reg);
-  const DifferentialExecutor ex(exec_options(
-      args, &reg, args.audit_out.empty() ? nullptr : &audit));
+  // The time series is sampled by hand, one interval per scenario: the
+  // campaign's rate history with scenario granularity, and on divergence
+  // the tail shows which scenarios around the failure were doing what.
+  ss::telemetry::Observability obs(args.obs, ss::telemetry::kAuditMaxStreams);
+  const DifferentialExecutor ex(exec_options(args, obs));
 
   std::ofstream trace;
   if (!args.out.empty()) {
@@ -254,22 +236,6 @@ int fuzz_mode(const Args& args) {
   std::uint64_t total_decisions = 0, total_grants = 0;
   std::uint64_t total_faults = 0, total_recoveries = 0, total_failovers = 0;
   std::string last_chrome_trace;
-  auto write_telemetry = [&] {
-    if (!args.metrics_json.empty() &&
-        !write_text_file(args.metrics_json, reg.to_json() + "\n")) {
-      return false;
-    }
-    if (!args.trace_out.empty() &&
-        !write_text_file(args.trace_out, last_chrome_trace)) {
-      return false;
-    }
-    if (!args.timeseries_out.empty() &&
-        !ts.write_json(args.timeseries_out)) {
-      std::cerr << "fuzz_ss: cannot open " << args.timeseries_out << '\n';
-      return false;
-    }
-    return true;
-  };
   for (std::uint64_t k = 0;; ++k) {
     if (args.seconds > 0) {
       if (elapsed() >= args.seconds) break;
@@ -280,7 +246,7 @@ int fuzz_mode(const Args& args) {
     Scenario sc = fuzzer.next();
     sc.inject_fault_at_grant = args.inject_fault;
     const RunResult r = ex.run(sc);
-    ts.sample_once();  // one interval per scenario
+    obs.timeseries().sample_once();  // one interval per scenario
     total_decisions += r.decisions;
     total_grants += r.grants;
     total_faults += r.faults_injected;
@@ -313,7 +279,7 @@ int fuzz_mode(const Args& args) {
     if (r.diverged) {
       std::cout << "DIVERGENCE at event " << r.event_index << " (decision "
                 << r.decision_cycle << "): " << r.detail << '\n';
-      print_divergence_context(r, args, &ts);
+      print_divergence_context(r, obs.timeseries());
       std::cout << "shrinking...\n";
       const ShrinkResult s = shrink(sc, ex);
       const std::string repro = "fuzz_failure_seed" +
@@ -325,18 +291,12 @@ int fuzz_mode(const Args& args) {
                 << " executor runs\n"
                 << "reproducer written to " << repro << "\n"
                 << "replay with: fuzz_ss --replay " << repro << '\n';
-      write_telemetry();
+      write_exports(args, obs, last_chrome_trace);
       return 1;
     }
   }
 
-  if (!write_telemetry()) return 2;
-  if (!args.audit_out.empty()) {
-    if (!audit.dumped()) audit.dump("on_demand");
-    std::cout << "audit dump (" << audit.audit().comparisons()
-              << " comparisons, cause \"" << audit.last_cause() << "\") -> "
-              << args.audit_out << '\n';
-  }
+  if (!write_exports(args, obs, last_chrome_trace)) return 2;
   std::cout << "ok: " << fuzzer.scenarios_generated() << " scenarios, "
             << total_decisions << " differential decisions, " << total_grants
             << " grants, " << elapsed() << " s, no divergence\n";
@@ -352,12 +312,16 @@ int fuzz_mode(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args;
+  args.obs.sample_every = 1;
   for (int i = 1; i < argc; ++i) {
+    switch (args.obs.take(argc, argv, i, "fuzz_ss")) {
+      case ss::telemetry::ObservabilityOptions::Flag::kTaken: continue;
+      case ss::telemetry::ObservabilityOptions::Flag::kBad: return usage();
+      case ss::telemetry::ObservabilityOptions::Flag::kOther: break;
+    }
     const std::string a = argv[i];
     auto value = [&](std::uint64_t& dst) {
-      if (i + 1 >= argc) return false;
-      dst = std::strtoull(argv[++i], nullptr, 10);
-      return true;
+      return i + 1 < argc && ss::telemetry::parse_count(argv[++i], dst);
     };
     if (a == "--seed") {
       if (!value(args.seed)) return usage();
@@ -369,11 +333,15 @@ int main(int argc, char** argv) {
       args.events = static_cast<std::size_t>(v);
     } else if (a == "--seconds") {
       if (i + 1 >= argc) return usage();
-      args.seconds = std::strtod(argv[++i], nullptr);
-    } else if (a == "--inject-fault") {
-      if (!value(args.inject_fault)) return usage();
-    } else if (a == "--fault-seed") {
-      if (!value(args.fault_seed)) return usage();
+      char* end = nullptr;
+      args.seconds = std::strtod(argv[++i], &end);
+      if (end == argv[i] || *end != '\0') return usage();
+    } else if (a == "--inject-fault" || a == "--fault-seed") {
+      // 0 means "off" for both, so asking for it would silently fuzz
+      // without the fault: refuse it.
+      std::uint64_t& dst =
+          a == "--fault-seed" ? args.fault_seed : args.inject_fault;
+      if (!value(dst) || dst == 0) return usage();
     } else if (a == "--explore-batch") {
       args.explore_batch = true;
     } else if (a == "--explore-rank") {
@@ -384,25 +352,14 @@ int main(int argc, char** argv) {
     } else if (a == "--replay") {
       if (i + 1 >= argc) return usage();
       args.replay = argv[++i];
-    } else if (a == "--metrics-json") {
-      if (i + 1 >= argc) return usage();
-      args.metrics_json = argv[++i];
-    } else if (a == "--trace-out") {
-      if (i + 1 >= argc) return usage();
-      args.trace_out = argv[++i];
-    } else if (a == "--audit-out") {
-      if (i + 1 >= argc) return usage();
-      args.audit_out = argv[++i];
-    } else if (a == "--timeseries-out") {
-      if (i + 1 >= argc) return usage();
-      args.timeseries_out = argv[++i];
-    } else if (a == "--sample-every") {
-      if (i + 1 >= argc) return usage();
-      args.sample_every =
-          static_cast<unsigned>(std::strtoull(argv[++i], nullptr, 10));
     } else {
       return usage();
     }
   }
+  // The executor drives the chip, not the endsystem pipeline: it has no
+  // stage scopes to profile and no live run for a watchdog to poll.
+  if (!args.obs.profile_out.empty() || args.obs.watchdog) return usage();
+  // --trace-out is the executor's chip trace, not a frame-lifecycle trace.
+  args.chip_trace = std::exchange(args.obs.trace_out, {});
   return args.replay.empty() ? fuzz_mode(args) : replay_mode(args);
 }

@@ -3,255 +3,20 @@
 // Builds a 4-slot scheduler chip (the cycle-level simulation of the
 // Virtex-I fabric), loads one EDF stream per slot, feeds requests, and
 // prints which stream wins each decision cycle and why that order is the
-// EDF order.  Start here; host_router.cpp shows the full endsystem.
-//
-// Telemetry quickstart:
-//   quickstart --metrics-json metrics.json --trace-out trace.json
-// additionally runs the full endsystem pipeline (QM rings -> PCI -> chip
-// -> TE -> link) with the metrics registry and frame-lifecycle trace
-// attached, writing a single-line metrics snapshot and a Chrome
-// trace-event JSON loadable in Perfetto (ui.perfetto.dev, "Open trace").
-//
-// Fault-plane quickstart:
-//   quickstart --fault-seed 42        # seeded transient PCI/SRAM/chip faults
-//   quickstart --inject-fault 200     # kill the chip at decision attempt 200
-// runs the same pipeline under a deterministic hardware fault plane: the
-// recovery policy retries with backoff, and on exhaustion the guard fails
-// over to the software scheduler without dropping a frame.
-//
-// Audit quickstart:
-//   quickstart --audit-out audit.json [--sample-every N]
-// attaches a decision-audit session: every comparator resolution is
-// attributed to its Table-2 rule, the last decisions ride in a flight-
-// recorder ring, and the run ends with a single-line `ss-audit-v2` dump
-// (docs/formats.md).  Rule profiles are sampled 1-in-N (default 64;
-// N <= 1 audits every decision) — exact grant/violation/burn counters are
-// unaffected, and winners are bit-identical at any rate.  Under the fault
-// flags a forced failover dumps the black box automatically (cause
-// "failover") — combine with --inject-fault to capture the chip's final
-// decisions at the failover point.
-//
-// Observability quickstart:
-//   quickstart --profile-out prof.json --watchdog --timeseries-out ts.json
-// attaches the hot-path self-profiler (per-stage wall time as a
-// flamegraph-style `ss-profile-v1` JSON), the anomaly watchdog (rolling-
-// window rules that fire the flight recorder with cause
-// "watchdog:<rule>"), and the continuous-telemetry sampler
-// (`ss-timeseries-v1`: per-interval counter rates and windowed histogram
-// percentiles; the watchdog evaluates over the same rings).  Merge the
-// exports into one page with `ss_cli report`.
+// EDF order.  Start here; host_router.cpp shows the full endsystem, and
+// `ss_cli run` runs it with metrics, traces, audit dumps, the profiler,
+// the time series, the watchdog and the fault plane attached.
 #include <cstdio>
-#include <cstring>
-#include <memory>
-#include <optional>
-#include <string>
-#include <vector>
 
-#include "core/endsystem.hpp"
 #include "hw/scheduler_chip.hpp"
-#include "robust/fault_plan.hpp"
-#include "telemetry/profiler.hpp"
-#include "telemetry/timeseries.hpp"
-#include "telemetry/watchdog.hpp"
-#include "util/sim_time.hpp"
 
-namespace {
-
-/// The telemetry-instrumented pipeline run behind --metrics-json /
-/// --trace-out / the fault flags: four fair-share flows through the
-/// Figure-3 data path.
-int run_instrumented_pipeline(const std::string& metrics_path,
-                              const std::string& trace_path,
-                              std::string audit_path,
-                              const std::string& profile_path,
-                              const std::string& timeseries_path,
-                              bool watchdog_on, unsigned sample_every,
-                              const ss::robust::FaultProfile& faults) {
-  using namespace ss;
-
-  telemetry::MetricsRegistry registry;
-  telemetry::FrameTrace frame_trace;
-  telemetry::Profiler profiler;
-  // The black box rides along whenever requested — and always under the
-  // fault flags or the watchdog, so an anomaly leaves a dump behind even
-  // when the operator forgot to ask for one.
-  if (audit_path.empty() && (faults.enabled() || watchdog_on)) {
-    audit_path = "ss_audit_dump.json";
-  }
-  telemetry::AuditSession audit(4);
-  audit.set_dump_path(audit_path);
-  audit.set_sampling(sample_every);
-
-  core::EndsystemConfig cfg;
-  cfg.chip.slots = 4;
-  cfg.chip.cmp_mode = hw::ComparisonMode::kTagOnly;
-  cfg.link_gbps = 1.0;
-  cfg.pci_batch = 32;
-  cfg.metrics = &registry;
-  cfg.frame_trace = &frame_trace;
-  if (!audit_path.empty()) cfg.audit = &audit;
-  if (!profile_path.empty()) cfg.profiler = &profiler;
-  cfg.faults = faults;
-  core::Endsystem es(cfg);
-
-  // One interval sampler serves both consumers: the watchdog's rolling
-  // rules and the --timeseries-out export read the same rings.
-  telemetry::TimeSeries timeseries(registry);
-  std::optional<telemetry::Watchdog> watchdog;
-  if (watchdog_on) watchdog.emplace(timeseries, cfg.audit);
-  const bool sampling = watchdog_on || !timeseries_path.empty();
-  if (sampling) timeseries.start();
-
-  const double ptime_ns = packet_time_ns(1500, cfg.link_gbps);
-  const double weights[4] = {1.0, 1.0, 2.0, 4.0};
-  for (unsigned i = 0; i < 4; ++i) {
-    dwcs::StreamRequirement r;
-    r.kind = dwcs::RequirementKind::kFairShare;
-    r.weight = weights[i];
-    const auto interval =
-        static_cast<std::uint64_t>(ptime_ns * 8.0 / weights[i]);
-    es.add_stream(r, std::make_unique<queueing::CbrGen>(interval), 1500);
-  }
-  const auto rep = es.run(std::vector<std::uint64_t>{500, 500, 1000, 2000});
-  if (sampling) {
-    timeseries.stop();  // takes the closing-window sample (final sweep)
-  }
-  if (watchdog_on) {
-    std::printf("watchdog: %llu polls, %llu rule firings%s%s\n",
-                static_cast<unsigned long long>(watchdog->polls()),
-                static_cast<unsigned long long>(watchdog->fired()),
-                watchdog->fired() > 0 ? ", last rule " : "",
-                watchdog->fired() > 0 ? watchdog->last_rule().c_str() : "");
-  }
-
-  if (!metrics_path.empty()) {
-    std::FILE* f = std::fopen(metrics_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "quickstart: cannot open %s\n",
-                   metrics_path.c_str());
-      return 1;
-    }
-    const std::string json = registry.to_json();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("metrics snapshot (%zu metrics) -> %s\n", registry.size(),
-                metrics_path.c_str());
-  }
-  if (!timeseries_path.empty()) {
-    if (!timeseries.write_json(timeseries_path)) {
-      std::fprintf(stderr, "quickstart: cannot open %s\n",
-                   timeseries_path.c_str());
-      return 1;
-    }
-    std::printf("time series: %zu interval(s) at %lld ms cadence -> %s\n",
-                timeseries.size(),
-                static_cast<long long>(
-                    timeseries.config().poll_interval.count()),
-                timeseries_path.c_str());
-  }
-  if (!trace_path.empty()) {
-    if (!frame_trace.write_chrome_json(trace_path)) {
-      std::fprintf(stderr, "quickstart: cannot open %s\n",
-                   trace_path.c_str());
-      return 1;
-    }
-    std::printf("frame-lifecycle trace (%llu events) -> %s  "
-                "(load in ui.perfetto.dev)\n",
-                static_cast<unsigned long long>(frame_trace.recorded()),
-                trace_path.c_str());
-  }
-  std::printf("pipeline: %llu frames through QM -> PCI -> chip -> TE in "
-              "%llu decision cycles\n",
-              static_cast<unsigned long long>(rep.frames),
-              static_cast<unsigned long long>(rep.decision_cycles));
-  if (faults.enabled()) {
-    std::printf("fault plane: %llu faults injected, %llu retries, "
-                "%llu recoveries, %llu exhausted\n",
-                static_cast<unsigned long long>(rep.faults_injected),
-                static_cast<unsigned long long>(rep.robust.retries),
-                static_cast<unsigned long long>(rep.robust.recoveries),
-                static_cast<unsigned long long>(rep.robust.exhausted));
-    std::printf("%s\n", rep.failed_over
-                            ? "FAILED OVER to the software scheduler — every "
-                              "queued frame still reached the wire"
-                            : "hardware path survived: every fault recovered "
-                              "within the retry bound");
-  }
-  if (!profile_path.empty()) {
-    if (!profiler.write_json(profile_path)) {
-      std::fprintf(stderr, "quickstart: cannot open %s\n",
-                   profile_path.c_str());
-      return 1;
-    }
-    std::printf("profile: per-stage wall time (%s clock) -> %s\n",
-                telemetry::Profiler::clock_name(), profile_path.c_str());
-  }
-  if (!audit_path.empty()) {
-    if (!audit.dumped()) audit.dump("on_demand");
-    std::printf("audit: %llu comparisons (%llu with sampled provenance, "
-                "1-in-%u) across %llu decisions; flight recorder dump "
-                "(cause \"%s\") -> %s\n",
-                static_cast<unsigned long long>(audit.audit().comparisons()),
-                static_cast<unsigned long long>(
-                    audit.audit().comparisons_sampled()),
-                audit.sampler().every(),
-                static_cast<unsigned long long>(audit.recorder().recorded()),
-                audit.last_cause().c_str(), audit_path.c_str());
-  }
-  return 0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main(int argc, char** /*argv*/) {
   using namespace ss::hw;
 
-  std::string metrics_path, trace_path, audit_path, profile_path;
-  std::string timeseries_path;
-  bool watchdog_on = false;
-  unsigned sample_every = 64;  // production default; <= 1 audits everything
-  ss::robust::FaultProfile faults;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--audit-out") == 0 && i + 1 < argc) {
-      audit_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--profile-out") == 0 && i + 1 < argc) {
-      profile_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--timeseries-out") == 0 && i + 1 < argc) {
-      timeseries_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--sample-every") == 0 && i + 1 < argc) {
-      sample_every =
-          static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--watchdog") == 0) {
-      watchdog_on = true;
-    } else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
-      faults.seed = std::strtoull(argv[++i], nullptr, 10);
-      faults.pci_fault_per64k = 700;   // ~1% per bus transaction
-      faults.sram_fault_per64k = 700;
-      faults.chip_fault_per64k = 700;
-    } else if (std::strcmp(argv[i], "--inject-fault") == 0 && i + 1 < argc) {
-      // Hard chip death at the K-th decision attempt: exercises failover.
-      faults.chip_fail_after = std::strtoull(argv[++i], nullptr, 10);
-      if (faults.seed == 0) faults.seed = 1;
-    } else {
-      std::fprintf(stderr,
-                   "usage: quickstart [--metrics-json FILE] [--trace-out "
-                   "FILE] [--audit-out FILE] [--profile-out FILE] "
-                   "[--timeseries-out FILE] [--sample-every N] [--watchdog] "
-                   "[--fault-seed S] [--inject-fault K]\n");
-      return 2;
-    }
-  }
-  if (!metrics_path.empty() || !trace_path.empty() || !audit_path.empty() ||
-      !profile_path.empty() || !timeseries_path.empty() || watchdog_on ||
-      faults.enabled()) {
-    return run_instrumented_pipeline(metrics_path, trace_path, audit_path,
-                                     profile_path, timeseries_path,
-                                     watchdog_on, sample_every, faults);
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: quickstart (no arguments; see `ss_cli run` "
+                         "for the instrumented pipeline)\n");
+    return 2;
   }
 
   // 1. Configure the fabric: 4 stream-slots, DWCS comparators, winner-only

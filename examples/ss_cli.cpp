@@ -4,15 +4,11 @@
 //   ss_cli admit <spec-file|->                    parse + admission verdict
 //   ss_cli area  <slots>                          Virtex-I/II area & clock
 //   ss_cli trace                                  a traced 8-cycle DWCS run
-//   ss_cli run <streams> <frames> [--metrics-json F] [--trace-out F]
-//              [--audit-out F] [--profile-out F] [--sample-every N]
-//                                                 instrumented pipeline run
-//   ss_cli audit <streams> <frames> [--out F] [--fault-seed S]
-//                [--sample-every N] [--watchdog]  black-box / provenance dump
+//   ss_cli run <streams> <frames> [flags]         instrumented pipeline run
+//   ss_cli report [--metrics F] [--audit F] ...   render a run's exports
 //
 // Run without arguments for a demonstration of the subcommands.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -27,10 +23,8 @@
 #include "hw/area_model.hpp"
 #include "hw/scheduler_chip.hpp"
 #include "hw/trace.hpp"
-#include "telemetry/profiler.hpp"
+#include "telemetry/observability.hpp"
 #include "telemetry/report.hpp"
-#include "telemetry/timeseries.hpp"
-#include "telemetry/watchdog.hpp"
 #include "util/sim_time.hpp"
 
 namespace {
@@ -139,187 +133,138 @@ int cmd_trace() {
   return 0;
 }
 
-/// `run`: the full endsystem pipeline with live telemetry — equal-weight
-/// fair-share flows, per-layer metrics to a single-line JSON snapshot and
-/// frame-lifecycle events to a Perfetto-loadable Chrome trace.
-int cmd_run(unsigned streams, std::uint64_t frames,
-            const std::string& metrics_path, const std::string& trace_path,
-            const std::string& audit_path, const std::string& profile_path,
-            const std::string& timeseries_path, unsigned sample_every) {
+void usage() {
+  std::puts("usage: ss_cli solve <streams> <frame_bytes> <gbps>");
+  std::puts("       ss_cli admit <spec-file|->");
+  std::puts("       ss_cli area <slots>");
+  std::puts("       ss_cli trace");
+  std::puts("       ss_cli run <streams> <frames> [--fault-seed S]");
+  std::puts("                  [--inject-fault K] [--overload]");
+  std::fputs(ss::telemetry::ObservabilityOptions::usage(18).c_str(), stdout);
+  std::puts("       ss_cli report [--metrics FILE] [--audit FILE]");
+  std::puts("                  [--profile FILE] [--timeseries FILE]");
+}
+
+/// `run`: the one instrumented pipeline command.  Window-constrained
+/// DWCS streams go through QM -> PCI -> chip -> TE -> link with whatever
+/// observability planes the shared flags ask for, optionally under a
+/// seeded fault plane (--fault-seed), with the chip killed at decision
+/// attempt K (--inject-fault) or with every stream demanding twice its
+/// share (--overload).
+int cmd_run(int argc, char** argv) {
   using namespace ss;
-  if (streams < 2 || streams > 32 || (streams & (streams - 1)) != 0) {
+  const auto bad = [](const char* what, const char* value) {
+    std::fprintf(stderr, "run: %s must be a positive integer, not '%s'\n",
+                 what, value);
+    return 2;
+  };
+  std::uint64_t streams = 0, frames = 0, fault_seed = 0, inject_fault = 0;
+  bool overload = false;
+  telemetry::ObservabilityOptions opts;
+  if (!telemetry::parse_count(argv[2], streams) || streams < 2 ||
+      streams > 32 || (streams & (streams - 1)) != 0) {
     std::fprintf(stderr, "run: streams must be a power of two in 2..32\n");
-    return 1;
+    return 2;
+  }
+  if (!telemetry::parse_count(argv[3], frames) || frames == 0) {
+    return bad("frames", argv[3]);
+  }
+  for (int i = 4; i < argc; ++i) {
+    switch (opts.take(argc, argv, i, "run")) {
+      case telemetry::ObservabilityOptions::Flag::kTaken: continue;
+      case telemetry::ObservabilityOptions::Flag::kBad: return 2;
+      case telemetry::ObservabilityOptions::Flag::kOther: break;
+    }
+    const std::string a = argv[i];
+    if (a == "--overload") {
+      overload = true;
+    } else if ((a == "--fault-seed" || a == "--inject-fault") &&
+               i + 1 < argc) {
+      // Seed 0 means "fault plane off" and attempt 0 "never", so both
+      // would silently run fault-free: refuse them.
+      std::uint64_t& dst = a == "--fault-seed" ? fault_seed : inject_fault;
+      if (!telemetry::parse_count(argv[i + 1], dst) || dst == 0) {
+        return bad(argv[i], argv[i + 1]);
+      }
+      ++i;
+    } else {
+      usage();
+      return 2;
+    }
   }
 
-  telemetry::MetricsRegistry registry;
-  telemetry::FrameTrace frame_trace;
-  telemetry::Profiler profiler;
-  telemetry::AuditSession audit(streams);
-  audit.set_dump_path(audit_path);
-  audit.set_sampling(sample_every);
   core::EndsystemConfig cfg;
-  cfg.chip.slots = streams;
-  cfg.chip.cmp_mode = hw::ComparisonMode::kTagOnly;
+  cfg.chip.slots = static_cast<unsigned>(streams);
+  cfg.chip.cmp_mode = hw::ComparisonMode::kDwcsFull;
   cfg.keep_series = false;
   cfg.delay_histogram = true;  // streaming percentiles, O(1) memory
-  cfg.metrics = &registry;
-  cfg.frame_trace = &frame_trace;
-  if (!audit_path.empty()) cfg.audit = &audit;
-  if (!profile_path.empty()) cfg.profiler = &profiler;
+  if (fault_seed != 0) {
+    cfg.faults.seed = fault_seed;
+    cfg.faults.pci_fault_per64k = 700;  // ~1% per bus transaction
+    cfg.faults.sram_fault_per64k = 700;
+    cfg.faults.chip_fault_per64k = 700;
+  }
+  if (inject_fault != 0) {
+    // Hard chip death at the K-th decision attempt: exercises failover.
+    cfg.faults.chip_fail_after = inject_fault;
+    if (cfg.faults.seed == 0) cfg.faults.seed = 1;
+  }
+  telemetry::Observability obs(opts, static_cast<std::uint32_t>(streams),
+                               cfg.faults.enabled());
+  cfg.metrics = obs.metrics();
+  cfg.frame_trace = obs.frame_trace();
+  cfg.audit = obs.audit();
+  cfg.profiler = obs.profiler();
   core::Endsystem es(cfg);
 
   const double ptime_ns = packet_time_ns(1500, cfg.link_gbps);
+  // --overload: every stream demands twice its fair share, so window
+  // violations (and their burn attribution) are guaranteed — the
+  // deterministic way to trip the watchdog's burn_rate_spike rule.
+  const std::uint64_t period = overload ? streams / 2 : streams;
   for (unsigned i = 0; i < streams; ++i) {
     dwcs::StreamRequirement r;
-    r.kind = dwcs::RequirementKind::kFairShare;
-    r.weight = 1.0;
+    r.kind = dwcs::RequirementKind::kWindowConstrained;
+    r.period = period;
+    r.loss_num = 1;
+    r.loss_den = 4;
+    r.initial_deadline = i + 1;
     es.add_stream(r,
                   std::make_unique<queueing::CbrGen>(static_cast<std::uint64_t>(
-                      ptime_ns * static_cast<double>(streams))),
+                      ptime_ns * static_cast<double>(period))),
                   1500);
   }
-  telemetry::TimeSeries timeseries(registry);
-  if (!timeseries_path.empty()) timeseries.start();
+  obs.start();
   const auto rep = es.run(frames);
-  if (!timeseries_path.empty()) timeseries.stop();  // closing-window sample
 
-  std::printf("run: %u streams x %llu frames -> %llu transmitted in %llu "
+  std::printf("run: %llu streams x %llu frames -> %llu transmitted in %llu "
               "decision cycles (%.3e pps excl PCI)\n",
-              streams, static_cast<unsigned long long>(frames),
+              static_cast<unsigned long long>(streams),
+              static_cast<unsigned long long>(frames),
               static_cast<unsigned long long>(rep.frames),
               static_cast<unsigned long long>(rep.decision_cycles),
               rep.pps_excl_pci);
   std::printf("stream 0: p50=%.1f us p99=%.1f us (streaming estimate)\n",
               es.monitor().delay_percentile_est_us(0, 50.0),
               es.monitor().delay_percentile_est_us(0, 99.0));
-  if (!metrics_path.empty()) {
-    std::ofstream f(metrics_path);
-    if (!f) {
-      std::fprintf(stderr, "run: cannot open %s\n", metrics_path.c_str());
-      return 1;
-    }
-    f << registry.to_json() << '\n';
-    std::printf("metrics snapshot (%zu metrics) -> %s\n", registry.size(),
-                metrics_path.c_str());
-  } else {
-    std::printf("%s\n", registry.to_json().c_str());
+  if (cfg.faults.enabled()) {
+    std::printf("fault plane: %llu faults injected, %llu retries, "
+                "%llu recoveries, %llu exhausted\n",
+                static_cast<unsigned long long>(rep.faults_injected),
+                static_cast<unsigned long long>(rep.robust.retries),
+                static_cast<unsigned long long>(rep.robust.recoveries),
+                static_cast<unsigned long long>(rep.robust.exhausted));
+    std::printf("%s\n", rep.failed_over
+                            ? "FAILED OVER to the software scheduler — every "
+                              "queued frame still reached the wire"
+                            : "hardware path survived: every fault recovered "
+                              "within the retry bound");
   }
-  if (!trace_path.empty()) {
-    if (!frame_trace.write_chrome_json(trace_path)) {
-      std::fprintf(stderr, "run: cannot open %s\n", trace_path.c_str());
-      return 1;
-    }
-    std::printf("frame-lifecycle trace (%llu events) -> %s\n",
-                static_cast<unsigned long long>(frame_trace.recorded()),
-                trace_path.c_str());
-  }
-  if (!profile_path.empty()) {
-    if (!profiler.write_json(profile_path)) {
-      std::fprintf(stderr, "run: cannot open %s\n", profile_path.c_str());
-      return 1;
-    }
-    std::printf("stage profile (ss-profile-v1, %s clock) -> %s\n",
-                telemetry::Profiler::clock_name(), profile_path.c_str());
-  }
-  if (!timeseries_path.empty()) {
-    if (!timeseries.write_json(timeseries_path)) {
-      std::fprintf(stderr, "run: cannot open %s\n", timeseries_path.c_str());
-      return 1;
-    }
-    std::printf("time series (ss-timeseries-v1, %zu intervals) -> %s\n",
-                timeseries.size(), timeseries_path.c_str());
-  }
-  if (!audit_path.empty()) {
-    if (!audit.dumped()) audit.dump("on_demand");
-    std::printf("audit dump (%llu comparisons, 1-in-%u sampled, ring of "
-                "%zu) -> %s\n",
-                static_cast<unsigned long long>(audit.audit().comparisons()),
-                audit.sampler().every(), audit.recorder().size(),
-                audit_path.c_str());
-  }
-  return 0;
+  return obs.finish("run") ? 0 : 1;
 }
 
-/// `audit`: the black box on demand — run the pipeline with a decision-
-/// audit session attached (optionally under a seeded fault plane, with the
-/// anomaly watchdog watching the registry) and emit the single-line
-/// ss-audit-v2 document to stdout or a file.
-int cmd_audit(unsigned streams, std::uint64_t frames,
-              const std::string& out_path, std::uint64_t fault_seed,
-              unsigned sample_every, bool watchdog_on, bool overload) {
-  using namespace ss;
-  if (streams < 2 || streams > 32 || (streams & (streams - 1)) != 0) {
-    std::fprintf(stderr, "audit: streams must be a power of two in 2..32\n");
-    return 1;
-  }
-  telemetry::MetricsRegistry registry;
-  telemetry::AuditSession audit(streams);
-  audit.set_dump_path(out_path);
-  audit.set_sampling(sample_every);
-  core::EndsystemConfig cfg;
-  cfg.chip.slots = streams;
-  cfg.chip.cmp_mode = hw::ComparisonMode::kDwcsFull;
-  cfg.keep_series = false;
-  cfg.audit = &audit;
-  // The watchdog reads rolling metric windows, so it drags the registry in.
-  if (watchdog_on) cfg.metrics = &registry;
-  if (fault_seed != 0) {
-    cfg.faults.seed = fault_seed;
-    cfg.faults.pci_fault_per64k = 700;
-    cfg.faults.sram_fault_per64k = 700;
-    cfg.faults.chip_fault_per64k = 700;
-  }
-  core::Endsystem es(cfg);
-  const double ptime_ns = packet_time_ns(1500, cfg.link_gbps);
-  for (unsigned i = 0; i < streams; ++i) {
-    dwcs::StreamRequirement r;
-    r.kind = dwcs::RequirementKind::kWindowConstrained;
-    // --overload: every stream demands twice its fair share, so window
-    // violations (and their burn attribution) are guaranteed — the
-    // deterministic way to trip the watchdog's burn_rate_spike rule.
-    r.period = overload ? streams / 2 : streams;
-    r.loss_num = 1;
-    r.loss_den = 4;
-    r.initial_deadline = i + 1;
-    const double interval =
-        ptime_ns * static_cast<double>(overload ? streams / 2 : streams);
-    es.add_stream(
-        r, std::make_unique<queueing::CbrGen>(
-               static_cast<std::uint64_t>(interval)),
-        1500);
-  }
-  telemetry::Watchdog watchdog(registry, &audit);
-  if (watchdog_on) watchdog.start();
-  const auto rep = es.run(frames);
-  if (watchdog_on) watchdog.stop();  // final rule evaluation before join
-  std::printf("audit: %u streams x %llu frames, %llu decisions, "
-              "%llu comparisons, %llu faults%s\n",
-              streams, static_cast<unsigned long long>(frames),
-              static_cast<unsigned long long>(rep.decision_cycles),
-              static_cast<unsigned long long>(audit.audit().comparisons()),
-              static_cast<unsigned long long>(audit.faults_total()),
-              rep.failed_over ? " (FAILED OVER)" : "");
-  if (watchdog_on) {
-    std::printf("watchdog: %llu polls, %llu firings%s%s\n",
-                static_cast<unsigned long long>(watchdog.polls()),
-                static_cast<unsigned long long>(watchdog.fired()),
-                watchdog.fired() > 0 ? ", last rule " : "",
-                watchdog.fired() > 0 ? watchdog.last_rule().c_str() : "");
-  }
-  if (out_path.empty()) {
-    std::printf("%s\n", audit.to_json("on_demand").c_str());
-  } else {
-    if (!audit.dumped()) audit.dump("on_demand");
-    std::printf("ss-audit-v2 (cause \"%s\") -> %s\n",
-                audit.last_cause().c_str(), out_path.c_str());
-  }
-  return 0;
-}
-
-/// `report`: merge a run's export documents into one ss-report-v1 page.
-int cmd_report(const ss::telemetry::ReportInputs& in,
-               const std::string& json_out) {
+/// `report`: render a run's export documents as one text page.
+int cmd_report(const ss::telemetry::ReportInputs& in) {
   const ss::telemetry::Report rep = ss::telemetry::build_report(in);
   if (!rep.any_input) {
     std::fprintf(stderr,
@@ -327,36 +272,8 @@ int cmd_report(const ss::telemetry::ReportInputs& in,
                  "schemas)\n");
     return 2;
   }
-  if (!json_out.empty()) {
-    std::ofstream f(json_out);
-    if (!f) {
-      std::fprintf(stderr, "report: cannot open %s\n", json_out.c_str());
-      return 1;
-    }
-    f << rep.json << '\n';
-    std::printf("%s", rep.text.c_str());
-    std::printf("\nss-report-v1 -> %s\n", json_out.c_str());
-  } else {
-    std::printf("%s", rep.text.c_str());
-  }
+  std::printf("%s", rep.text.c_str());
   return 0;
-}
-
-void usage() {
-  std::puts("usage: ss_cli solve <streams> <frame_bytes> <gbps>");
-  std::puts("       ss_cli admit <spec-file|->");
-  std::puts("       ss_cli area <slots>");
-  std::puts("       ss_cli trace");
-  std::puts("       ss_cli run <streams> <frames> [--metrics-json FILE]");
-  std::puts("                  [--trace-out FILE] [--audit-out FILE]");
-  std::puts("                  [--profile-out FILE] [--timeseries-out FILE]");
-  std::puts("                  [--sample-every N]");
-  std::puts("       ss_cli audit <streams> <frames> [--out FILE]");
-  std::puts("                  [--fault-seed S] [--sample-every N]");
-  std::puts("                  [--watchdog] [--overload]");
-  std::puts("       ss_cli report [--metrics FILE] [--audit FILE]");
-  std::puts("                  [--profile FILE] [--timeseries FILE]");
-  std::puts("                  [--json-out FILE]");
 }
 
 }  // namespace
@@ -385,37 +302,9 @@ int main(int argc, char** argv) {
     return cmd_area(static_cast<unsigned>(std::atoi(argv[2])));
   }
   if (cmd == "trace") return cmd_trace();
-  if (cmd == "run" && argc >= 4) {
-    std::string metrics_path, trace_path, audit_path, profile_path;
-    std::string timeseries_path;
-    unsigned sample_every = 64;
-    for (int i = 4; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a == "--metrics-json" && i + 1 < argc) {
-        metrics_path = argv[++i];
-      } else if (a == "--trace-out" && i + 1 < argc) {
-        trace_path = argv[++i];
-      } else if (a == "--audit-out" && i + 1 < argc) {
-        audit_path = argv[++i];
-      } else if (a == "--profile-out" && i + 1 < argc) {
-        profile_path = argv[++i];
-      } else if (a == "--timeseries-out" && i + 1 < argc) {
-        timeseries_path = argv[++i];
-      } else if (a == "--sample-every" && i + 1 < argc) {
-        sample_every = static_cast<unsigned>(std::atoi(argv[++i]));
-      } else {
-        usage();
-        return 1;
-      }
-    }
-    return cmd_run(static_cast<unsigned>(std::atoi(argv[2])),
-                   static_cast<std::uint64_t>(std::atoll(argv[3])),
-                   metrics_path, trace_path, audit_path, profile_path,
-                   timeseries_path, sample_every);
-  }
+  if (cmd == "run" && argc >= 4) return cmd_run(argc, argv);
   if (cmd == "report") {
     ss::telemetry::ReportInputs in;
-    std::string json_out;
     for (int i = 2; i < argc; ++i) {
       const std::string a = argv[i];
       if (a == "--metrics" && i + 1 < argc) {
@@ -426,42 +315,12 @@ int main(int argc, char** argv) {
         in.profile_path = argv[++i];
       } else if (a == "--timeseries" && i + 1 < argc) {
         in.timeseries_path = argv[++i];
-      } else if (a == "--json-out" && i + 1 < argc) {
-        json_out = argv[++i];
       } else {
         usage();
         return 1;
       }
     }
-    return cmd_report(in, json_out);
-  }
-  if (cmd == "audit" && argc >= 4) {
-    std::string out_path;
-    std::uint64_t fault_seed = 0;
-    unsigned sample_every = 64;
-    bool watchdog_on = false;
-    bool overload = false;
-    for (int i = 4; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a == "--out" && i + 1 < argc) {
-        out_path = argv[++i];
-      } else if (a == "--fault-seed" && i + 1 < argc) {
-        fault_seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-      } else if (a == "--sample-every" && i + 1 < argc) {
-        sample_every = static_cast<unsigned>(std::atoi(argv[++i]));
-      } else if (a == "--watchdog") {
-        watchdog_on = true;
-      } else if (a == "--overload") {
-        overload = true;
-      } else {
-        usage();
-        return 1;
-      }
-    }
-    return cmd_audit(static_cast<unsigned>(std::atoi(argv[2])),
-                     static_cast<std::uint64_t>(std::atoll(argv[3])),
-                     out_path, fault_seed, sample_every, watchdog_on,
-                     overload);
+    return cmd_report(in);
   }
   usage();
   return 1;

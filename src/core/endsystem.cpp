@@ -158,14 +158,14 @@ EndsystemReport Endsystem::run(
   }
   // Frame-lifecycle bookkeeping: per-stream FIFO position of the next
   // frame to leave the ring (transmit or drop), matching the frame's seq.
-  SS_TELEM(telemetry::FrameTrace* const ft = cfg_.frame_trace;
-           telemetry::EndsystemMetrics* const em =
-               cfg_.metrics ? &es_metrics_ : nullptr;
-           std::vector<std::uint64_t> consumed_seq(streams_.size(), 0));
+  telemetry::FrameTrace* const ft = cfg_.frame_trace;
+  telemetry::EndsystemMetrics* const em =
+      cfg_.metrics ? &es_metrics_ : nullptr;
+  std::vector<std::uint64_t> consumed_seq(streams_.size(), 0);
 
   const auto t0 = std::chrono::steady_clock::now();
   while (transmitted < total) {
-    SS_TELEM(if (em) em->loop_iterations->add(1));
+    if (em) em->loop_iterations->add(1);
     const auto now_ns = static_cast<std::uint64_t>(
         static_cast<double>(guard_.vtime()) * packet_time_ns_);
 
@@ -188,15 +188,15 @@ EndsystemReport Endsystem::run(
           if (!qm_.produce(i, f)) {
             // Ring full: retry once a frame leaves.  Note the overflow so
             // a window violation committed this cycle is attributed to it.
-            SS_TELEM(if (cfg_.audit) cfg_.audit->audit().note_overflow(i));
+            if (cfg_.audit) cfg_.audit->audit().note_overflow(i);
             drainable &= ~(std::uint64_t{1} << i);
             break;
           }
-          SS_TELEM(if (em) em->arrivals_delivered->add(1);
-                   if (ft) {
-                     ft->arrival(i, f.seq, f.arrival_ns);
-                     ft->enqueue(i, f.seq, now_ns);
-                   });
+          if (em) em->arrivals_delivered->add(1);
+          if (ft) {
+            ft->arrival(i, f.seq, f.arrival_ns);
+            ft->enqueue(i, f.seq, now_ns);
+          }
           if (!streaming_) {  // else the unit moves the offsets below
             const auto off = static_cast<std::uint64_t>(
                 static_cast<double>(f.arrival_ns) / packet_time_ns_);
@@ -206,11 +206,11 @@ EndsystemReport Endsystem::run(
               const std::size_t bytes = std::size_t{cfg_.pci_batch} * 2;
               const std::uint64_t xfer_ns = pci_xfer_ns(bytes, false);
               pci_ns += xfer_ns;
-              SS_TELEM(if (ft) {
+              if (ft) {
                 ft->pci(cfg_.dma_bulk ? telemetry::PciDir::kDma
                                       : telemetry::PciDir::kWrite,
                         now_ns, xfer_ns, static_cast<std::uint32_t>(bytes));
-              });
+              }
             }
           }
           --undelivered;
@@ -248,11 +248,11 @@ EndsystemReport Endsystem::run(
         drainable |= std::uint64_t{1} << s;
         ++rep.dropped_late;
         ++transmitted;
-        SS_TELEM(if (em) {
+        if (em) {
           em->dropped_late->add(1);
           em->frames_completed->add(1);
         }
-        if (ft) ft->drop(s, consumed_seq[s]++, now_ns));
+        if (ft) ft->drop(s, consumed_seq[s]++, now_ns);
       }
     }
 
@@ -269,14 +269,14 @@ EndsystemReport Endsystem::run(
     // transfer cost of a K-deep batch is amortized K ways.
     const std::uint64_t read_ns = pci_xfer_ns(out.grants.size(), true);
     pci_ns += read_ns;
-    SS_TELEM(if (ft) {
+    if (ft) {
       ft->pci(telemetry::PciDir::kRead, now_ns, read_ns,
               static_cast<std::uint32_t>(out.grants.size()));
-    });
+    }
 
     // Drain the whole grant burst in one Transmission Engine pass.
     transmitted += transmit_grants(out, burst_records);
-    SS_TELEM(if (ft) {
+    if (ft) {
       const std::uint64_t dcycle = guard_.decision_cycles();
       for (std::size_t bi = 0; bi < burst_records.size(); ++bi) {
         const queueing::TxRecord& rec = burst_records[bi];
@@ -290,14 +290,14 @@ EndsystemReport Endsystem::run(
                                         : rec.departure_ns;
         ft->transmit(rec.stream, seq, start, ser_ns, rec.bytes);
       }
-    });
+    }
     for (const queueing::TxRecord& rec : burst_records) {
       drainable |= std::uint64_t{1} << rec.stream;
       monitor_->record(rec);
-      SS_TELEM(if (em) {
+      if (em) {
         em->frame_delay_us->observe(static_cast<double>(rec.delay_ns()) /
                                     1000.0);
-      });
+      }
     }
   }
   const auto t1 = std::chrono::steady_clock::now();
@@ -318,14 +318,14 @@ EndsystemReport Endsystem::run(
   monitor_->finish();
   // Import the audit layer's burn attribution so slo_report can render
   // per-cause violation counts and burn rates without a new dependency.
-  SS_TELEM(if (cfg_.audit != nullptr) {
+  if (cfg_.audit != nullptr) {
     const telemetry::DecisionAudit& da = cfg_.audit->audit();
     for (std::uint32_t s = 0; s < streams_.size(); ++s) {
       for (std::size_t c = 0; c < telemetry::kBurnCauses; ++c) {
         monitor_->add_violation_cause(s, c, da.burn(s, c));
       }
     }
-  });
+  }
   rep.frames = transmitted;
   rep.link_ns = link_.busy_until_ns();
   rep.host_seconds =

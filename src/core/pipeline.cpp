@@ -54,14 +54,14 @@ void Pipeline::load() {
       guard_.attach_metrics(&robust_metrics_);
     }
   }
-  SS_TELEM(if (profiler_ != nullptr) {
+  if (profiler_ != nullptr) {
     chip_.attach_profiler(profiler_);
     if (metrics_ != nullptr) profiler_->bind_registry(*metrics_);
-  });
-  SS_TELEM(if (audit_ != nullptr) {
+  }
+  if (audit_ != nullptr) {
     guard_.attach_audit(audit_);  // and on to the chip and the fault plan
     if (metrics_ != nullptr) audit_->audit().bind_registry(*metrics_);
-  });
+  }
 }
 
 void Pipeline::reload(std::uint32_t stream,
@@ -84,9 +84,9 @@ std::uint64_t Pipeline::transmit_grants(
     SS_PROF(profiler_, telemetry::ProfStage::kTransmit);
     sent = te_.transmit_block(burst_, &records);
   }
-  SS_TELEM(if (metrics_ != nullptr) {
+  if (metrics_ != nullptr) {
     es_metrics_.frames_completed->add(records.size());
-  });
+  }
   return sent;
 }
 

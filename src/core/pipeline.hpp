@@ -41,8 +41,7 @@ struct PipelineConfig {
   /// when it carries a dump path.
   telemetry::AuditSession* audit = nullptr;
   /// Hot-path self-profiler (nullptr = off): the chip attributes decision
-  /// and shuffle-pass time, the host loop its own stages.  Compiled away
-  /// under -DSS_TELEMETRY=OFF.
+  /// and shuffle-pass time, the host loop its own stages.
   telemetry::Profiler* profiler = nullptr;
   /// Fault plane (seed == 0 = disabled, the default: the scheduler front
   /// is then the plain chip).  When enabled, every chip decision cycle

@@ -33,8 +33,8 @@ void ThreadedEndsystem::request_reload(std::uint32_t stream,
 ThreadedReport ThreadedEndsystem::run(std::uint64_t frames_per_stream) {
   const auto n = static_cast<std::uint32_t>(reqs_.size());
   load();
-  SS_TELEM(telemetry::EndsystemMetrics* const em =
-               cfg_.metrics ? &es_metrics_ : nullptr);
+  telemetry::EndsystemMetrics* const em =
+      cfg_.metrics ? &es_metrics_ : nullptr;
 
   ThreadedReport rep{};
   rep.per_stream_tx.assign(n, 0);
@@ -68,9 +68,9 @@ ThreadedReport ThreadedEndsystem::run(std::uint64_t frames_per_stream) {
           progressed = true;
         } else {
           full_stalls.fetch_add(1, std::memory_order_relaxed);
-          SS_TELEM(if (cfg_.audit != nullptr) {
+          if (cfg_.audit != nullptr) {
             cfg_.audit->audit().note_overflow(i);
-          });
+          }
         }
       }
       if (!progressed) std::this_thread::yield();
@@ -87,7 +87,7 @@ ThreadedReport ThreadedEndsystem::run(std::uint64_t frames_per_stream) {
   std::vector<queueing::TxRecord> burst_records;
   hw::DecisionOutcome out;  // grant/block/drop capacity reused per cycle
   while (transmitted < total) {
-    SS_TELEM(if (em) em->loop_iterations->add(1));
+    if (em) em->loop_iterations->add(1);
     // Commit any control-plane re-LOADs between decision cycles.  The
     // chip forgets the slot's backlog, so the announcement watermark is
     // rewound to the consumption count — every frame still in the ring is
@@ -104,20 +104,20 @@ ThreadedReport ThreadedEndsystem::run(std::uint64_t frames_per_stream) {
         reload(pr.stream, pr.req);
         announced[pr.stream] = consumed[pr.stream];
         ++rep.reloads_applied;
-        SS_TELEM(if (em) {
+        if (em) {
           em->reloads->add(1);
           const auto waited = std::chrono::steady_clock::now() - pr.posted;
           em->reload_latency_ns->observe(static_cast<double>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
                   .count()));
-        });
+        }
       }
     }
     for (std::uint32_t i = 0; i < n; ++i) {
       const std::uint64_t arrived = consumed[i] + qm_.depth(i);
-      SS_TELEM(if (em && announced[i] < arrived) {
+      if (em && announced[i] < arrived) {
         em->arrivals_delivered->add(arrived - announced[i]);
-      });
+      }
       while (announced[i] < arrived) {
         // Stamped at the current virtual time, as the chip's
         // default-arrival push does.
@@ -130,10 +130,10 @@ ThreadedReport ThreadedEndsystem::run(std::uint64_t frames_per_stream) {
       if (qm_.consume(s)) {
         ++consumed[s];
         ++transmitted;  // dropped-late frames are complete for accounting
-        SS_TELEM(if (em) {
+        if (em) {
           em->dropped_late->add(1);
           em->frames_completed->add(1);
-        });
+        }
       }
     }
     if (out.idle) {

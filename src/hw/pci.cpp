@@ -10,21 +10,21 @@ std::size_t words_for(std::size_t bytes, unsigned bus_bytes) {
 
 Nanos PciModel::pio_write(std::size_t bytes) const {
   const Nanos ns{words_for(bytes, cfg_.bus_bytes) * cfg_.pio_write_ns};
-  SS_TELEM(if (metrics_) {
+  if (metrics_) {
     metrics_->pio_writes->add(1);
     metrics_->bytes->add(bytes);
     metrics_->busy_ns->add(count(ns));
-  });
+  }
   return ns;
 }
 
 Nanos PciModel::pio_read(std::size_t bytes) const {
   const Nanos ns{words_for(bytes, cfg_.bus_bytes) * cfg_.pio_read_ns};
-  SS_TELEM(if (metrics_) {
+  if (metrics_) {
     metrics_->pio_reads->add(1);
     metrics_->bytes->add(bytes);
     metrics_->busy_ns->add(count(ns));
-  });
+  }
   return ns;
 }
 
@@ -33,11 +33,11 @@ Nanos PciModel::dma_transfer(std::size_t bytes) const {
       static_cast<double>(bytes) /
       (burst_bytes_per_ns() * cfg_.dma_efficiency);
   const Nanos ns{cfg_.dma_setup_ns + static_cast<std::uint64_t>(stream_ns)};
-  SS_TELEM(if (metrics_) {
+  if (metrics_) {
     metrics_->dma_transfers->add(1);
     metrics_->bytes->add(bytes);
     metrics_->busy_ns->add(count(ns));
-  });
+  }
   return ns;
 }
 

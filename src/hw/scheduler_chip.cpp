@@ -106,7 +106,7 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
   const std::uint32_t pending0 = pend_mask;
   if (pending0 == 0) {
     out.idle = true;
-    SS_TELEM(if (metrics_) metrics_->idle_decisions->add(1));
+    if (metrics_) metrics_->idle_decisions->add(1);
     if (tracer_) {
       trace.idle = true;
       tracer_->record(std::move(trace));
@@ -140,25 +140,24 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
 
   // Sampling gate, decided before the SCHEDULE passes so the comparison
   // hot path already knows whether this decision carries full provenance.
-  SS_TELEM(bool audit_sampled = false;
-           if (audit_ != nullptr) audit_sampled = audit_->begin_decision();
-           network_.set_audit_live(audit_sampled));
+  bool audit_sampled = false;
+  if (audit_ != nullptr) audit_sampled = audit_->begin_decision();
+  network_.set_audit_live(audit_sampled);
 
   // SCHEDULE: log2(N) (or schedule-specific) network passes.
   network_.load_lanes(pend_mask);
-  SS_TELEM(const std::uint64_t swaps_before = network_.total_swaps();
-           const std::uint64_t cmps_before = network_.total_comparisons();
-           const std::uint64_t pend_before =
-               network_.total_pending_comparisons());
+  const std::uint64_t swaps_before = network_.total_swaps();
+  const std::uint64_t cmps_before = network_.total_comparisons();
+  const std::uint64_t pend_before = network_.total_pending_comparisons();
   {
     SS_PROF(profiler_, telemetry::ProfStage::kShufflePasses);
     network_.run_all();
   }
-  SS_TELEM(if (metrics_) {
+  if (metrics_) {
     metrics_->net_passes->add(network_.passes_executed());
     metrics_->net_swaps->add(network_.total_swaps() - swaps_before);
     metrics_->net_comparisons->add(network_.total_comparisons() - cmps_before);
-  });
+  }
   last_block_stale_ = true;
 
   // Record this decision's inverse lane permutation for the next cycle's
@@ -243,14 +242,14 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
 
   vtime_ += out.grants.size();
 
-  SS_TELEM(if (metrics_) {
+  if (metrics_) {
     metrics_->grants->add(out.grants.size());
     metrics_->drops->add(out.drops.size());
     if (out.circulated) metrics_->circulations->add(1);
     // WR grants exactly one frame; BA's block is the pending-lane count.
     metrics_->block_size->observe(static_cast<double>(
         cfg_.block_mode ? out.block.size() : out.grants.size()));
-  });
+  }
 
   if (tracer_) {
     trace.block = last_block();
@@ -265,7 +264,7 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
   // (post-update registers, grant block, losing pending slots) into the
   // black box; an unsampled one hands the session just the per-slot
   // violation counters so the exact burn attribution keeps flowing.
-  SS_TELEM(if (audit_ != nullptr && !audit_sampled) {
+  if (audit_ != nullptr && !audit_sampled) {
     std::array<std::uint64_t, telemetry::kAuditMaxStreams> vio{};
     std::uint64_t losers = 0;
     for (std::uint32_t s = 0; s < n; ++s) {
@@ -280,8 +279,8 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
                              network_.total_pending_comparisons() -
                                  pend_before,
                              losers);
-  });
-  SS_TELEM(if (audit_ != nullptr && audit_sampled) {
+  }
+  if (audit_ != nullptr && audit_sampled) {
     telemetry::DecisionRecord rec;
     rec.decision = control_.decision_cycles();
     rec.vtime = vtime_ - out.grants.size();
@@ -311,7 +310,7 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
     }
     rec.n_losers = losers;
     audit_->on_decision(rec);
-  });
+  }
 }
 
 void SchedulerChip::attach_audit(telemetry::AuditSession* a) {
@@ -346,7 +345,7 @@ void SchedulerChip::run_decision_cycle(DecisionOutcome& out) {
   control_.finish_decision();
   if (out.idle) vtime_ += 1;  // an idle decision cycle still burns a packet-time
   out.hw_cycles = control_.hw_cycles() - start_cycles;
-  SS_TELEM(if (metrics_) {
+  if (metrics_) {
     const ControlUnit::PhaseCycles pc = control_.phase_cycles();
     metrics_->decisions->add(1);
     metrics_->hw_cycles->add(out.hw_cycles);
@@ -354,7 +353,7 @@ void SchedulerChip::run_decision_cycle(DecisionOutcome& out) {
     metrics_->schedule_cycles->add(pc.sched);
     metrics_->update_cycles->add(pc.upd);
     metrics_->output_cycles->add(pc.outp);
-  });
+  }
 }
 
 DecisionOutcome SchedulerChip::run_decision_cycle() {

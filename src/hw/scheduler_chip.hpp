@@ -176,13 +176,11 @@ class SchedulerChip {
   /// the session's DecisionSampler decides) or advances the exact
   /// counters through the cheap lite path.  Observation only: grants,
   /// drops and all register state are unchanged at any sample rate.
-  /// Compiled away under -DSS_TELEMETRY=OFF.
   void attach_audit(telemetry::AuditSession* a);
 
   /// Attach a hot-path profiler (nullptr detaches).  The chip attributes
   /// each decision cycle and its SCHEDULE network passes to the
-  /// chip_decision / shuffle_passes stages.  Compiled away under
-  /// -DSS_TELEMETRY=OFF.
+  /// chip_decision / shuffle_passes stages.
   void attach_profiler(telemetry::Profiler* p) { profiler_ = p; }
 
   /// Switching-activity proxy: compare-exchange swaps executed by the

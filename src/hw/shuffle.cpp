@@ -198,7 +198,7 @@ unsigned ShuffleNetwork::step() {
   // Pending-comparison tally: O(1) on the all-backlogged fast path
   // (every pair qualifies), per-pair only in the mixed case, so an
   // unsampled decision at full contention pays nothing here.
-  SS_TELEM(unsigned pending_pairs = 0);
+  unsigned pending_pairs = 0;
   // All Decision blocks fire concurrently: read both operands of every
   // pair before writing any result, exactly like registered outputs.
   for (const PairSpec& p : pairs) {
@@ -206,13 +206,13 @@ unsigned ShuffleNetwork::step() {
     const AttrWord b = lanes_[p.hi];
     const DecisionResult r = decide(a, b, mode_);
     const bool a_wins = r.a_wins;
-    SS_TELEM(if (audit_live_ && (a.pending || b.pending)) {
+    if (audit_live_ && (a.pending || b.pending)) {
       const AttrWord& win = a_wins ? a : b;
       const AttrWord& lose = a_wins ? b : a;
       audit_->on_comparison(win.id, lose.id,
                             static_cast<std::uint8_t>(r.rule));
-    });
-    SS_TELEM(if (!all_pending_ && (a.pending || b.pending)) ++pending_pairs);
+    }
+    if (!all_pending_ && (a.pending || b.pending)) ++pending_pairs;
     const bool swap = p.descending ? a_wins : !a_wins;
     if (swap) {
       lanes_[p.lo] = b;
@@ -221,8 +221,7 @@ unsigned ShuffleNetwork::step() {
     }
   }
   total_comparisons_ += pairs.size();
-  SS_TELEM(pending_comparisons_ +=
-           all_pending_ ? pairs.size() : pending_pairs);
+  pending_comparisons_ += all_pending_ ? pairs.size() : pending_pairs;
   total_swaps_ += swaps;
   ++pass_;
   return swaps;
@@ -247,7 +246,7 @@ void ShuffleNetwork::run_all() {
         simd::run_passes(regs_, slots_, plan_, mode_, kernel_);
     total_swaps_ += st.swaps;
     total_comparisons_ += total_pairs_;
-    SS_TELEM(pending_comparisons_ += st.pending_pairs);
+    pending_comparisons_ += st.pending_pairs;
     pass_ = total_passes_;
     // The lane registers now hold the sorted state; lanes_ refreshes
     // lazily on the next lanes()/winner() access, and the grant path

@@ -149,9 +149,8 @@ class ShuffleNetwork {
 
   /// Comparisons whose operands included at least one pending stream —
   /// the exact denominator of the audit plane (counted unconditionally
-  /// under SS_TELEMETRY so unsampled decisions keep an exact tally
-  /// without the per-comparison audit callback cost; 0 when telemetry is
-  /// compiled out).
+  /// so unsampled decisions keep an exact tally without the
+  /// per-comparison audit callback cost).
   [[nodiscard]] std::uint64_t total_pending_comparisons() const {
     return pending_comparisons_;
   }

@@ -9,10 +9,10 @@ Nanos SramBank::acquire(BankOwner who) {
   if (owner_ == who) return Nanos{0};
   owner_ = who;
   ++switches_;
-  SS_TELEM(if (metrics_) {
+  if (metrics_) {
     metrics_->ownership_switches->add(1);
     metrics_->stall_ns->add(count(switch_cost_));
-  });
+  }
   return switch_cost_;
 }
 
@@ -22,7 +22,7 @@ FallibleNanos SramBank::try_acquire(BankOwner who) {
     if (d.fault) {
       // Arbitration stall: ownership does NOT switch; the requester just
       // burned the stall window and must re-arbitrate.
-      SS_TELEM(if (metrics_) metrics_->stall_ns->add(count(d.penalty)));
+      if (metrics_) metrics_->stall_ns->add(count(d.penalty));
       return {false, d.penalty};
     }
   }

@@ -18,15 +18,15 @@ bool QueueManager::produce(std::uint32_t stream, const Frame& f) {
   assert(stream < rings_.size());
   if (!rings_[stream]->try_push(f)) {
     ++stats_[stream].dropped_full;
-    SS_TELEM(if (metrics_) metrics_->ring_full->add(1));
+    if (metrics_) metrics_->ring_full->add(1);
     return false;
   }
   ++stats_[stream].enqueued;
-  SS_TELEM(if (metrics_) {
+  if (metrics_) {
     metrics_->enqueued->add(1);
     metrics_->occupancy_hwm->update_max(
         static_cast<std::int64_t>(rings_[stream]->size()));
-  });
+  }
   return true;
 }
 
@@ -35,7 +35,7 @@ std::optional<Frame> QueueManager::consume(std::uint32_t stream) {
   Frame f;
   if (!rings_[stream]->try_pop(f)) return std::nullopt;
   ++stats_[stream].dequeued;
-  SS_TELEM(if (metrics_) metrics_->dequeued->add(1));
+  if (metrics_) metrics_->dequeued->add(1);
   return f;
 }
 
@@ -47,7 +47,7 @@ std::size_t QueueManager::consume_batch(std::uint32_t stream, std::size_t max,
   const std::size_t n = rings_[stream]->try_pop_n(out.data() + base, max);
   out.resize(base + n);
   stats_[stream].dequeued += n;
-  SS_TELEM(if (metrics_ && n) metrics_->dequeued->add(n));
+  if (metrics_ && n) metrics_->dequeued->add(n);
   return n;
 }
 

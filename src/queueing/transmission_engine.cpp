@@ -9,7 +9,7 @@ std::optional<TxRecord> TransmissionEngine::transmit(std::uint32_t stream,
   const std::optional<Frame> f = qm_.consume(stream);
   if (!f) {
     ++spurious_;
-    SS_TELEM(if (metrics_) metrics_->spurious->add(1));
+    if (metrics_) metrics_->spurious->add(1);
     return std::nullopt;
   }
   // A frame cannot leave before it arrived; the link may also still be
@@ -24,11 +24,11 @@ std::optional<TxRecord> TransmissionEngine::transmit(std::uint32_t stream,
   bytes_per_stream_[stream] += f->bytes;
   frames_per_stream_[stream] += 1;
 
-  SS_TELEM(if (metrics_) {
+  if (metrics_) {
     metrics_->tx_frames->add(1);
     metrics_->tx_bytes->add(f->bytes);
     metrics_->count_stream_tx(stream);
-  });
+  }
 
   TxRecord rec{stream, f->bytes, f->arrival_ns, departure};
   if (record_) records_.push_back(rec);
@@ -38,9 +38,9 @@ std::optional<TxRecord> TransmissionEngine::transmit(std::uint32_t stream,
 std::size_t TransmissionEngine::transmit_block(
     std::span<const BlockGrant> grants, std::vector<TxRecord>* out) {
   if (grants.empty()) return 0;
-  SS_TELEM(if (metrics_) {
+  if (metrics_) {
     metrics_->batch_size->observe(static_cast<double>(grants.size()));
-  });
+  }
 
   // Winner-only bursts (WR mode, batch_depth = 1) take the plain path —
   // the batching machinery must not tax the unbatched configuration.
@@ -74,9 +74,9 @@ std::size_t TransmissionEngine::transmit_block(
     scratch_.clear();
     const std::size_t got = qm_.consume_batch(grants[i].stream, j - i, scratch_);
     spurious_ += (j - i) - got;
-    SS_TELEM(if (metrics_ && got < j - i) {
+    if (metrics_ && got < j - i) {
       metrics_->spurious->add((j - i) - got);
-    });
+    }
     for (std::size_t k = 0; k < got; ++k) {
       const Frame& f = scratch_[k];
       const BlockGrant& g = grants[i + k];
@@ -84,11 +84,11 @@ std::size_t TransmissionEngine::transmit_block(
       const std::uint64_t departure = link_.transmit(f.bytes, ready);
       bytes_per_stream_[g.stream] += f.bytes;
       frames_per_stream_[g.stream] += 1;
-      SS_TELEM(if (metrics_) {
+      if (metrics_) {
         metrics_->tx_frames->add(1);
         metrics_->tx_bytes->add(f.bytes);
         metrics_->count_stream_tx(g.stream);
-      });
+      }
       const TxRecord rec{g.stream, f.bytes, f.arrival_ns, departure};
       if (record_) records_.push_back(rec);
       if (out) out->push_back(rec);

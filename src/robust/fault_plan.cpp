@@ -65,7 +65,7 @@ hw::FaultDecision FaultPlan::on_transaction(hw::FaultSite site) {
   if (site == hw::FaultSite::kSramData) {
     d.bit = static_cast<unsigned>(rng_.below(32));
   }
-  SS_TELEM(if (metrics_) {
+  if (metrics_) {
     switch (site) {
       case hw::FaultSite::kPciWrite:
       case hw::FaultSite::kPciRead:
@@ -80,8 +80,8 @@ hw::FaultDecision FaultPlan::on_transaction(hw::FaultSite site) {
         metrics_->chip_faults->add(1);
         break;
     }
-  });
-  SS_TELEM(if (audit_) {
+  }
+  if (audit_) {
     switch (site) {
       case hw::FaultSite::kPciWrite:
       case hw::FaultSite::kPciRead:
@@ -96,7 +96,7 @@ hw::FaultDecision FaultPlan::on_transaction(hw::FaultSite site) {
         audit_->note_fault(telemetry::AuditSession::FaultSite::kChip);
         break;
     }
-  });
+  }
   return d;
 }
 

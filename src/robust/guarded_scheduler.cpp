@@ -98,18 +98,18 @@ void GuardedScheduler::force_failover() {
   failed_over_ = true;
   ++stats_.failovers;
   health_.on_failover();
-  SS_TELEM(if (metrics_) metrics_->failovers->add(1));
+  if (metrics_) metrics_->failovers->add(1);
   // Black-box dump: the chip no longer runs after this point, so the
   // flight recorder is frozen exactly at the state that led here.  This
   // one hook also covers retry exhaustion — every exhaustion path calls
   // force_failover().
-  SS_TELEM(if (audit_ != nullptr) {
+  if (audit_ != nullptr) {
     audit_->set_health(static_cast<std::uint8_t>(health_.state()));
     // Always-sample override: should any further decision run through
     // the session (software-path harnesses), it carries full provenance.
     audit_->force_sample();
     audit_->dump("failover");
-  });
+  }
 }
 
 void GuardedScheduler::shadow_decide(hw::DecisionOutcome& out) {
@@ -152,9 +152,9 @@ void GuardedScheduler::run_decision_cycle(hw::DecisionOutcome& out) {
 
   // Publish the current health FSM state so the decision record committed
   // this cycle carries it.
-  SS_TELEM(if (audit_ != nullptr) {
+  if (audit_ != nullptr) {
     audit_->set_health(static_cast<std::uint8_t>(health_.state()));
-  });
+  }
 
   // 1. Hand the SRAM bank to the FPGA so it can read this cycle's
   //    arrival records.

@@ -72,9 +72,9 @@ class HealthMonitor {
 
  private:
   void publish() {
-    SS_TELEM(if (metrics_) {
+    if (metrics_) {
       metrics_->health->set(static_cast<std::int64_t>(state_));
-    });
+    }
   }
 
   Options opt_{};

@@ -74,7 +74,7 @@ RetryResult with_retry(const RecoveryConfig& cfg, RecoveryStats& stats,
       if (health) health->on_clean();
       if (a > 0) {
         ++stats.recoveries;
-        SS_TELEM(if (metrics) metrics->recoveries->add(1));
+        if (metrics) metrics->recoveries->add(1);
       }
       return {true, Nanos{total}};
     }
@@ -82,17 +82,17 @@ RetryResult with_retry(const RecoveryConfig& cfg, RecoveryStats& stats,
     if (health) health->on_fault();
     if (a >= cfg.max_retries || total >= cfg.deadline_ns) {
       ++stats.exhausted;
-      SS_TELEM(if (metrics) metrics->retry_exhausted->add(1));
+      if (metrics) metrics->retry_exhausted->add(1);
       return {false, Nanos{total}};
     }
     const std::uint64_t delay = backoff_delay_ns(cfg, a);
     total += delay;
     stats.backoff_ns += delay;
     ++stats.retries;
-    SS_TELEM(if (metrics) {
+    if (metrics) {
       metrics->retries->add(1);
       metrics->backoff_ns->add(delay);
-    });
+    }
   }
 }
 

@@ -41,7 +41,6 @@
 // scheduling thread: on_comparison / on_violation / end_decision must be
 // called from the thread driving the chip.  note_fault / note_overflow /
 // note_aggregation_starved are atomic and may come from any thread.
-// Everything compiles away under -DSS_TELEMETRY=OFF call sites (SS_TELEM).
 #pragma once
 
 #include <array>

@@ -15,11 +15,9 @@
 // are single-line JSON (machine diffing, jq) and Prometheus text
 // exposition (scrapers, humans).
 //
-// Compile-time kill switch: building with -DSS_TELEMETRY=OFF defines
-// SS_TELEMETRY_ENABLED=0 and every SS_TELEM(...) instrumentation site in
-// the tree compiles to nothing.  At runtime, instrumentation is attach-
-// based and disabled by default: a component with no metrics struct
-// attached pays one null-pointer test per site, nothing else.
+// Instrumentation is attach-based and disabled by default: a component
+// with no metrics struct attached pays one null-pointer test per site,
+// nothing else.
 #pragma once
 
 #include <array>
@@ -30,16 +28,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#if !defined(SS_TELEMETRY_ENABLED)
-#define SS_TELEMETRY_ENABLED 1
-#endif
-
-#if SS_TELEMETRY_ENABLED
-#define SS_TELEM(...) __VA_ARGS__
-#else
-#define SS_TELEM(...)
-#endif
 
 namespace ss::telemetry {
 

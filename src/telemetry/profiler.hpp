@@ -22,7 +22,7 @@
 // Prometheus exposition; to_json()/write_json() emit a flamegraph-style
 // ss-profile-v1 document (schema in docs/formats.md) with per-stage
 // totals, self-time (shuffle passes nest inside the chip decision) and
-// quantiles — the --profile-out payload on quickstart/ss_cli/bench.
+// quantiles — the --profile-out payload of `ss_cli run`.
 //
 // Concurrency: each stage has a single writer (the thread that owns that
 // pipeline stage — in the threaded endsystem the scheduler thread owns
@@ -144,15 +144,11 @@ class ProfScope {
   std::uint64_t t0_ = 0;
 };
 
-#if SS_TELEMETRY_ENABLED
 #define SS_PROF_CAT2(a, b) a##b
 #define SS_PROF_CAT(a, b) SS_PROF_CAT2(a, b)
-/// Scoped stage timer; compiles to nothing under -DSS_TELEMETRY=OFF.
+/// Scoped stage timer; a null profiler makes it a no-op.
 #define SS_PROF(profiler, stage)                              \
   const ::ss::telemetry::ProfScope SS_PROF_CAT(ss_prof_scope_, \
                                                __LINE__)((profiler), (stage))
-#else
-#define SS_PROF(profiler, stage)
-#endif
 
 }  // namespace ss::telemetry

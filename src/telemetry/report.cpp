@@ -1,7 +1,6 @@
 #include "telemetry/report.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <map>
@@ -16,67 +15,6 @@ namespace ss::telemetry {
 namespace {
 
 using ss::util::JsonValue;
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  out += buf;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
-
-// Re-serialize a parsed subtree (the audit document's watchdog context
-// object is carried into the report verbatim).
-void dump_json(std::string& out, const JsonValue& v) {
-  switch (v.type()) {
-    case JsonValue::Type::kNull: out += "null"; break;
-    case JsonValue::Type::kBool: out += v.as_bool() ? "true" : "false"; break;
-    case JsonValue::Type::kNumber: {
-      const double d = v.as_num();
-      if (d == std::floor(d) && std::fabs(d) < 1e15) {
-        out += std::to_string(static_cast<long long>(d));
-      } else {
-        append_double(out, d);
-      }
-      break;
-    }
-    case JsonValue::Type::kString:
-      out.push_back('"');
-      json_escape_into(out, v.as_str());
-      out.push_back('"');
-      break;
-    case JsonValue::Type::kArray: {
-      out.push_back('[');
-      bool first = true;
-      for (const JsonValue& e : v.as_array()) {
-        if (!first) out.push_back(',');
-        first = false;
-        dump_json(out, e);
-      }
-      out.push_back(']');
-      break;
-    }
-    case JsonValue::Type::kObject: {
-      out.push_back('{');
-      bool first = true;
-      for (const auto& [k, e] : v.as_object()) {
-        if (!first) out.push_back(',');
-        first = false;
-        out.push_back('"');
-        json_escape_into(out, k);
-        out += "\":";
-        dump_json(out, e);
-      }
-      out.push_back('}');
-      break;
-    }
-  }
-}
 
 /// Eight-level unicode sparkline scaled by the series max.
 std::string sparkline(const std::vector<double>& v) {
@@ -135,8 +73,6 @@ Report build_report(const ReportInputs& in) {
 
   Report rep;
   rep.any_input = metrics || audit || profile || ts;
-
-  // ---- Gather ----------------------------------------------------------
 
   // Counter rate series (time-series doc): name -> {cum, mean/max rate,
   // rate vector for the sparkline}.  Kept for counters that moved.
@@ -240,11 +176,13 @@ Report build_report(const ReportInputs& in) {
                                                         burn.end());
   std::sort(burn_rows.begin(), burn_rows.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
+  double burn_total = 0.0;
+  for (const auto& [cause, n] : burn_rows) burn_total += n;
 
   // Profiler stages by share.
   struct StageRow {
-    std::string name, parent;
-    double share_pct = 0.0, self_ns = 0.0, count = 0.0;
+    std::string name;
+    double share_pct = 0.0, self_ns = 0.0;
   };
   std::vector<StageRow> stages;
   double profile_total_ns = 0.0;
@@ -252,9 +190,8 @@ Report build_report(const ReportInputs& in) {
     profile_total_ns = profile->num_at("total_ns");
     if (const JsonValue* ss = profile->find("stages"); ss && ss->is_array()) {
       for (const JsonValue& st : ss->as_array()) {
-        stages.push_back({st.str_at("name"), st.str_at("parent"),
-                          st.num_at("share_pct"), st.num_at("self_ns"),
-                          st.num_at("count")});
+        stages.push_back({st.str_at("name"), st.num_at("share_pct"),
+                          st.num_at("self_ns")});
       }
     }
     std::sort(stages.begin(), stages.end(), [](const auto& a, const auto& b) {
@@ -273,134 +210,12 @@ Report build_report(const ReportInputs& in) {
   }
   const JsonValue* wd_ctx = audit ? audit->find("watchdog") : nullptr;
 
-  // ---- ss-report-v1 JSON ----------------------------------------------
-
-  std::string j;
-  j.reserve(2048);
-  j += "{\"schema\":\"ss-report-v1\",\"inputs\":{\"metrics\":";
-  j += metrics ? "true" : "false";
-  j += ",\"audit\":";
-  j += audit ? "true" : "false";
-  j += ",\"profile\":";
-  j += profile ? "true" : "false";
-  j += ",\"timeseries\":";
-  j += ts ? "true" : "false";
-  j += "}";
-
-  j += ",\"run\":{\"duration_ns\":";
-  j += std::to_string(
-      t_ns.empty() ? 0LL : static_cast<long long>(t_ns.back()));
-  j += ",\"intervals\":";
-  j += std::to_string(
-      ts ? static_cast<long long>(ts->num_at("intervals")) : 0LL);
-  j += ",\"interval_ns\":";
-  j += std::to_string(
-      ts ? static_cast<long long>(ts->num_at("interval_ns")) : 0LL);
-  j += "}";
-
-  j += ",\"rates\":[";
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    if (i != 0) j.push_back(',');
-    j += "{\"name\":\"";
-    json_escape_into(j, rates[i].name);
-    j += "\",\"cum\":";
-    j += std::to_string(static_cast<long long>(rates[i].cum));
-    j += ",\"mean_per_s\":";
-    append_double(j, rates[i].mean);
-    j += ",\"max_per_s\":";
-    append_double(j, rates[i].max);
-    j += "}";
-  }
-  j += "]";
-
-  j += ",\"delay\":[";
-  for (std::size_t i = 0; i < delays.size(); ++i) {
-    if (i != 0) j.push_back(',');
-    j += "{\"name\":\"";
-    json_escape_into(j, delays[i].name);
-    j += "\",\"count\":";
-    j += std::to_string(static_cast<long long>(delays[i].count));
-    j += ",\"p50\":";
-    append_double(j, delays[i].p50);
-    j += ",\"p90\":";
-    append_double(j, delays[i].p90);
-    j += ",\"p99\":";
-    append_double(j, delays[i].p99);
-    j += "}";
-  }
-  j += "]";
-
-  j += ",\"burn\":{\"total\":";
-  double burn_total = 0.0;
-  for (const auto& [cause, n] : burn_rows) burn_total += n;
-  j += std::to_string(static_cast<long long>(burn_total));
-  j += ",\"causes\":[";
-  for (std::size_t i = 0; i < burn_rows.size(); ++i) {
-    if (i != 0) j.push_back(',');
-    j += "{\"cause\":\"";
-    json_escape_into(j, burn_rows[i].first);
-    j += "\",\"count\":";
-    j += std::to_string(static_cast<long long>(burn_rows[i].second));
-    j += "}";
-  }
-  j += "]}";
-
-  j += ",\"profile\":{\"total_ns\":";
-  append_double(j, profile_total_ns);
-  j += ",\"stages\":[";
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    if (i != 0) j.push_back(',');
-    j += "{\"name\":\"";
-    json_escape_into(j, stages[i].name);
-    j += "\",\"share_pct\":";
-    append_double(j, stages[i].share_pct);
-    j += ",\"self_ns\":";
-    append_double(j, stages[i].self_ns);
-    j += "}";
-  }
-  j += "]}";
-
-  j += ",\"watchdog\":{\"polls\":";
-  j += std::to_string(static_cast<long long>(wd_polls));
-  j += ",\"fired\":";
-  j += std::to_string(static_cast<long long>(wd_fired));
-  j += ",\"firing_t_ns\":[";
-  for (std::size_t i = 0; i < firing_t_ns.size(); ++i) {
-    if (i != 0) j.push_back(',');
-    j += std::to_string(firing_t_ns[i]);
-  }
-  j += "],\"context\":";
-  if (wd_ctx != nullptr) {
-    dump_json(j, *wd_ctx);
-  } else {
-    j += "null";
-  }
-  j += "}";
-
-  j += ",\"audit\":";
-  if (audit) {
-    j += "{\"cause\":\"";
-    json_escape_into(j, audit->str_at("cause"));
-    j += "\",\"decisions\":";
-    j += std::to_string(static_cast<long long>(audit->num_at("decisions")));
-    j += ",\"comparisons\":";
-    j += std::to_string(static_cast<long long>(audit->num_at("comparisons")));
-    j += ",\"health\":";
-    j += std::to_string(static_cast<long long>(audit->num_at("health")));
-    j += "}";
-  } else {
-    j += "null";
-  }
-  j += "}";
-  rep.json = std::move(j);
-
-  // ---- Human rendering -------------------------------------------------
-
   std::string t;
-  char buf[256];
+  char buf[1024];  // a full 256-interval sparkline is 768 bytes
   t += "ShareStreams run report\n";
   t += "=======================\n";
-  t += fmt(buf, sizeof buf, "inputs: metrics %s  audit %s  profile %s  timeseries %s\n",
+  t += fmt(buf, sizeof buf,
+           "inputs: metrics %s  audit %s  profile %s  timeseries %s\n",
            metrics ? "yes" : "-", audit ? "yes" : "-", profile ? "yes" : "-",
            ts ? "yes" : "-");
   if (ts) {
@@ -413,8 +228,9 @@ Report build_report(const ReportInputs& in) {
   if (!rates.empty()) {
     t += "\nrates (per second over the retained intervals):\n";
     for (const RateRow& r : rates) {
-      t += fmt(buf, sizeof buf, "  %-24s %s  mean %.4g  max %.4g\n",
-               r.name.c_str(), sparkline(r.rates).c_str(), r.mean, r.max);
+      t += fmt(buf, sizeof buf, "  %-24s %s  cum %lld  mean %.4g  max %.4g\n",
+               r.name.c_str(), sparkline(r.rates).c_str(),
+               static_cast<long long>(r.cum), r.mean, r.max);
     }
   }
   if (!delays.empty()) {
@@ -431,7 +247,9 @@ Report build_report(const ReportInputs& in) {
     }
   }
   if (!burn_rows.empty()) {
-    t += "\ntop burn causes (violations attributed):\n";
+    t += fmt(buf, sizeof buf,
+             "\ntop burn causes (%lld violations attributed):\n",
+             static_cast<long long>(burn_total));
     for (const auto& [cause, n] : burn_rows) {
       t += fmt(buf, sizeof buf, "  %-24s %lld\n", cause.c_str(),
                static_cast<long long>(n));
@@ -442,8 +260,9 @@ Report build_report(const ReportInputs& in) {
              profile_total_ns / 1e6);
     for (const StageRow& s : stages) {
       const int bars = std::clamp(static_cast<int>(s.share_pct / 4.0), 0, 25);
-      t += fmt(buf, sizeof buf, "  %-18s %5.1f%% %s\n", s.name.c_str(),
-               s.share_pct, std::string(bars, '#').c_str());
+      t += fmt(buf, sizeof buf, "  %-18s %5.1f%%  self %.6g ns  %s\n",
+               s.name.c_str(), s.share_pct, s.self_ns,
+               std::string(bars, '#').c_str());
     }
   }
   if (metrics || wd_ctx != nullptr) {

@@ -1,12 +1,12 @@
-// report.hpp — unified run reports.
+// report.hpp — one-page run reports.
 //
 // The observability planes each export one document (ss-metrics-v1,
 // ss-audit-v2, ss-profile-v1, ss-timeseries-v1) and understanding one
-// run means eyeballing four JSON lines.  `build_report` merges whichever
-// of the four exist into a single `ss-report-v1` document plus a
-// human-readable rendering: counter-rate sparklines over the sampled
-// intervals, top SLO burn causes, profiler flame shares, and watchdog
-// firings with their window context — the one page a run leaves behind.
+// run means eyeballing four JSON lines.  `build_report` renders whichever
+// of the four exist as one text page: counter-rate sparklines with
+// cumulative totals over the sampled intervals, latency percentiles, SLO
+// burn causes and their total, profiler flame shares and self time, and
+// watchdog firings with their window context.
 //
 // It lives in the telemetry library (not the CLI) so tests drive it
 // without process spawns; `ss_cli report` is a thin argument shim.
@@ -27,8 +27,7 @@ struct ReportInputs {
 
 struct Report {
   bool any_input = false;  ///< at least one document loaded
-  std::string json;        ///< single-line ss-report-v1 (docs/formats.md)
-  std::string text;        ///< human-readable rendering
+  std::string text;        ///< the rendered page
 };
 
 Report build_report(const ReportInputs& in);

@@ -1,0 +1,224 @@
+// cli_surface_test.cpp — the observability surface of the command-line
+// tools, run as real processes.
+//
+// `ss_cli run` is the one instrumented pipeline command: this suite runs
+// it with every export flag and reads each file back with the repo's own
+// JSON reader, asserting the fields the export schemas promise
+// (docs/formats.md).  It also pins the failover dump and the exit-2
+// contract for flags that would otherwise silently do nothing.  Whether
+// the watchdog fires depends on wall-clock polls, so that stays out of
+// this suite.
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <initializer_list>
+#include <sstream>
+#include <string>
+
+#include <sys/wait.h>
+
+#include "util/json.hpp"
+
+namespace {
+
+#if !defined(SS_CLI_BINARY) || !defined(FUZZ_SS_BINARY) || \
+    !defined(QUICKSTART_BINARY)
+#error "SS_CLI_BINARY, FUZZ_SS_BINARY and QUICKSTART_BINARY must be set"
+#endif
+
+using ss::util::JsonValue;
+
+/// Run `cmd` under the shell from inside `dir` with stdout captured in
+/// `dir`/stdout.txt; returns the exit status.
+int run_in(const std::string& dir, const std::string& cmd) {
+  const std::string full =
+      "cd '" + dir + "' && " + cmd + " >stdout.txt 2>/dev/null";
+  const int rc = std::system(full.c_str());
+  if (rc == -1 || !WIFEXITED(rc)) return -1;
+  return WEXITSTATUS(rc);
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+std::string scratch_dir() {
+  std::string tmpl = ::testing::TempDir() + "cli_surface_XXXXXX";
+  char* got = mkdtemp(tmpl.data());
+  return got ? std::string(got) : std::string(".");
+}
+
+JsonValue load(const std::string& path) {
+  auto doc = ss::util::parse_json_file(path);
+  EXPECT_TRUE(doc.has_value()) << path << " is not a JSON document";
+  return doc ? *doc : JsonValue{};
+}
+
+bool has_all(const JsonValue& v, std::initializer_list<const char*> keys) {
+  for (const char* k : keys) {
+    if (v.find(k) == nullptr) return false;
+  }
+  return true;
+}
+
+std::size_t length(const JsonValue* v) {
+  return v != nullptr && v->is_array() ? v->as_array().size() : 0;
+}
+
+class CliSurface : public ::testing::Test {
+ protected:
+  void SetUp() override { dir_ = scratch_dir(); }
+  void TearDown() override { std::system(("rm -rf '" + dir_ + "'").c_str()); }
+  std::string dir_;
+};
+
+TEST_F(CliSurface, RunWritesEveryExport) {
+  ASSERT_EQ(run_in(dir_, std::string(SS_CLI_BINARY) +
+                             " run 8 4000 --watchdog --overload"
+                             " --metrics-json metrics.json"
+                             " --trace-out trace.json --audit-out audit.json"
+                             " --profile-out profile.json"
+                             " --timeseries-out timeseries.json"),
+            0);
+
+  // ss-metrics-v1: every pipeline layer counted, frames completed.
+  const JsonValue metrics = load(dir_ + "/metrics.json");
+  EXPECT_EQ(metrics.str_at("schema"), "ss-metrics-v1");
+  const JsonValue* counters = metrics.find("counters");
+  ASSERT_NE(counters, nullptr);
+  for (const char* prefix : {"chip.", "qm.", "pci.", "te.", "es."}) {
+    bool found = false;
+    for (const auto& [name, value] : counters->as_object()) {
+      found |= name.rfind(prefix, 0) == 0;
+    }
+    EXPECT_TRUE(found) << "no " << prefix << "* counter";
+  }
+  EXPECT_GT(counters->num_at("es.frames_completed"), 0.0);
+  EXPECT_NE(counters->find("watchdog.polls"), nullptr);
+
+  // Chrome trace: every event has a phase and a pid, timed events a ts,
+  // and frame spans open and close.
+  const JsonValue trace = load(dir_ + "/trace.json");
+  EXPECT_NE(trace.find("displayTimeUnit"), nullptr);
+  const JsonValue* events = trace.find("traceEvents");
+  ASSERT_GT(length(events), 0u);
+  bool begins = false, ends = false;
+  for (const JsonValue& e : events->as_array()) {
+    ASSERT_TRUE(has_all(e, {"ph", "pid"}));
+    const std::string ph = e.str_at("ph");
+    if (ph != "M") {
+      EXPECT_NE(e.find("ts"), nullptr);
+    }
+    begins |= ph == "b";
+    ends |= ph == "e";
+  }
+  EXPECT_TRUE(begins && ends);
+
+  // ss-audit-v2: provenance totals, sampling block, profiles and ring.
+  const JsonValue audit = load(dir_ + "/audit.json");
+  EXPECT_EQ(audit.str_at("schema"), "ss-audit-v2");
+  EXPECT_GT(audit.num_at("decisions"), 0.0);
+  EXPECT_GT(audit.num_at("comparisons"), 0.0);
+  ASSERT_NE(audit.find("sampling"), nullptr);
+  EXPECT_TRUE(has_all(*audit.find("sampling"),
+                      {"every", "decisions", "sampled", "forced", "scale"}));
+  EXPECT_EQ(audit.find("sampling")->num_at("every"), 64.0);
+  ASSERT_NE(audit.find("rules"), nullptr);
+  EXPECT_NE(audit.find("rules")->find("pending_only"), nullptr);
+  ASSERT_NE(audit.find("rules_est"), nullptr);
+  EXPECT_NE(audit.find("rules_est")->find("pending_only"), nullptr);
+  ASSERT_GT(length(audit.find("stream_profiles")), 0u);
+  for (const JsonValue& sp : audit.find("stream_profiles")->as_array()) {
+    EXPECT_TRUE(has_all(sp, {"id", "wins", "losses", "violations", "burn"}));
+  }
+  ASSERT_GT(length(audit.find("ring")), 0u);
+  for (const JsonValue& r : audit.find("ring")->as_array()) {
+    EXPECT_TRUE(has_all(r, {"decision", "vtime", "grants", "rules",
+                            "streams"}));
+  }
+
+  // ss-profile-v1: wall time attributed to stages.
+  const JsonValue profile = load(dir_ + "/profile.json");
+  EXPECT_EQ(profile.str_at("schema"), "ss-profile-v1");
+  EXPECT_GT(profile.num_at("total_ns"), 0.0);
+  EXPECT_GT(length(profile.find("stages")), 0u);
+
+  // ss-timeseries-v1: every series in lockstep with the t_ns axis.
+  const JsonValue ts = load(dir_ + "/timeseries.json");
+  EXPECT_EQ(ts.str_at("schema"), "ss-timeseries-v1");
+  EXPECT_EQ(ts.num_at("interval_ns"), 5e6);
+  EXPECT_GE(ts.num_at("capacity"), 2.0);
+  const double retained = ts.num_at("retained");
+  EXPECT_GE(ts.num_at("intervals"), retained);
+  EXPECT_GE(retained, 1.0);
+  EXPECT_EQ(static_cast<double>(length(ts.find("t_ns"))), retained);
+  const JsonValue* series = ts.find("counters");
+  ASSERT_NE(series, nullptr);
+  ASSERT_GT(series->as_object().size(), 0u);
+  for (const auto& [name, c] : series->as_object()) {
+    EXPECT_EQ(length(c.find("cum")), length(c.find("delta"))) << name;
+    EXPECT_EQ(length(c.find("rate_per_s")), length(c.find("cum"))) << name;
+  }
+  ASSERT_NE(ts.find("histograms"), nullptr);
+  for (const auto& [name, h] : ts.find("histograms")->as_object()) {
+    EXPECT_EQ(length(h.find("p99")), length(h.find("count"))) << name;
+  }
+
+  // The watchdog reports on stdout whether or not a rule fired.
+  EXPECT_NE(read_text(dir_ + "/stdout.txt").find("watchdog: "),
+            std::string::npos);
+}
+
+TEST_F(CliSurface, OnDemandAuditDumpWithoutAnomaly) {
+  ASSERT_EQ(run_in(dir_, std::string(SS_CLI_BINARY) +
+                             " run 4 500 --audit-out audit.json"
+                             " --sample-every 16"),
+            0);
+  const JsonValue audit = load(dir_ + "/audit.json");
+  EXPECT_EQ(audit.str_at("cause"), "on_demand");
+  ASSERT_NE(audit.find("sampling"), nullptr);
+  EXPECT_EQ(audit.find("sampling")->num_at("every"), 16.0);
+}
+
+TEST_F(CliSurface, InjectedChipDeathDumpsWithCauseFailover) {
+  ASSERT_EQ(run_in(dir_, std::string(SS_CLI_BINARY) +
+                             " run 4 1000 --inject-fault 200"
+                             " --audit-out failover.json"),
+            0);
+  EXPECT_NE(read_text(dir_ + "/stdout.txt")
+                .find("FAILED OVER to the software scheduler"),
+            std::string::npos);
+  const JsonValue audit = load(dir_ + "/failover.json");
+  EXPECT_EQ(audit.str_at("schema"), "ss-audit-v2");
+  EXPECT_EQ(audit.str_at("cause"), "failover");
+  ASSERT_NE(audit.find("faults"), nullptr);
+  EXPECT_GE(audit.find("faults")->num_at("chip"), 1.0);
+  EXPECT_GE(audit.find("faults")->num_at("total"), 1.0);
+  EXPECT_GT(length(audit.find("ring")), 0u);
+}
+
+// Flags whose value would silently do nothing are refused with exit 2.
+TEST_F(CliSurface, FlagsThatWouldDoNothingExitTwo) {
+  const std::string cli = std::string(SS_CLI_BINARY) + " run 4 200";
+  EXPECT_EQ(run_in(dir_, cli + " --fault-seed 0"), 2);
+  EXPECT_EQ(run_in(dir_, cli + " --inject-fault 0"), 2);
+  EXPECT_EQ(run_in(dir_, cli + " --sample-every abc --audit-out a.json"), 2);
+  EXPECT_EQ(run_in(dir_, cli + " --metrics-json"), 2);
+  EXPECT_EQ(run_in(dir_, cli + " --no-such-flag"), 2);
+  EXPECT_EQ(run_in(dir_, std::string(SS_CLI_BINARY) + " run 3 200"), 2);
+
+  const std::string fuzz = std::string(FUZZ_SS_BINARY) + " --scenarios 1";
+  EXPECT_EQ(run_in(dir_, fuzz + " --fault-seed 0"), 2);
+  EXPECT_EQ(run_in(dir_, fuzz + " --sample-every abc"), 2);
+  EXPECT_EQ(run_in(dir_, fuzz + " --profile-out p.json"), 2);
+  EXPECT_EQ(run_in(dir_, fuzz + " --watchdog"), 2);
+
+  EXPECT_EQ(run_in(dir_, std::string(QUICKSTART_BINARY) + " --watchdog"), 2);
+  EXPECT_EQ(run_in(dir_, std::string(QUICKSTART_BINARY)), 0);
+}
+
+}  // namespace

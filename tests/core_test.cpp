@@ -461,9 +461,6 @@ std::set<std::string> span_ids(const std::string& json, char ph) {
 }
 
 TEST(Endsystem, FrameTraceSpansPairAcrossGenerationChunks) {
-#if !SS_TELEMETRY_ENABLED
-  GTEST_SKIP() << "frame-trace hooks compile away under -DSS_TELEMETRY=OFF";
-#endif
   // 5,000 frames a stream span two generation chunks; the trace keeps
   // every event, so each frame's span must open and close under one id.
   telemetry::FrameTrace ft(1 << 17);

@@ -31,9 +31,6 @@ using telemetry::ProfScope;
 using telemetry::ProfStage;
 
 TEST(ProfilerScope, AttributesElapsedTimeToItsStage) {
-#if !SS_TELEMETRY_ENABLED
-  GTEST_SKIP() << "SS_PROF scopes compile away under -DSS_TELEMETRY=OFF";
-#endif
   Profiler p;
   {
     SS_PROF(&p, ProfStage::kChipDecision);
@@ -61,9 +58,6 @@ TEST(ProfilerScope, NullProfilerIsANoop) {
 }
 
 TEST(ProfilerScope, EveryScopeCountsExactly) {
-#if !SS_TELEMETRY_ENABLED
-  GTEST_SKIP() << "SS_PROF scopes compile away under -DSS_TELEMETRY=OFF";
-#endif
   Profiler p;
   for (int i = 0; i < 100; ++i) {
     SS_PROF(&p, ProfStage::kTransmit);

@@ -2,12 +2,12 @@
 //
 // The JsonValue suite pins the reader's contract (full value grammar,
 // insertion-order objects, default-on-absence accessors, rejection of
-// trailing garbage).  The Report suite builds ss-report-v1 documents from
-// hand-written export docs — every merge rule is observable: rate rows
-// from the time-series counters, watchdog firings localized via
-// watchdog.fired deltas, burn attribution summed across stream profiles,
-// the audit watchdog context re-serialized verbatim — plus one
-// round-trip over documents real producers wrote.
+// trailing garbage).  The Report suite renders pages from hand-written
+// export docs — every merge rule is observable in the text: rate rows
+// with cumulative totals from the time-series counters, watchdog firings
+// localized via watchdog.fired deltas, burn attribution summed across
+// stream profiles, the audit watchdog context — plus one round-trip over
+// documents real producers wrote.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -150,40 +150,38 @@ TEST(RunReport, MergesAllFourDocuments) {
       telemetry::build_report({fx.metrics, fx.audit, fx.profile, fx.ts});
   ASSERT_TRUE(rep.any_input);
 
-  const std::string& j = rep.json;
-  EXPECT_NE(j.find("\"schema\":\"ss-report-v1\""), std::string::npos);
-  EXPECT_NE(j.find("\"inputs\":{\"metrics\":true,\"audit\":true,"
-                   "\"profile\":true,\"timeseries\":true}"),
-            std::string::npos);
-  EXPECT_NE(j.find("\"duration_ns\":20000000"), std::string::npos);
-  EXPECT_NE(j.find("\"name\":\"chip.grants\",\"cum\":120"), std::string::npos);
-  // Burn causes summed across stream profiles and sorted descending.
-  EXPECT_NE(j.find("\"burn\":{\"total\":65,\"causes\":["
-                   "{\"cause\":\"lost_tiebreak\",\"count\":60},"
-                   "{\"cause\":\"queue_overflow\",\"count\":5}]}"),
-            std::string::npos);
-  // Firing localized to its interval via the watchdog.fired delta.
-  EXPECT_NE(j.find("\"firing_t_ns\":[15000000]"), std::string::npos);
-  // The audit watchdog context re-serialized into the report verbatim.
-  EXPECT_NE(j.find("\"context\":{\"rule\":\"burn_rate_spike\","
-                   "\"detail\":\"lost_tiebreak\",\"value\":60,"
-                   "\"threshold\":50,\"window_polls\":2}"),
-            std::string::npos);
-  EXPECT_NE(j.find("\"polls\":4,\"fired\":1"), std::string::npos);
-  EXPECT_NE(j.find("\"name\":\"decision\",\"share_pct\":60"),
-            std::string::npos);
-  // The report itself is valid JSON (proven by our own reader).
-  EXPECT_TRUE(JsonValue::parse(j).has_value());
-  EXPECT_EQ(j.find('\n'), std::string::npos) << "single-line contract";
-
   const std::string& t = rep.text;
-  EXPECT_NE(t.find("ShareStreams run report"), std::string::npos);
-  EXPECT_NE(t.find("chip.grants"), std::string::npos);
-  EXPECT_NE(t.find("es.frame_delay_us"), std::string::npos);
-  EXPECT_NE(t.find("lost_tiebreak"), std::string::npos);
-  EXPECT_NE(t.find("burn_rate_spike"), std::string::npos);
-  EXPECT_NE(t.find("fired inside interval ending"), std::string::npos);
-  EXPECT_NE(t.find("█"), std::string::npos) << "no sparkline rendered";
+  const auto has = [&](const std::string& s) {
+    return t.find(s) != std::string::npos;
+  };
+  EXPECT_TRUE(has("ShareStreams run report"));
+  EXPECT_TRUE(has("inputs: metrics yes  audit yes  profile yes  "
+                  "timeseries yes"));
+  EXPECT_TRUE(has("run: 20.000 ms wall, 4 interval(s) sampled "
+                  "(5.0 ms cadence)"));
+  // Rate rows carry each counter's cumulative value.
+  EXPECT_TRUE(has("chip.grants"));
+  EXPECT_TRUE(has("cum 120  mean 6000  max 6000"));
+  EXPECT_TRUE(has("es.frame_delay_us")) << t;
+  EXPECT_TRUE(has("n=500 p50 10  p90 20  p99 30"));
+  // Burn causes summed across stream profiles, totalled, and sorted
+  // descending.
+  EXPECT_TRUE(has("top burn causes (65 violations attributed):"));
+  const auto lost = t.find("lost_tiebreak            60\n");
+  const auto overflow = t.find("queue_overflow           5\n");
+  ASSERT_NE(lost, std::string::npos) << t;
+  ASSERT_NE(overflow, std::string::npos) << t;
+  EXPECT_LT(lost, overflow);
+  // Firing localized to its interval via the watchdog.fired delta.
+  EXPECT_TRUE(has("fired inside interval ending t=15.000 ms"));
+  // The audit's watchdog context, rendered field by field.
+  EXPECT_TRUE(has("burn_rate_spike detail=lost_tiebreak value=60 "
+                  "threshold=50 window_polls=2"));
+  EXPECT_TRUE(has("watchdog: 4 poll(s), 1 fired"));
+  EXPECT_TRUE(has("decision            60.0%  self 600000 ns"));
+  EXPECT_TRUE(has("audit: cause=watchdog:burn_rate_spike decisions=1000 "
+                  "comparisons=5000 health=1"));
+  EXPECT_TRUE(has("█")) << "no sparkline rendered";
 }
 
 TEST(RunReport, NoInputsYieldsEmptyReport) {
@@ -201,8 +199,8 @@ TEST(RunReport, WrongSchemaInputIgnored) {
   const Report rep = telemetry::build_report({fx.audit, "", "", ""});
   EXPECT_FALSE(rep.any_input)
       << "an ss-audit-v2 doc offered as metrics must not load";
-  const std::string& j = rep.json;
-  EXPECT_NE(j.find("\"inputs\":{\"metrics\":false"), std::string::npos);
+  EXPECT_NE(rep.text.find("inputs: metrics -"), std::string::npos);
+  EXPECT_EQ(rep.text.find("audit: cause="), std::string::npos);
 }
 
 // Burn attribution falls back to the registry's audit.burn.* counters
@@ -215,9 +213,12 @@ TEST(RunReport, BurnFallsBackToMetricsCounters) {
                    R"("histograms":{}})");
   const Report rep = telemetry::build_report({path, "", "", ""});
   ASSERT_TRUE(rep.any_input);
-  EXPECT_NE(rep.json.find("\"burn\":{\"total\":7,\"causes\":["
-                          "{\"cause\":\"queue_overflow\",\"count\":7}]}"),
+  const std::string& t = rep.text;
+  EXPECT_NE(t.find("top burn causes (7 violations attributed):\n"
+                   "  queue_overflow           7\n"),
             std::string::npos)
+      << t;
+  EXPECT_EQ(t.find("lost_tiebreak"), std::string::npos)
       << "zero-valued causes must be elided, nonzero kept";
   std::remove(path.c_str());
 }
@@ -240,10 +241,8 @@ TEST(RunReport, RoundTripsRealProducerDocuments) {
 
   const Report rep = telemetry::build_report({mpath, "", "", tpath});
   ASSERT_TRUE(rep.any_input);
-  EXPECT_NE(rep.json.find("\"name\":\"chip.grants\",\"cum\":150"),
-            std::string::npos);
-  EXPECT_NE(rep.json.find("\"intervals\":2"), std::string::npos);
-  EXPECT_TRUE(JsonValue::parse(rep.json).has_value());
+  EXPECT_NE(rep.text.find("cum 150"), std::string::npos) << rep.text;
+  EXPECT_NE(rep.text.find("2 interval(s) sampled"), std::string::npos);
   std::remove(mpath.c_str());
   std::remove(tpath.c_str());
 }

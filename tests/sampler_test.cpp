@@ -124,9 +124,6 @@ TEST(SamplerScale, EstimatesInverseSampleRate) {
 // exact, sampled profile convergent.
 
 TEST(SamplingSoundness, WinnersAndExactCountersAcrossRates100k) {
-#if !SS_TELEMETRY_ENABLED
-  GTEST_SKIP() << "the audit plane is compiled away under -DSS_TELEMETRY=OFF";
-#endif
   using namespace ss::testing;
   WorkloadFuzzer::Options fo;
   fo.seed = 20260806;
