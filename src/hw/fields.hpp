@@ -63,51 +63,6 @@ struct AttrWord {
   return v;
 }
 
-/// Structure-of-arrays register file: the same 54 bits per slot as
-/// AttrWord, but stored as contiguous per-field lanes at the exact
-/// hardware widths — 16-bit deadline/arrival lanes, 8-bit loss lanes, a
-/// pending bitmask — so a whole shuffle stage can be evaluated as a few
-/// vector loads instead of N strided struct reads.  The Register Base
-/// blocks publish into this layout each LOAD phase (see
-/// RegisterBlock::publish) and the SIMD decision kernel consumes it.
-struct AttrSoA {
-  alignas(64) std::uint16_t deadline[kMaxSlots] = {};
-  alignas(64) std::uint16_t arrival[kMaxSlots] = {};
-  alignas(32) std::uint8_t loss_num[kMaxSlots] = {};
-  alignas(32) std::uint8_t loss_den[kMaxSlots] = {};
-  alignas(32) std::uint8_t id[kMaxSlots] = {};
-  std::uint32_t pending_mask = 0;  ///< bit i = lane i backlogged
-
-  [[nodiscard]] constexpr bool is_pending(unsigned lane) const {
-    return (pending_mask >> lane) & 1u;
-  }
-
-  /// Scatter one AttrWord across the lanes (tests / scalar bridges).
-  constexpr void set(unsigned lane, const AttrWord& w) {
-    assert(lane < kMaxSlots);
-    deadline[lane] = w.deadline.raw();
-    arrival[lane] = w.arrival.raw();
-    loss_num[lane] = w.loss_num;
-    loss_den[lane] = w.loss_den;
-    id[lane] = w.id;
-    pending_mask = (pending_mask & ~(1u << lane)) |
-                   (w.pending ? (1u << lane) : 0u);
-  }
-
-  /// Gather one lane back into the AoS view.
-  [[nodiscard]] constexpr AttrWord get(unsigned lane) const {
-    assert(lane < kMaxSlots);
-    AttrWord w;
-    w.deadline = Deadline{deadline[lane]};
-    w.arrival = Arrival{arrival[lane]};
-    w.loss_num = loss_num[lane];
-    w.loss_den = loss_den[lane];
-    w.id = static_cast<SlotId>(id[lane]);
-    w.pending = is_pending(lane);
-    return w;
-  }
-};
-
 [[nodiscard]] constexpr AttrWord unpack(std::uint64_t v) {
   AttrWord w;
   w.deadline = Deadline{v & 0xFFFFu};

@@ -33,11 +33,11 @@ AttrWord RegisterBlock::attrs() const {
   return w;
 }
 
-bool RegisterBlock::deadline_expired(std::uint64_t now) const {
+bool RegisterBlock::latch_expired(std::uint64_t now) {
   // 16-bit serial comparison against the low bits of vtime (what a
   // subtract-and-test-MSB comparator computes), latched sticky so a deep
   // backlog cannot wrap the head back into the "future".
-  if (!expired_latch_ && deadline_ <= Deadline{now}) expired_latch_ = true;
+  expired_latch_ = deadline_expired(now);
   return expired_latch_;
 }
 
@@ -81,7 +81,7 @@ void RegisterBlock::reset_window_if_complete() {
 
 bool RegisterBlock::service_update(std::uint64_t now, bool circulated) {
   if (pending_ == 0) return true;  // spurious grant of an idle slot
-  const bool met = !deadline_expired(now);
+  const bool met = !latch_expired(now);
   --pending_;
   ++counters_.serviced;
   if (!met) {
@@ -104,13 +104,16 @@ bool RegisterBlock::service_update(std::uint64_t now, bool circulated) {
     deadline_ += cfg_.period;
     // The head advanced: re-evaluate the expired latch for the new head.
     expired_latch_ = false;
-    if (pending_ > 0) (void)deadline_expired(now);
+    if (pending_ > 0) (void)latch_expired(now);
   }
   return met;
 }
 
-RegisterBlock::MissResult RegisterBlock::miss_update_slow(std::uint64_t now) {
-  if (!deadline_expired(now)) return {};
+RegisterBlock::MissResult RegisterBlock::miss_update(std::uint64_t now) {
+  if (pending_ == 0 || cfg_.mode == SlotMode::kStaticPrio ||
+      cfg_.mode == SlotMode::kFairTag || !latch_expired(now)) {
+    return {};
+  }
   ++counters_.missed_deadlines;
   loser_window_adjust();
   if (cfg_.droppable) {
@@ -122,7 +125,7 @@ RegisterBlock::MissResult RegisterBlock::miss_update_slow(std::uint64_t now) {
     --pending_;
     deadline_ += cfg_.period;
     expired_latch_ = false;
-    if (pending_ > 0) (void)deadline_expired(now);
+    if (pending_ > 0) (void)latch_expired(now);
     return {true, true};
   }
   return {true, false};

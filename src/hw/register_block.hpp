@@ -72,26 +72,9 @@ class RegisterBlock {
   /// Attribute word currently driven onto the shuffle network.
   [[nodiscard]] AttrWord attrs() const;
 
-  /// Drive this slot's attribute bus into the SoA register file — the
-  /// same 54 bits attrs() materializes, written straight into the packed
-  /// per-field lanes the SIMD decision kernel consumes.  Returns the
-  /// pending bit instead of read-modify-writing soa.pending_mask so a
-  /// caller publishing all N slots can accumulate the mask in a register
-  /// (the per-lane RMW forms an N-deep store dependency chain otherwise)
-  /// and store it once.
-  [[nodiscard]] bool publish(AttrSoA& soa, unsigned lane) const {
-    soa.deadline[lane] = deadline_.raw();
-    soa.arrival[lane] = arrival_.raw();
-    soa.loss_num[lane] = xp_;
-    soa.loss_den[lane] = yp_;
-    soa.id[lane] = id_;
-    return pending_ > 0;
-  }
-
-  /// Direct-store twin of publish(): drive this slot's attribute bus
-  /// straight into the SIMD lane file (the 16-bit-widened view the
-  /// decision kernel consumes), skipping the AttrSoA gather + widen
-  /// round-trip the chip's LOAD phase would otherwise pay every decision.
+  /// Drive this slot's attribute bus straight into the SIMD lane file —
+  /// the same 54 bits attrs() materializes, widened to the 16-bit
+  /// per-field lanes the decision kernel consumes.
   void publish_lanes(simd::LaneRegs& lr, unsigned lane) const {
     lr.deadline[lane] = deadline_.raw();
     lr.arrival[lane] = arrival_.raw();
@@ -119,18 +102,11 @@ class RegisterBlock {
     bool dropped = false;
   };
 
-  /// PRIORITY_UPDATE miss path: called every decision cycle for slots that
-  /// were NOT granted; applies the loser adjustment iff the head-of-line
-  /// deadline has expired at vtime `now`.  The no-deadline-semantics exits
-  /// are inline — the caller runs this for every losing slot every cycle,
-  /// and fair-queuing/static-priority slots never take the miss path.
-  MissResult miss_update(std::uint64_t now) {
-    if (pending_ == 0 || cfg_.mode == SlotMode::kStaticPrio ||
-        cfg_.mode == SlotMode::kFairTag) {
-      return {};
-    }
-    return miss_update_slow(now);
-  }
+  /// PRIORITY_UPDATE miss path for a slot that was NOT granted: applies
+  /// the loser adjustment iff the head-of-line deadline has expired at
+  /// vtime `now`.  Idle, fair-queuing and static-priority slots never
+  /// take it.
+  MissResult miss_update(std::uint64_t now);
 
   [[nodiscard]] const SlotCounters& counters() const { return counters_; }
   [[nodiscard]] const SlotConfig& config() const { return cfg_; }
@@ -150,8 +126,14 @@ class RegisterBlock {
   /// head deadline more than half the number space behind vtime (a real
   /// 16-bit comparator would silently invert there; the latch is the
   /// 1-FF hardware fix, and it makes the chip match the 64-bit software
-  /// oracle).
-  [[nodiscard]] bool deadline_expired(std::uint64_t now) const;
+  /// oracle).  A pure query: only the PRIORITY_UPDATE paths (service and
+  /// miss) set the latch.
+  [[nodiscard]] bool deadline_expired(std::uint64_t now) const {
+    return expired_latch_ || deadline_ <= Deadline{now};
+  }
+
+  /// The sticky expired flip-flop itself (the chip mirrors it as a mask).
+  [[nodiscard]] bool expired_latched() const { return expired_latch_; }
 
   /// SRAM-interface write of the deadline field.  Used by the fair-queuing
   /// mapping, where the field carries the head packet's per-packet service
@@ -162,7 +144,8 @@ class RegisterBlock {
   }
 
  private:
-  MissResult miss_update_slow(std::uint64_t now);
+  /// deadline_expired() that also sets the latch when the head is late.
+  bool latch_expired(std::uint64_t now);
   void winner_window_adjust();
   void loser_window_adjust();
   void reset_window_if_complete();
@@ -174,7 +157,7 @@ class RegisterBlock {
   Loss xp_ = 0;  ///< current loss numerator x'
   Loss yp_ = 1;  ///< current loss denominator y'
   std::uint32_t pending_ = 0;
-  mutable bool expired_latch_ = false;  ///< sticky head-expired flip-flop
+  bool expired_latch_ = false;  ///< sticky head-expired flip-flop
   SlotCounters counters_{};
 };
 

@@ -30,6 +30,13 @@ const ChipConfig& validated(const ChipConfig& cfg) {
   }
   return cfg;
 }
+
+// `m` with the bits of `bit` set to `v`: keeps a chip-level mask in step
+// with one Register Base block's flag.
+constexpr std::uint32_t mirror(std::uint32_t m, std::uint32_t bit, bool v) {
+  return v ? m | bit : m & ~bit;
+}
+
 }  // namespace
 
 SchedulerChip::SchedulerChip(const ChipConfig& cfg)
@@ -43,15 +50,14 @@ SchedulerChip::SchedulerChip(const ChipConfig& cfg)
 void SchedulerChip::load_slot(SlotId slot, const SlotConfig& cfg) {
   assert(slot < slots_.size());
   slots_[slot].load(slot, cfg);
-  pend_mask_ &= ~(1u << slot);  // load resets the backlog
-  dirty_mask_ |= 1u << slot;
+  const std::uint32_t bit = 1u << slot;
+  pend_mask_ &= ~bit;  // load resets the backlog
+  dirty_mask_ |= bit;
+  latched_ = mirror(latched_, bit, slots_[slot].expired_latched());
+  deadline_slots_ =
+      mirror(deadline_slots_, bit,
+             cfg.mode == SlotMode::kDwcs || cfg.mode == SlotMode::kEdf);
   tag_fifos_[slot].clear();
-  miss_path_needed_ = false;
-  for (const RegisterBlock& rb : slots_) {
-    miss_path_needed_ = miss_path_needed_ ||
-                        rb.config().mode == SlotMode::kDwcs ||
-                        rb.config().mode == SlotMode::kEdf;
-  }
 }
 
 void SchedulerChip::push_request(SlotId slot) {
@@ -73,6 +79,7 @@ void SchedulerChip::push_tagged_request(SlotId slot, Deadline tag,
   // tag is loaded into the Register Base block's deadline field.
   if (slots_[slot].backlog() == 0 && tag_fifos_[slot].empty()) {
     slots_[slot].set_deadline(tag);
+    latched_ = mirror(latched_, 1u << slot, slots_[slot].expired_latched());
   } else {
     tag_fifos_[slot].push(tag);
   }
@@ -126,10 +133,12 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
     for (std::uint32_t m = dirty_mask_; m != 0; m &= m - 1) {
       const auto s = static_cast<unsigned>(std::countr_zero(m));
       slots_[s].publish_lanes(lanes, lane_of_[s]);
+      deadline_of_[s] = slots_[s].deadline().raw();
     }
   } else {
     for (unsigned s = 0; s < n; ++s) {
       slots_[s].publish_lanes(lanes, s);
+      deadline_of_[s] = slots_[s].deadline().raw();
     }
   }
   dirty_mask_ = 0;
@@ -206,39 +215,59 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
 
   // PRIORITY_UPDATE: granted slots apply the service path (the circulated
   // one additionally gets the winner window adjustment); every other slot
-  // concurrently runs the local deadline-miss check.
+  // concurrently runs the local deadline-miss check.  The mirror masks
+  // update in locals and are stored once per decision.
   std::uint32_t granted = 0;
+  std::uint32_t dirty = dirty_mask_;
+  std::uint32_t pend = pend_mask_;
+  std::uint32_t latched = latched_;
   for (Grant& g : out.grants) {
-    granted |= 1u << g.slot;
+    const std::uint32_t bit = 1u << g.slot;
+    RegisterBlock& rb = slots_[g.slot];
+    granted |= bit;
     const bool circulated = out.circulated && *out.circulated == g.slot;
-    g.met_deadline = slots_[g.slot].service_update(g.emit_vtime, circulated);
-    dirty_mask_ |= 1u << g.slot;
-    if (slots_[g.slot].backlog() == 0) pend_mask_ &= ~(1u << g.slot);
+    g.met_deadline = rb.service_update(g.emit_vtime, circulated);
+    dirty |= bit;
+    if (rb.backlog() == 0) pend &= ~bit;
     ++frames_granted_;
     // Fair-queuing slots: load the next packet's service tag.
-    if (slots_[g.slot].config().mode == SlotMode::kFairTag) {
+    if (rb.config().mode == SlotMode::kFairTag) {
       auto& fifo = tag_fifos_[g.slot];
-      if (!fifo.empty()) {
-        slots_[g.slot].set_deadline(fifo.pop());
-      }
+      if (!fifo.empty()) rb.set_deadline(fifo.pop());
     }
+    latched = mirror(latched, bit, rb.expired_latched());
   }
-  if (miss_path_needed_) {
-    const std::uint64_t cycle_end = vtime_ + out.grants.size();
+  // The miss check as mask algebra: a backlogged, ungranted deadline slot
+  // misses iff its head is late at the cycle end (the serial compare, run
+  // over the slot-ordered deadlines LOAD published — an ungranted slot's
+  // deadline has not moved since) or its expired flip-flop already holds.
+  // Only those slots run the loser path, in ascending slot order.
+  const std::uint64_t cycle_end = vtime_ + out.grants.size();
+  const std::uint32_t live = deadline_slots_ & pend & ~granted;
+  std::uint32_t late = latched;
+  if (live != 0) {
+    const Deadline end{cycle_end};
     for (unsigned s = 0; s < n; ++s) {
-      if ((granted >> s) & 1u) continue;
-      const RegisterBlock::MissResult mr = slots_[s].miss_update(cycle_end);
-      if (mr.missed) {
-        // The loser adjustment touched the published loss window (and a
-        // drop may have emptied the backlog).
-        dirty_mask_ |= 1u << s;
-        if (slots_[s].backlog() == 0) pend_mask_ &= ~(1u << s);
-      }
-      if (mr.dropped) {
-        out.drops.push_back(static_cast<SlotId>(s));
-      }
+      late |= static_cast<std::uint32_t>(Deadline{deadline_of_[s]} <= end)
+              << s;
     }
   }
+  for (std::uint32_t m = live & late; m != 0; m &= m - 1) {
+    const auto s = static_cast<unsigned>(std::countr_zero(m));
+    const std::uint32_t bit = 1u << s;
+    RegisterBlock& rb = slots_[s];
+    const RegisterBlock::MissResult mr = rb.miss_update(cycle_end);
+    assert(mr.missed);
+    // The loser adjustment touched the published loss window (and a drop
+    // may have emptied the backlog).
+    dirty |= bit;
+    if (rb.backlog() == 0) pend &= ~bit;
+    latched = mirror(latched, bit, rb.expired_latched());
+    if (mr.dropped) out.drops.push_back(static_cast<SlotId>(s));
+  }
+  dirty_mask_ = dirty;
+  pend_mask_ = pend;
+  latched_ = latched;
 
   vtime_ += out.grants.size();
 

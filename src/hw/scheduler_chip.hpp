@@ -199,13 +199,15 @@ class SchedulerChip {
   std::vector<RegisterBlock> slots_;
   ShuffleNetwork network_;
   ControlUnit control_;
-  /// Any slot with deadline semantics (kDwcs / kEdf)?  Fair-queuing and
-  /// static-priority slots never take the miss path, so an all-bypass
-  /// configuration skips the per-cycle loser scan outright — the
-  /// unified-architecture insight (Section 2) applied to the hot loop.
-  /// Starts true: an unconfigured slot defaults to kDwcs, and load_slot
-  /// recomputes over all slots.
-  bool miss_path_needed_ = true;
+  /// Slots with deadline semantics (kDwcs / kEdf), set by load_slot.
+  /// Fair-queuing and static-priority slots never take the miss path —
+  /// the unified-architecture insight (Section 2) as a mask.  Starts full:
+  /// an unconfigured slot defaults to kDwcs.
+  std::uint32_t deadline_slots_ = 0xFFFFFFFFu;
+  /// Slot-ordered copy of each slot's 16-bit deadline as of its last
+  /// publish (LOAD writes it next to the lane file), so PRIORITY_UPDATE
+  /// runs every Register Base block's expiry comparator in one sweep.
+  std::uint16_t deadline_of_[kMaxSlots] = {};
   /// Inverse lane permutation of the most recent sorted decision
   /// (lane_of_[slot id] = lane index), valid only while the network's lane
   /// registers still hold that decision's state and the ids formed a
@@ -216,11 +218,13 @@ class SchedulerChip {
   /// Chip-level mirrors of per-slot state, maintained at the mutation call
   /// sites (every Register Base mutation flows through a SchedulerChip
   /// method): bit s of pend_mask_ == slots_[s].backlog() > 0, bit s of
-  /// dirty_mask_ == slot s's attribute bus changed since its last publish.
-  /// They replace two N-object scans per decision cycle with register
-  /// reads — the hardware's wired-OR request lines, kept in software.
+  /// dirty_mask_ == slot s's attribute bus changed since its last publish,
+  /// bit s of latched_ == slots_[s].expired_latched().  They replace
+  /// N-object scans per decision cycle with register reads — the
+  /// hardware's wired-OR request lines, kept in software.
   std::uint32_t pend_mask_ = 0;
   std::uint32_t dirty_mask_ = 0xFFFFFFFFu;
+  std::uint32_t latched_ = 0;
   std::uint64_t vtime_ = 0;
   std::uint64_t frames_granted_ = 0;
   mutable std::vector<AttrWord> last_block_;

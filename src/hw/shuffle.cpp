@@ -155,15 +155,6 @@ void ShuffleNetwork::load(std::span<const AttrWord> words) {
   pass_ = 0;
 }
 
-void ShuffleNetwork::load(const AttrSoA& soa) {
-  const std::uint32_t full =
-      slots_ == 32 ? 0xFFFFFFFFu : ((1u << slots_) - 1u);
-  all_pending_ = (soa.pending_mask & full) == full;
-  regs_.load(soa, slots_);
-  soa_loaded_ = true;
-  pass_ = 0;
-}
-
 void ShuffleNetwork::materialize_lanes() const {
   for (unsigned i = 0; i < slots_; ++i) lanes_[i] = regs_.get(i);
   soa_loaded_ = false;
@@ -238,9 +229,7 @@ void ShuffleNetwork::run_all() {
   if (kernel_ != simd::Kernel::kReference && pass_ == 0 &&
       total_passes_ > 0 && !audit_live_) {
     if (!soa_loaded_) {
-      AttrSoA soa;
-      for (unsigned i = 0; i < slots_; ++i) soa.set(i, lanes_[i]);
-      regs_.load(soa, slots_);
+      for (unsigned i = 0; i < slots_; ++i) regs_.set(i, lanes_[i]);
     }
     const simd::KernelStats st =
         simd::run_passes(regs_, slots_, plan_, mode_, kernel_);

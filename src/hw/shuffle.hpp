@@ -67,16 +67,11 @@ class ShuffleNetwork {
   /// Drive slot attribute words onto the lanes (lane i <- words[i]).
   void load(std::span<const AttrWord> words);
 
-  /// Drive the SoA register file onto the lanes without materializing
-  /// AttrWords first.  The lanes() / winner() views are refreshed when
-  /// the decision cycle completes (or on the first scalar step()).
-  void load(const AttrSoA& soa);
-
-  /// Direct-store LOAD path, the fastest: the Register Base blocks write
-  /// their attribute buses straight into this lane file
+  /// Direct-store LOAD path: the Register Base blocks write their
+  /// attribute buses straight into this lane file
   /// (RegisterBlock::publish_lanes), then the chip seals the decision
-  /// with load_lanes().  Skips even the widening pass of
-  /// load(const AttrSoA&).
+  /// with load_lanes().  The lanes() / winner() views are refreshed when
+  /// the decision cycle completes (or on the first scalar step()).
   [[nodiscard]] simd::LaneRegs& lane_file() { return regs_; }
 
   /// True while the lane registers (not the AttrWord mirror) hold the

@@ -96,20 +96,14 @@ Kernel default_kernel() {
   return k;
 }
 
-void LaneRegs::load(const AttrSoA& soa, unsigned n) {
-  assert(n <= kMaxSlots);
-  // 16-bit fields share the lane width: straight block copies.  The 8-bit
-  // fields widen and the pending mask saturates in tight loops the
-  // compiler vectorizes.
-  std::memcpy(deadline, soa.deadline, n * sizeof(std::uint16_t));
-  std::memcpy(arrival, soa.arrival, n * sizeof(std::uint16_t));
-  for (unsigned i = 0; i < n; ++i) {
-    loss_num[i] = soa.loss_num[i];
-    loss_den[i] = soa.loss_den[i];
-    id[i] = soa.id[i];
-    pend[i] =
-        static_cast<std::uint16_t>(0u - ((soa.pending_mask >> i) & 1u));
-  }
+void LaneRegs::set(unsigned lane, const AttrWord& w) {
+  assert(lane < kMaxSlots);
+  deadline[lane] = w.deadline.raw();
+  arrival[lane] = w.arrival.raw();
+  loss_num[lane] = w.loss_num;
+  loss_den[lane] = w.loss_den;
+  id[lane] = w.id;
+  pend[lane] = w.pending ? 0xFFFFu : 0u;
 }
 
 AttrWord LaneRegs::get(unsigned lane) const {

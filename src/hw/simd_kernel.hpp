@@ -3,8 +3,8 @@
 // The paper's Decision blocks resolve a whole shuffle stage of pairwise
 // comparisons in ONE hardware cycle because all N/2 comparators are
 // physically parallel.  This kernel reproduces that width in software:
-// the per-slot attributes live in the SoA register file (hw::AttrSoA),
-// get widened into 16-bit lanes (LaneRegs), and one compare-exchange pass
+// the Register Base blocks drive their attributes straight into 16-bit
+// SoA lanes (LaneRegs, one lane per slot), and one compare-exchange pass
 // of the shuffle schedule executes as a short burst of AVX2 instructions
 // — every rule of Table 2 evaluated concurrently as lane masks, the
 // verdict selected by mask blending, never a branch per pair.
@@ -83,8 +83,8 @@ struct LaneRegs {
   alignas(32) std::uint16_t id[kMaxSlots] = {};
   alignas(32) std::uint16_t pend[kMaxSlots] = {};
 
-  /// Widen the SoA register file into the lane registers.
-  void load(const AttrSoA& soa, unsigned n);
+  /// Scatter one AttrWord across the lanes (the AoS-to-lane bridge).
+  void set(unsigned lane, const AttrWord& w);
   /// Gather one (possibly permuted) lane back into the AoS view.
   [[nodiscard]] AttrWord get(unsigned lane) const;
 };

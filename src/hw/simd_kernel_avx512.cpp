@@ -145,7 +145,11 @@ inline std::uint32_t mask_partner(std::uint32_t m, unsigned stride,
 // invariant under any permutation and the pending-only override is a
 // no-op, so the pend vector neither permutes, blends, nor gathers.
 // Both knobs are template parameters: each of the six instantiations is
-// straight-line vector code with the dead fields compiled out.
+// straight-line vector code with the dead fields compiled out.  That
+// holds only because every per-field loop is fully unrolled: rolled (GCC
+// at -O2), kRides is read from memory per field and self[]/partner[]
+// round-trip through the stack on every pass instead of staying in zmm
+// registers.
 template <ComparisonMode M, bool AllPend>
 void run_plan_impl(std::uint16_t* const fields[kFields],
                    __m512i self[kFields], std::span<const PassPlan> plan,
@@ -161,6 +165,7 @@ void run_plan_impl(std::uint16_t* const fields[kFields],
       31, 30, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16, 15, 14,
       13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
   __m512i pidx_by_log[5];
+#pragma GCC unroll 5
   for (unsigned l = 0; l < 5; ++l) {
     pidx_by_log[l] = _mm512_xor_si512(
         iota, _mm512_set1_epi16(static_cast<short>(1u << l)));
@@ -179,6 +184,7 @@ void run_plan_impl(std::uint16_t* const fields[kFields],
     const __m512i pidx =
         pidx_by_log[std::countr_zero(stride)];
     __m512i partner[kFields];
+#pragma GCC unroll kFields
     for (unsigned f = 0; f < kFields; ++f) {
       if (kRides[f]) partner[f] = _mm512_permutexvar_epi16(pidx, self[f]);
     }
@@ -201,6 +207,7 @@ void run_plan_impl(std::uint16_t* const fields[kFields],
     swaps += std::popcount(swap) / 2u;
     pend_pairs += std::popcount(pa | mask_partner(pa, stride, hi)) / 2u;
     const auto k = static_cast<__mmask32>(swap);
+#pragma GCC unroll kFields
     for (unsigned f = 0; f < kFields; ++f) {
       if (kRides[f]) {
         self[f] = _mm512_mask_blend_epi16(k, self[f], partner[f]);
@@ -215,6 +222,7 @@ void run_plan_impl(std::uint16_t* const fields[kFields],
   // Payload fields land with ONE gather through the final permutation
   // (all-pending pend lanes are all-ones: nothing to move, the store
   // rewrites the unchanged words).
+#pragma GCC unroll kFields
   for (unsigned f = 0; f < kFields; ++f) {
     if (!kRides[f] && !(f == kPd && AllPend)) {
       self[f] = _mm512_permutexvar_epi16(perm, self[f]);
@@ -238,6 +246,7 @@ bool run_plan_avx512(LaneRegs& r, unsigned n, std::span<const PassPlan> plan,
 
   // Load the whole lane file once; every pass runs on registers.
   __m512i self[kFields];
+#pragma GCC unroll kFields
   for (unsigned f = 0; f < kFields; ++f) {
     self[f] = _mm512_loadu_si512(fields[f]);
   }

@@ -93,8 +93,12 @@ TEST(AggregationWrr, StreamletIndicesAreSlotGlobalAcrossSets) {
     const auto pick = am.on_grant(slot);
     ASSERT_LT(pick.streamlet, 5u);
     // Set 0 owns global indices [0,2), set 1 owns [2,5).
-    if (pick.set == 0) ASSERT_LT(pick.streamlet, 2u);
-    if (pick.set == 1) ASSERT_GE(pick.streamlet, 2u);
+    if (pick.set == 0) {
+      ASSERT_LT(pick.streamlet, 2u);
+    }
+    if (pick.set == 1) {
+      ASSERT_GE(pick.streamlet, 2u);
+    }
     ++seen[pick.streamlet];
   }
   // Equal set weights, RR within sets: 250 grants per set, spread evenly.

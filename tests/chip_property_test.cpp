@@ -202,7 +202,8 @@ TEST_P(ChipMatrix, MidRunSlotReloadIsCleanReset) {
 
 std::string matrix_name(const ::testing::TestParamInfo<MatrixCfg>& info) {
   const MatrixCfg& m = info.param;
-  std::string s = "N" + std::to_string(m.slots);
+  std::string s = "N";
+  s += std::to_string(m.slots);
   s += m.block ? (m.min_first ? "_BlkMin" : "_BlkMax") : "_WR";
   s += m.cmp == ComparisonMode::kDwcsFull ? "_DWCS" : "_EDF";
   switch (m.schedule) {

@@ -237,7 +237,8 @@ TEST(CrossCheckModes, FairTagChipMatchesOracle) {
 
 std::string case_name(const ::testing::TestParamInfo<CaseCfg>& info) {
   const CaseCfg& c = info.param;
-  std::string s = "N" + std::to_string(c.slots);
+  std::string s = "N";
+  s += std::to_string(c.slots);
   s += c.block ? (c.min_first ? "_BlockMinFirst" : "_BlockMaxFirst") : "_WR";
   s += c.dwcs_full ? "_DWCS" : "_EDF";
   s += c.schedule == hw::SortSchedule::kBitonic ? "_Bitonic" : "_Shuffle";

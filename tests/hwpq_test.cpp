@@ -103,8 +103,8 @@ TEST_P(HwPqSuite, CyclesAdvanceWithWork) {
 INSTANTIATE_TEST_SUITE_P(AllStructures, HwPqSuite,
                          ::testing::Values(Kind::kBinary, Kind::kPipelined,
                                            Kind::kSystolic, Kind::kShift),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
                              case Kind::kBinary: return "BinaryHeap";
                              case Kind::kPipelined: return "PipelinedHeap";
                              case Kind::kSystolic: return "Systolic";

@@ -143,8 +143,9 @@ INSTANTIATE_TEST_SUITE_P(AllDisciplines, RankEquivalence,
                                            RankDisc::kEdf, RankDisc::kWfq,
                                            RankDisc::kVirtualClock,
                                            RankDisc::kSfq),
-                         [](const auto& info) {
-                           return std::string(rank_disc_name(info.param));
+                         [](const auto& param_info) {
+                           return std::string(
+                               rank_disc_name(param_info.param));
                          });
 
 // ---------------------------------------------------------------- SP-PIFO

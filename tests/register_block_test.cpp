@@ -202,6 +202,17 @@ TEST(RegisterBlock, ExpiredLatchSurvivesDeepBacklogWrap) {
   EXPECT_EQ(rb.counters().missed_deadlines, 3u);
 }
 
+TEST(RegisterBlock, DeadlineExpiredIsAPureQuery) {
+  // Only the PRIORITY_UPDATE paths set the latch: a query at 101 must not,
+  // so 40000 units later the wrapped 16-bit compare reads "not expired".
+  RegisterBlock rb;
+  rb.load(0, dwcs_cfg(1, 0, 1, /*droppable=*/false, /*dl0=*/100));
+  rb.push_request(Arrival{0});
+  EXPECT_TRUE(rb.deadline_expired(101));
+  EXPECT_FALSE(rb.expired_latched());
+  EXPECT_FALSE(rb.deadline_expired(101 + 40000));
+}
+
 TEST(RegisterBlock, LatchClearsWhenHeadAdvancesIntoTheFuture) {
   RegisterBlock rb;
   rb.load(0, dwcs_cfg(1000, 0, 1, true, 5));

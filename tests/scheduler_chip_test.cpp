@@ -179,6 +179,36 @@ TEST(SchedulerChip, NonDroppableLateHeadNeverDropsAndKeepsMissing) {
   EXPECT_GT(c0.missed_deadlines + c1.missed_deadlines, 30u);
 }
 
+TEST(SchedulerChip, ExpiredLatchHoldsAcrossTheSerialWrap) {
+  // A starved non-droppable EDF head (deadline 100) stays late for 70,000
+  // decisions, past the 16-bit serial wrap.  Once its deadline has passed
+  // it misses exactly once per decision; without the sticky latch the
+  // wrapped comparator would read "not late" for half of every wrap
+  // (37,134 misses instead of 69,901).
+  SchedulerChip chip(wr_config(2, ComparisonMode::kDwcsFull));
+  SlotConfig prio;
+  prio.mode = SlotMode::kStaticPrio;
+  chip.load_slot(0, prio);  // deadline 0: beats slot 1 on rule 1 forever
+  chip.load_slot(1, edf_slot(1, 100, /*droppable=*/false));
+  chip.push_request(1);
+  DecisionOutcome out;
+  std::uint64_t wins = 0, off_pace = 0;
+  for (std::uint64_t k = 0; k < 70000; ++k) {
+    chip.push_request(0);
+    const std::uint64_t before = chip.slot(1).counters().missed_deadlines;
+    chip.run_decision_cycle(out);
+    wins += out.grants.at(0).slot == 1 ? 1 : 0;
+    // Decision k ends at vtime k + 1: late from k + 1 == 100 on.
+    const std::uint64_t expect = k + 1 >= 100 ? 1 : 0;
+    off_pace +=
+        chip.slot(1).counters().missed_deadlines - before != expect ? 1 : 0;
+  }
+  EXPECT_EQ(wins, 0u);
+  EXPECT_EQ(off_pace, 0u);
+  EXPECT_EQ(chip.slot(1).counters().missed_deadlines, 69901u);
+  EXPECT_EQ(chip.slot(1).backlog(), 1u);
+}
+
 TEST(SchedulerChip, HwCycleAccountingPerDecision) {
   SchedulerChip chip(wr_config(4));
   for (unsigned i = 0; i < 4; ++i) chip.load_slot(i, edf_slot(1, 1));
