@@ -72,9 +72,10 @@ class RegisterBlock {
   /// Attribute word currently driven onto the shuffle network.
   [[nodiscard]] AttrWord attrs() const;
 
-  /// Drive this slot's attribute bus straight into the SIMD lane file —
-  /// the same 54 bits attrs() materializes, widened to the 16-bit
-  /// per-field lanes the decision kernel consumes.
+  /// Drive this slot's attribute bus into row `lane` of a lane file (the
+  /// chip's slot-ordered bus copy) — the same 54 bits attrs()
+  /// materializes, widened to the 16-bit per-field lanes the decision
+  /// kernel consumes.
   void publish_lanes(simd::LaneRegs& lr, unsigned lane) const {
     lr.deadline[lane] = deadline_.raw();
     lr.arrival[lane] = arrival_.raw();

@@ -45,6 +45,7 @@ SchedulerChip::SchedulerChip(const ChipConfig& cfg)
       network_(cfg.slots, cfg.schedule, cfg.cmp_mode, cfg.kernel),
       control_(cfg.slots, schedule_passes(cfg.schedule, cfg.slots),
                effective_timing(cfg)),
+      dirty_mask_(0xFFFFFFFFu >> (32 - cfg.slots)),
       tag_fifos_(cfg.slots) {}
 
 void SchedulerChip::load_slot(SlotId slot, const SlotConfig& cfg) {
@@ -103,11 +104,10 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
   }
 
   // Pre-decision pendingness, decided before anything touches the lane
-  // file: an idle cycle must leave the network's registers exactly as the
-  // previous decision sorted them (last_block() materializes lazily, so
-  // clobbering them here would corrupt a later read).  Also kept for the
-  // audit planes — loser attribution is judged on what contended THIS
-  // decision.
+  // file: an idle cycle leaves the network's lanes as the previous
+  // decision sorted them, so last_block() still reads that block.  Also
+  // kept for the audit planes — loser attribution is judged on what
+  // contended THIS decision.
   const unsigned n = static_cast<unsigned>(slots_.size());
   const std::uint32_t pend_mask = pend_mask_;
   const std::uint32_t pending0 = pend_mask;
@@ -121,31 +121,18 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
     return;
   }
 
-  // LOAD: Register Base blocks drive their attribute buses straight into
-  // the network's SIMD lane file (16-bit SoA lanes; the kernel reads them
-  // in place, the tracer materializes AttrWords only when attached).
-  simd::LaneRegs& lanes = network_.lane_file();
-  if (lane_map_valid_ && network_.lanes_resident()) {
-    // Incremental LOAD: the lane file still holds the previous decision's
-    // sorted state, so only slots whose attribute bus changed since
-    // (dirty) need their lane patched — through the inverse permutation
-    // that decision left behind.
-    for (std::uint32_t m = dirty_mask_; m != 0; m &= m - 1) {
-      const auto s = static_cast<unsigned>(std::countr_zero(m));
-      slots_[s].publish_lanes(lanes, lane_of_[s]);
-      deadline_of_[s] = slots_[s].deadline().raw();
-    }
-  } else {
-    for (unsigned s = 0; s < n; ++s) {
-      slots_[s].publish_lanes(lanes, s);
-      deadline_of_[s] = slots_[s].deadline().raw();
-    }
+  // LOAD: Register Base block s drives network input s.  The slot-ordered
+  // bus copy refreshes only the rows whose attribute bus changed since
+  // the last LOAD, then goes onto the lane file whole, so every decision
+  // starts from slot order whatever the previous one sorted.
+  for (std::uint32_t m = dirty_mask_; m != 0; m &= m - 1) {
+    const auto s = static_cast<unsigned>(std::countr_zero(m));
+    slots_[s].publish_lanes(bus_, s);
   }
   dirty_mask_ = 0;
-  if (tracer_) {
-    trace.loaded.reserve(n);
-    for (unsigned s = 0; s < n; ++s) trace.loaded.push_back(slots_[s].attrs());
-  }
+  network_.lane_file() = bus_;
+  network_.load_lanes(pend_mask);
+  if (tracer_) trace.loaded = network_.lanes();
 
   // Sampling gate, decided before the SCHEDULE passes so the comparison
   // hot path already knows whether this decision carries full provenance.
@@ -154,7 +141,6 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
   network_.set_audit_live(audit_sampled);
 
   // SCHEDULE: log2(N) (or schedule-specific) network passes.
-  network_.load_lanes(pend_mask);
   const std::uint64_t swaps_before = network_.total_swaps();
   const std::uint64_t cmps_before = network_.total_comparisons();
   const std::uint64_t pend_before = network_.total_pending_comparisons();
@@ -167,29 +153,9 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
     metrics_->net_swaps->add(network_.total_swaps() - swaps_before);
     metrics_->net_comparisons->add(network_.total_comparisons() - cmps_before);
   }
-  last_block_stale_ = true;
 
-  // Record this decision's inverse lane permutation for the next cycle's
-  // incremental LOAD.  Only meaningful while the lane registers stay
-  // resident (the scalar/audited path materializes them back to AttrWords)
-  // and the ids form a permutation — duplicate ids (unconfigured chips)
-  // would alias map entries, so they fall back to the full republish.
-  if (network_.lanes_resident()) {
-    std::uint32_t seen = 0;
-    for (unsigned i = 0; i < n; ++i) {
-      const std::uint16_t id = lanes.id[i];
-      lane_of_[id] = static_cast<std::uint8_t>(i);
-      seen |= 1u << id;
-    }
-    const std::uint32_t full =
-        n == 32 ? 0xFFFFFFFFu : ((1u << n) - 1u);
-    lane_map_valid_ = (seen == full);
-  } else {
-    lane_map_valid_ = false;
-  }
-
-  // Grant selection (IDs read straight off the sorted lane registers; the
-  // AttrWord view only materializes for the tracer / last_block() API).
+  // Grant selection (IDs read straight off the sorted lane file; the
+  // AttrWord view is gathered only for the tracer / last_block() API).
   if (!cfg_.block_mode) {
     // WR / max-finding: the tournament leaves the winner in lane 0; the
     // pending-only rule guarantees it is backlogged when any slot is.
@@ -239,8 +205,8 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
   }
   // The miss check as mask algebra: a backlogged, ungranted deadline slot
   // misses iff its head is late at the cycle end (the serial compare, run
-  // over the slot-ordered deadlines LOAD published — an ungranted slot's
-  // deadline has not moved since) or its expired flip-flop already holds.
+  // over the bus copy's deadline row — an ungranted slot's deadline has
+  // not moved since LOAD) or its expired flip-flop already holds.
   // Only those slots run the loser path, in ascending slot order.
   const std::uint64_t cycle_end = vtime_ + out.grants.size();
   const std::uint32_t live = deadline_slots_ & pend & ~granted;
@@ -248,7 +214,7 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
   if (live != 0) {
     const Deadline end{cycle_end};
     for (unsigned s = 0; s < n; ++s) {
-      late |= static_cast<std::uint32_t>(Deadline{deadline_of_[s]} <= end)
+      late |= static_cast<std::uint32_t>(Deadline{bus_.deadline[s]} <= end)
               << s;
     }
   }

@@ -139,14 +139,12 @@ class SchedulerChip {
 
   /// The block produced by the most recent non-idle decision cycle, in
   /// lane order (lane 0 = highest priority).  Empty before the first one.
-  /// Gathered lazily from the network's lane registers — the decision hot
-  /// path never pays for the AttrWord copy.
-  [[nodiscard]] const std::vector<AttrWord>& last_block() const {
-    if (last_block_stale_) {
-      last_block_.assign(network_.lanes().begin(), network_.lanes().end());
-      last_block_stale_ = false;
-    }
-    return last_block_;
+  /// Gathered from the network's lane file on each call (only a non-idle
+  /// LOAD rewrites it), so the decision hot path never pays for the
+  /// AttrWord copy.
+  [[nodiscard]] std::vector<AttrWord> last_block() const {
+    if (!network_.done()) return {};
+    return network_.lanes();
   }
 
   /// Effective request period for "one request per decision cycle"
@@ -175,7 +173,9 @@ class SchedulerChip {
   /// a full record into the flight-recorder ring (sampled decisions —
   /// the session's DecisionSampler decides) or advances the exact
   /// counters through the cheap lite path.  Observation only: grants,
-  /// drops and all register state are unchanged at any sample rate.
+  /// drops and all register state are unchanged at any sample rate — a
+  /// sampled decision runs the reference comparators on the same
+  /// slot-ordered lane file the kernel would.
   void attach_audit(telemetry::AuditSession* a);
 
   /// Attach a hot-path profiler (nullptr detaches).  The chip attributes
@@ -204,31 +204,25 @@ class SchedulerChip {
   /// the unified-architecture insight (Section 2) as a mask.  Starts full:
   /// an unconfigured slot defaults to kDwcs.
   std::uint32_t deadline_slots_ = 0xFFFFFFFFu;
-  /// Slot-ordered copy of each slot's 16-bit deadline as of its last
-  /// publish (LOAD writes it next to the lane file), so PRIORITY_UPDATE
-  /// runs every Register Base block's expiry comparator in one sweep.
-  std::uint16_t deadline_of_[kMaxSlots] = {};
-  /// Inverse lane permutation of the most recent sorted decision
-  /// (lane_of_[slot id] = lane index), valid only while the network's lane
-  /// registers still hold that decision's state and the ids formed a
-  /// permutation.  Lets LOAD republish just the slots whose attribute bus
-  /// changed since — in steady state the granted slot, not all N.
-  std::uint8_t lane_of_[kMaxSlots] = {};
-  bool lane_map_valid_ = false;
+  /// Slot-ordered copy of the Register Base blocks' attribute buses (row
+  /// s = slot s), refreshed only for dirty slots.  LOAD drives it whole
+  /// onto the network's lane file, so block i feeds network input i at
+  /// every decision, and PRIORITY_UPDATE runs every block's expiry
+  /// comparator in one sweep over its deadline row.
+  simd::LaneRegs bus_;
   /// Chip-level mirrors of per-slot state, maintained at the mutation call
   /// sites (every Register Base mutation flows through a SchedulerChip
   /// method): bit s of pend_mask_ == slots_[s].backlog() > 0, bit s of
   /// dirty_mask_ == slot s's attribute bus changed since its last publish,
   /// bit s of latched_ == slots_[s].expired_latched().  They replace
   /// N-object scans per decision cycle with register reads — the
-  /// hardware's wired-OR request lines, kept in software.
+  /// hardware's wired-OR request lines, kept in software.  dirty_mask_
+  /// starts as every configured slot, so the first LOAD fills bus_.
   std::uint32_t pend_mask_ = 0;
-  std::uint32_t dirty_mask_ = 0xFFFFFFFFu;
+  std::uint32_t dirty_mask_;
   std::uint32_t latched_ = 0;
   std::uint64_t vtime_ = 0;
   std::uint64_t frames_granted_ = 0;
-  mutable std::vector<AttrWord> last_block_;
-  mutable bool last_block_stale_ = false;
   // Fair-queuing per-slot tag queues (head tag drives the deadline field).
   // Head-indexed: pop advances a cursor instead of memmoving the vector
   // (the grant path pops one tag per fair-queued frame), with amortized

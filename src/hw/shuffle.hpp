@@ -21,6 +21,10 @@
 // verbatim, and additionally provide a bitonic schedule (full sort) and
 // odd-even transposition (N passes) as configurable extensions; the
 // ablation bench quantifies how sorted the paper-schedule block really is.
+// Because the paper's schedule only finds the maximum, the order of a BA
+// block below lane 0 depends on which lanes each pass paired, so LOAD
+// order is part of the semantics: Register Base block i drives lane i at
+// every LOAD, whatever the previous decision sorted.
 #pragma once
 
 #include <cstdint>
@@ -47,52 +51,43 @@ enum class SortSchedule : std::uint8_t {
 /// Number of passes a schedule takes for n slots (n a power of two >= 2).
 [[nodiscard]] unsigned schedule_passes(SortSchedule s, unsigned n);
 
-/// One compare-exchange pass of the single-stage network.
-/// `pairing[i]` gives, for decision block i, the two lane indices it
-/// compares this pass.  After the call the winner occupies the lower lane.
-struct PairSpec {
-  unsigned lo, hi;
-  bool descending = false;  ///< bitonic passes flip some comparators
-};
+/// One compare-exchange pair of a pass: the Decision block compares lanes
+/// `lo` and `hi` and routes the winner to the lower lane (to the upper one
+/// when `desc` is set — bitonic passes flip some comparators).  The same
+/// pair list drives the reference comparators and the vector kernels.
+using PairSpec = simd::PassPlan::Pair;
 
-/// The recirculating network itself.  Holds N lanes of attribute words and
-/// steps them through the configured schedule.  The object is reused every
-/// decision cycle; `load()` corresponds to the Register Base blocks driving
-/// their attribute buses.
+/// The recirculating network itself.  Its lanes live only in the SoA lane
+/// file (simd::LaneRegs, one 16-bit lane per slot and field), which it
+/// steps through the configured schedule.  The object is reused every
+/// decision cycle; LOAD corresponds to the Register Base blocks driving
+/// their attribute buses, block i onto lane i.
 class ShuffleNetwork {
  public:
   ShuffleNetwork(unsigned slots, SortSchedule schedule, ComparisonMode mode,
                  simd::KernelChoice kernel = simd::KernelChoice::kAuto);
 
-  /// Drive slot attribute words onto the lanes (lane i <- words[i]).
+  /// Drive slot attribute words onto the lanes (lane i <- words[i]) and
+  /// seal the decision.
   void load(std::span<const AttrWord> words);
 
-  /// Direct-store LOAD path: the Register Base blocks write their
-  /// attribute buses straight into this lane file
-  /// (RegisterBlock::publish_lanes), then the chip seals the decision
-  /// with load_lanes().  The lanes() / winner() views are refreshed when
-  /// the decision cycle completes (or on the first scalar step()).
+  /// Direct-store LOAD path: the chip copies its slot-ordered attribute
+  /// buses straight into this lane file, then seals the decision with
+  /// load_lanes().
   [[nodiscard]] simd::LaneRegs& lane_file() { return regs_; }
-
-  /// True while the lane registers (not the AttrWord mirror) hold the
-  /// authoritative lane state — i.e. nothing has materialized them back
-  /// since the last register-resident decision.  The chip's incremental
-  /// LOAD path requires this: it patches individual lanes in place.
-  [[nodiscard]] bool lanes_resident() const { return soa_loaded_; }
 
   /// Seal a lane_file() publish.  `pending_mask` holds the accumulated
   /// per-lane pending bits (bit i == lane i backlogged).
   void load_lanes(std::uint32_t pending_mask) {
-    const std::uint32_t full =
-        slots_ == 32 ? 0xFFFFFFFFu : ((1u << slots_) - 1u);
+    const std::uint32_t full = 0xFFFFFFFFu >> (32 - slots_);
     all_pending_ = (pending_mask & full) == full;
-    soa_loaded_ = true;
     pass_ = 0;
   }
 
-  /// Run one pass (one hardware cycle of the SCHEDULE state).  Returns the
-  /// number of decision blocks that swapped their operands this pass (used
-  /// by tests and by the activity-based power proxy in the area model).
+  /// Run one pass (one hardware cycle of the SCHEDULE state) on the
+  /// reference comparators.  Returns the number of decision blocks that
+  /// swapped their operands this pass (used by tests and by the
+  /// activity-based power proxy in the area model).
   unsigned step();
 
   /// Run all remaining passes of the decision cycle.
@@ -105,32 +100,28 @@ class ShuffleNetwork {
   [[nodiscard]] unsigned total_passes() const { return total_passes_; }
   [[nodiscard]] unsigned slots() const { return slots_; }
 
-  /// Lane contents after the executed passes.  With the BA configuration
-  /// this is the *block*: lane 0 holds the max-priority stream.  When a
-  /// kernel decision ran on the lane registers, the AttrWord view is
-  /// gathered lazily on first access.
-  [[nodiscard]] std::span<const AttrWord> lanes() const {
-    if (soa_loaded_) materialize_lanes();
-    return lanes_;
-  }
+  /// Lane contents after the executed passes, gathered from the lane
+  /// file.  With the BA configuration this is the *block*: lane 0 holds
+  /// the max-priority stream.
+  [[nodiscard]] std::vector<AttrWord> lanes() const;
 
   /// Max-finding result (lane 0).  Valid once done().
-  [[nodiscard]] const AttrWord& winner() const { return lanes()[0]; }
+  [[nodiscard]] AttrWord winner() const { return regs_.get(0); }
 
-  /// Max-finding result ID straight from the lane registers — the WR
-  /// grant path, with no AttrWord materialization.
+  /// Max-finding result ID straight from the lane file — the WR grant
+  /// path.
   [[nodiscard]] SlotId winner_id() const {
-    return soa_loaded_ ? static_cast<SlotId>(regs_.id[0]) : lanes_[0].id;
+    return static_cast<SlotId>(regs_.id[0]);
   }
 
   /// Append the IDs of the backlogged lanes in lane order (the BA grant
-  /// *block*), read straight from the lane registers.
+  /// *block*), read straight from the lane file.
   void block_ids(std::vector<SlotId>& out) const;
 
   /// The pairings used for a given pass (exposed for the steering-logic
   /// tests: the mux programming must be a perfect matching every pass).
   [[nodiscard]] const std::vector<PairSpec>& pairings(unsigned pass) const {
-    return schedule_pairs_[pass];
+    return plan_[pass].pairs;
   }
 
   /// Cumulative compare-exchange swaps (lane buses that toggled).  A
@@ -169,19 +160,20 @@ class ShuffleNetwork {
   void set_audit_live(bool live) { audit_live_ = live && audit_ != nullptr; }
 
   /// The decision kernel this network resolved to (SS_SIMD / CPU aware).
-  /// kReference is the per-pair hw::decide() path; kSwar / kAvx2 run the
-  /// branch-free stage kernel when run_all() executes a whole decision
-  /// cycle without a live audit hook (sampled decisions always take the
-  /// reference path so per-comparison rule provenance is preserved).
+  /// kReference is the per-pair hw::decide() path; kSwar / kAvx2 /
+  /// kAvx512 run the branch-free stage kernel when run_all() executes a
+  /// whole decision cycle without a live audit hook (sampled decisions
+  /// take the reference path so per-comparison rule provenance is
+  /// preserved).  Both read and write the same lane file, so the choice
+  /// never changes the result.
   [[nodiscard]] simd::Kernel kernel() const { return kernel_; }
 
  private:
   void build_schedule(SortSchedule s);
-  /// Gather the lane registers back into the AttrWord view after a
-  /// kernel-run decision (or an SoA load followed by scalar stepping).
-  /// Const because it only refreshes the lazily-maintained AttrWord
-  /// mirror of the lane registers (lanes_ / soa_loaded_ are mutable).
-  void materialize_lanes() const;
+  /// Run `passes` passes on the reference comparators: gather the lane
+  /// file into AttrWords once, step them through hw::decide(), scatter
+  /// once.  Returns the swaps of those passes.
+  unsigned run_reference(unsigned passes);
 
   unsigned slots_;
   ComparisonMode mode_;
@@ -194,13 +186,8 @@ class ShuffleNetwork {
   std::uint64_t total_pairs_ = 0;  ///< comparisons per full decision cycle
   bool all_pending_ = false;  ///< every loaded lane backlogged (pass-invariant)
   bool audit_live_ = false;   ///< per-decision comparison-callback gate
-  /// Lane registers hold newer state than lanes_ (mutable pair: lanes_ is
-  /// a lazily-refreshed view of regs_, updated from const accessors).
-  mutable bool soa_loaded_ = false;
-  mutable std::vector<AttrWord> lanes_;
-  std::vector<std::vector<PairSpec>> schedule_pairs_;  // [pass][block]
-  std::vector<simd::PassPlan> plan_;  ///< vector-lowered schedule_pairs_
-  simd::LaneRegs regs_;               ///< SoA lane registers (kernel state)
+  std::vector<simd::PassPlan> plan_;  ///< the schedule, one entry per pass
+  simd::LaneRegs regs_;               ///< the lane file
   telemetry::DecisionAudit* audit_ = nullptr;
 };
 

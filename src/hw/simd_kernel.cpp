@@ -5,7 +5,6 @@
 // instruction on a host that lacks it).
 #include "hw/simd_kernel.hpp"
 
-#include <cassert>
 #include <cstdlib>
 #include <cstring>
 
@@ -94,28 +93,6 @@ Kernel resolve(KernelChoice c) {
 Kernel default_kernel() {
   static const Kernel k = resolve(parse_choice(std::getenv("SS_SIMD")));
   return k;
-}
-
-void LaneRegs::set(unsigned lane, const AttrWord& w) {
-  assert(lane < kMaxSlots);
-  deadline[lane] = w.deadline.raw();
-  arrival[lane] = w.arrival.raw();
-  loss_num[lane] = w.loss_num;
-  loss_den[lane] = w.loss_den;
-  id[lane] = w.id;
-  pend[lane] = w.pending ? 0xFFFFu : 0u;
-}
-
-AttrWord LaneRegs::get(unsigned lane) const {
-  assert(lane < kMaxSlots);
-  AttrWord w;
-  w.deadline = Deadline{deadline[lane]};
-  w.arrival = Arrival{arrival[lane]};
-  w.loss_num = static_cast<Loss>(loss_num[lane]);
-  w.loss_den = static_cast<Loss>(loss_den[lane]);
-  w.id = static_cast<SlotId>(id[lane]);
-  w.pending = pend[lane] != 0;
-  return w;
 }
 
 namespace {

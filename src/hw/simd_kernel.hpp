@@ -35,6 +35,7 @@
 //                    for).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -84,9 +85,27 @@ struct LaneRegs {
   alignas(32) std::uint16_t pend[kMaxSlots] = {};
 
   /// Scatter one AttrWord across the lanes (the AoS-to-lane bridge).
-  void set(unsigned lane, const AttrWord& w);
+  void set(unsigned lane, const AttrWord& w) {
+    assert(lane < kMaxSlots);
+    deadline[lane] = w.deadline.raw();
+    arrival[lane] = w.arrival.raw();
+    loss_num[lane] = w.loss_num;
+    loss_den[lane] = w.loss_den;
+    id[lane] = w.id;
+    pend[lane] = w.pending ? 0xFFFFu : 0u;
+  }
   /// Gather one (possibly permuted) lane back into the AoS view.
-  [[nodiscard]] AttrWord get(unsigned lane) const;
+  [[nodiscard]] AttrWord get(unsigned lane) const {
+    assert(lane < kMaxSlots);
+    AttrWord w;
+    w.deadline = Deadline{deadline[lane]};
+    w.arrival = Arrival{arrival[lane]};
+    w.loss_num = static_cast<Loss>(loss_num[lane]);
+    w.loss_den = static_cast<Loss>(loss_den[lane]);
+    w.id = static_cast<SlotId>(id[lane]);
+    w.pending = pend[lane] != 0;
+    return w;
+  }
 };
 
 /// One pass of a schedule, pre-lowered for vector execution by the

@@ -8,14 +8,16 @@
 //     decision cycles (exactly one circulation each);
 //   * virtual time advances by exactly the frames emitted (or 1 if idle);
 //   * no slot is granted twice in one WR cycle / more than once per block;
-//   * determinism: two identically-configured chips fed the same workload
-//     stay in lock-step;
+//   * one LOAD semantics: the default kernel, the reference comparators
+//     and a sampled audit stay in lock-step, and each block equals what a
+//     fresh network loaded in slot order produces;
 //   * hardware-cycle accounting matches the control unit's sustained rate.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "hw/scheduler_chip.hpp"
+#include "telemetry/audit.hpp"
 #include "util/rng.hpp"
 
 namespace ss::hw {
@@ -32,9 +34,11 @@ struct MatrixCfg {
 
 class ChipMatrix : public ::testing::TestWithParam<MatrixCfg> {
  protected:
-  SchedulerChip build(std::uint64_t seed_offset = 0) const {
+  SchedulerChip build(
+      simd::KernelChoice kernel = simd::KernelChoice::kAuto) const {
     const MatrixCfg& m = GetParam();
     ChipConfig cfg;
+    cfg.kernel = kernel;
     cfg.slots = m.slots;
     cfg.cmp_mode = m.cmp;
     cfg.block_mode = m.block;
@@ -42,7 +46,7 @@ class ChipMatrix : public ::testing::TestWithParam<MatrixCfg> {
     cfg.schedule = m.schedule;
     cfg.compute_ahead = m.compute_ahead;
     SchedulerChip chip(cfg);
-    Rng rng(99 + seed_offset);
+    Rng rng(99);
     for (unsigned i = 0; i < m.slots; ++i) {
       SlotConfig sc;
       sc.mode = m.cmp == ComparisonMode::kDwcsFull ? SlotMode::kDwcs
@@ -120,27 +124,55 @@ TEST_P(ChipMatrix, VtimeAdvancesByFramesEmitted) {
 }
 
 TEST_P(ChipMatrix, DeterministicLockStep) {
+  // Register Base block i drives network input i at every LOAD, so the
+  // default kernel, the reference comparators and a 1-in-4 sampled audit
+  // grant the same frames and leave the same block.  The oracle is a
+  // fresh reference network loaded with the slots' attribute words in
+  // slot order before each decision.  The default-kernel chip is checked
+  // through its outcomes every decision and through last_block() only at
+  // the end: it must keep the schedule with nothing reading its lanes.
+  const MatrixCfg& m = GetParam();
   SchedulerChip a = build();
-  SchedulerChip b = build();
+  SchedulerChip ref = build(simd::KernelChoice::kReference);
+  SchedulerChip audited = build();
+  telemetry::AuditSession session(m.slots);
+  session.set_sampling(4);
+  audited.attach_audit(&session);
   Rng rng(9);
-  const unsigned n = GetParam().slots;
+  const unsigned n = m.slots;
+  std::vector<AttrWord> words(n);
   for (int k = 0; k < 400; ++k) {
     for (unsigned i = 0; i < n; ++i) {
       if (rng.chance(0.6)) {
-        a.push_request(static_cast<SlotId>(i));
-        b.push_request(static_cast<SlotId>(i));
+        for (SchedulerChip* c : {&a, &ref, &audited}) {
+          c->push_request(static_cast<SlotId>(i));
+        }
       }
     }
-    const auto oa = a.run_decision_cycle();
-    const auto ob = b.run_decision_cycle();
-    ASSERT_EQ(oa.idle, ob.idle);
-    ASSERT_EQ(oa.grants.size(), ob.grants.size());
-    for (std::size_t g = 0; g < oa.grants.size(); ++g) {
-      ASSERT_EQ(oa.grants[g].slot, ob.grants[g].slot);
+    for (unsigned s = 0; s < n; ++s) {
+      words[s] = ref.slot(static_cast<SlotId>(s)).attrs();
     }
-    ASSERT_EQ(oa.drops, ob.drops);
-    ASSERT_EQ(a.vtime(), b.vtime());
+    ShuffleNetwork oracle(n, m.schedule, m.cmp,
+                          simd::KernelChoice::kReference);
+    oracle.load(words);
+    oracle.run_all();
+    const auto oa = a.run_decision_cycle();
+    for (SchedulerChip* c : {&ref, &audited}) {
+      const auto ob = c->run_decision_cycle();
+      ASSERT_EQ(oa.idle, ob.idle) << "decision " << k;
+      ASSERT_EQ(oa.grants.size(), ob.grants.size()) << "decision " << k;
+      for (std::size_t g = 0; g < oa.grants.size(); ++g) {
+        ASSERT_EQ(oa.grants[g].slot, ob.grants[g].slot) << "decision " << k;
+      }
+      ASSERT_EQ(oa.block, ob.block) << "decision " << k;
+      ASSERT_EQ(oa.drops, ob.drops) << "decision " << k;
+      ASSERT_EQ(a.vtime(), c->vtime()) << "decision " << k;
+      if (!ob.idle) {
+        ASSERT_EQ(c->last_block(), oracle.lanes()) << "decision " << k;
+      }
+    }
   }
+  EXPECT_EQ(a.last_block(), ref.last_block());
 }
 
 TEST_P(ChipMatrix, HwCyclesMatchControlModel) {
@@ -236,6 +268,8 @@ INSTANTIATE_TEST_SUITE_P(
                   SortSchedule::kPerfectShuffle, true},
         MatrixCfg{32, true, false, ComparisonMode::kDwcsFull,
                   SortSchedule::kBitonic, false},
+        MatrixCfg{32, true, false, ComparisonMode::kDwcsFull,
+                  SortSchedule::kPerfectShuffle, false},
         MatrixCfg{32, false, false, ComparisonMode::kDwcsFull,
                   SortSchedule::kPerfectShuffle, false}),
     matrix_name);

@@ -106,8 +106,7 @@ TEST(ShuffleNetworkProperty, LanesStayAPermutation) {
         const auto before = packed(words);
         while (!net.done()) {
           net.step();
-          const auto now =
-              packed({net.lanes().begin(), net.lanes().end()});
+          const auto now = packed(net.lanes());
           ASSERT_EQ(before, now);
         }
         net.reset();
