@@ -1,5 +1,6 @@
 #include "core/threaded_endsystem.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
@@ -24,8 +25,17 @@ void ThreadedEndsystem::request_reload(std::uint32_t stream,
   }
   {
     const std::lock_guard<std::mutex> lock(reload_mu_);
-    pending_reloads_.push_back(
-        {stream, req, std::chrono::steady_clock::now()});
+    // The latest requirement supersedes a still-pending one in place and
+    // keeps its post time, so a batch holds at most one entry per stream.
+    const auto it = std::find_if(
+        pending_reloads_.begin(), pending_reloads_.end(),
+        [stream](const PendingReload& pr) { return pr.stream == stream; });
+    if (it != pending_reloads_.end()) {
+      it->req = req;
+    } else {
+      pending_reloads_.push_back(
+          {stream, req, std::chrono::steady_clock::now()});
+    }
   }
   reload_pending_.store(true, std::memory_order_release);
 }

@@ -70,8 +70,11 @@ class ThreadedEndsystem : private Pipeline {
   /// the stream's ring survive the reload — the scheduler re-announces
   /// them to the freshly loaded slot, so conservation holds across
   /// reconfigurations.  The batch drain therefore races arbitrary
-  /// re-LOADs without losing or duplicating frames.  Throws
-  /// std::invalid_argument for a stream that was never added.
+  /// re-LOADs without losing or duplicating frames.  A request for a
+  /// stream whose previous request is still pending replaces that
+  /// request's requirement: the latest one wins and a superseded request
+  /// is never applied, so the mailbox holds at most one entry per stream.
+  /// Throws std::invalid_argument for a stream that was never added.
   void request_reload(std::uint32_t stream,
                       const dwcs::StreamRequirement& req);
 
@@ -79,9 +82,10 @@ class ThreadedEndsystem : private Pipeline {
   ThreadedConfig cfg_;
 
   // Control-plane mailbox (cold path): the flag keeps the scheduler loop's
-  // common case to one relaxed atomic load, no lock.  Each request is
-  // stamped at post time so the commit can observe the request-to-commit
-  // latency (es.reload_latency_ns).
+  // common case to one relaxed atomic load, no lock.  One entry per
+  // stream, stamped when its first still-pending request was posted, so
+  // the commit observes the longest request-to-commit wait
+  // (es.reload_latency_ns).
   struct PendingReload {
     std::uint32_t stream;
     dwcs::StreamRequirement req;

@@ -68,11 +68,14 @@ ShuffleNetwork::ShuffleNetwork(unsigned slots, SortSchedule schedule,
                                simd::KernelChoice kernel)
     : slots_(slots), mode_(mode) {
   assert(is_pow2(slots) && slots >= 2 && slots <= kMaxSlots);
+  build_schedule(schedule);
   // kAuto defers to the process-wide SS_SIMD + CPU dispatch; an explicit
   // choice (tests, the bench's scalar baseline leg) is resolved directly.
-  kernel_ = (kernel == simd::KernelChoice::kAuto) ? simd::default_kernel()
-                                                  : simd::resolve(kernel);
-  build_schedule(schedule);
+  // Either way the kernel is fitted to this slot count and schedule once.
+  kernel_ = simd::fit(kernel == simd::KernelChoice::kAuto
+                          ? simd::default_kernel()
+                          : simd::resolve(kernel),
+                      slots_, plan_);
 }
 
 void ShuffleNetwork::build_schedule(SortSchedule s) {
@@ -207,18 +210,17 @@ unsigned ShuffleNetwork::step() {
 }
 
 void ShuffleNetwork::run_all() {
-  // Whole-decision fast path: evaluate every pass with the branch-free
-  // stage kernel.  Only taken when (a) a kernel is selected, (b) the
+  // Whole-decision fast path: evaluate every pass with the fitted vector
+  // kernel.  Only taken when (a) a vector kernel was fitted, (b) the
   // decision starts from pass 0 (partial step()ed cycles keep scalar
   // semantics for the steering tests) and (c) no live audit hook — the
   // audit plane attributes a Rule to every pending comparison, which is
   // per-pair provenance the vector kernel does not produce; sampled
   // decisions therefore recirculate through the reference comparators,
   // on the same lane file.
-  if (kernel_ != simd::Kernel::kReference && pass_ == 0 &&
-      total_passes_ > 0 && !audit_live_) {
+  if (kernel_ != simd::Kernel::kReference && pass_ == 0 && !audit_live_) {
     const simd::KernelStats st =
-        simd::run_passes(regs_, slots_, plan_, mode_, kernel_);
+        simd::run_plan(regs_, slots_, plan_, mode_, kernel_);
     total_swaps_ += st.swaps;
     total_comparisons_ += total_pairs_;
     pending_comparisons_ += st.pending_pairs;

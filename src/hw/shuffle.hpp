@@ -159,13 +159,14 @@ class ShuffleNetwork {
   /// to live so direct users get the full-rate behavior.
   void set_audit_live(bool live) { audit_live_ = live && audit_ != nullptr; }
 
-  /// The decision kernel this network resolved to (SS_SIMD / CPU aware).
-  /// kReference is the per-pair hw::decide() path; kSwar / kAvx2 /
-  /// kAvx512 run the branch-free stage kernel when run_all() executes a
-  /// whole decision cycle without a live audit hook (sampled decisions
-  /// take the reference path so per-comparison rule provenance is
-  /// preserved).  Both read and write the same lane file, so the choice
-  /// never changes the result.
+  /// The decision kernel that runs this network, fitted once at
+  /// construction from SS_SIMD, the CPU, the slot count and the schedule
+  /// (simd::fit).  kReference is the per-pair hw::decide() path; kAvx2 /
+  /// kAvx512 run the whole plan in vector registers when run_all()
+  /// executes a whole decision cycle without a live audit hook (sampled
+  /// decisions take the reference path so per-comparison rule provenance
+  /// is preserved).  Both read and write the same lane file, so the
+  /// choice never changes the result.
   [[nodiscard]] simd::Kernel kernel() const { return kernel_; }
 
  private:

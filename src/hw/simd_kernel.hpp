@@ -5,12 +5,13 @@
 // physically parallel.  This kernel reproduces that width in software:
 // the Register Base blocks drive their attributes straight into 16-bit
 // SoA lanes (LaneRegs, one lane per slot), and one compare-exchange pass
-// of the shuffle schedule executes as a short burst of AVX2 instructions
-// — every rule of Table 2 evaluated concurrently as lane masks, the
-// verdict selected by mask blending, never a branch per pair.
+// of the shuffle schedule executes as a short burst of vector
+// instructions — every rule of Table 2 evaluated concurrently as lane
+// masks, the verdict selected by mask blending, never a branch per pair.
 //
-// Three implementations share the exact decision semantics of
-// hw::decide() (the scalar oracle stays the differential referee):
+// Two whole-plan vector kernels share the exact decision semantics of
+// hw::decide(); each loads the lane file once, runs every pass of the
+// schedule in registers and stores once:
 //   * kAvx512 — 32 lanes per __m512i at the full 32-slot width: one
 //     vpermw partner shuffle per field, cascade rules straight into
 //     k-masks.  Compiled only when the toolchain supports -mavx512bw and
@@ -18,21 +19,20 @@
 //   * kAvx2 — 16 lanes per __m256i; a 32-slot butterfly pass is ~2 vector
 //     bursts.  Compiled only when the toolchain supports -mavx2 and
 //     selected only when the CPU reports AVX2 at runtime.
-//   * kSwar — portable branch-free scalar fallback (mask-select instead
-//     of branches), used for non-x86 hosts, non-butterfly pairings
-//     (odd-even transposition) and sub-vector slot counts.
-// kReference keeps the original per-pair hw::decide() path; it is what
-// SS_SIMD=REF forces and what the differential campaigns referee against.
+// kReference is the per-pair hw::decide() path: the differential referee,
+// what SS_SIMD=REF forces, and the kernel of every network no vector
+// kernel covers.  fit() picks one kernel per network, once.
 //
-// Runtime selection: SS_SIMD environment variable —
-//   unset / AUTO  -> widest kernel this binary AND CPU support
-//                    (AVX-512BW, then AVX2, then SWAR);
-//   OFF / SWAR    -> forced branch-free scalar fallback;
-//   REF           -> forced per-pair reference comparator (pre-SIMD path);
-//   AVX512        -> AVX-512 if available, degrading to AVX2 then SWAR;
-//   ON / AVX2     -> AVX2 if available, SWAR otherwise (never upgrades —
-//                    the differential legs pin the exact kernel they ask
-//                    for).
+// Runtime selection: SS_SIMD environment variable (case-insensitive) —
+//   unset / empty / AUTO -> widest kernel this binary AND CPU support
+//                           (AVX-512BW, then AVX2, then the referee);
+//   REF                  -> forced per-pair reference comparators;
+//   AVX512               -> AVX-512 if available, degrading to AVX2 then
+//                           the referee;
+//   AVX2                 -> AVX2 if available, the referee otherwise
+//                           (never upgrades — the differential legs pin
+//                           the exact kernel they ask for).
+// Any other value throws std::invalid_argument.
 #pragma once
 
 #include <cassert>
@@ -46,12 +46,10 @@
 namespace ss::hw::simd {
 
 /// Concrete kernel implementations (post-dispatch).
-enum class Kernel : std::uint8_t { kReference, kSwar, kAvx2, kAvx512 };
+enum class Kernel : std::uint8_t { kReference, kAvx2, kAvx512 };
 
 /// Configuration-time request (ChipConfig / ShuffleNetwork constructor).
-enum class KernelChoice : std::uint8_t {
-  kAuto, kReference, kSwar, kAvx2, kAvx512
-};
+enum class KernelChoice : std::uint8_t { kAuto, kReference, kAvx2, kAvx512 };
 
 [[nodiscard]] const char* kernel_name(Kernel k);
 
@@ -61,12 +59,13 @@ enum class KernelChoice : std::uint8_t {
 /// True iff the binary carries the AVX-512 kernel AND this CPU executes it.
 [[nodiscard]] bool avx512_supported();
 
-/// Parse an SS_SIMD-style value ("OFF", "SWAR", "REF", "AVX2", "AUTO",
-/// case-insensitive; nullptr/empty = AUTO).  Exposed for tests.
+/// Parse an SS_SIMD value: "AUTO", "REF", "AVX2" or "AVX512",
+/// case-insensitive; nullptr/empty = AUTO.  Any other value throws
+/// std::invalid_argument naming the four tokens.  Exposed for tests.
 [[nodiscard]] KernelChoice parse_choice(const char* value);
 
-/// Resolve a choice against CPU support (kAuto/kAvx2 degrade to kSwar
-/// when AVX2 is unavailable).
+/// Resolve a choice against CPU support (kAuto/kAvx2 degrade to
+/// kReference when AVX2 is unavailable).
 [[nodiscard]] Kernel resolve(KernelChoice c);
 
 /// The process default: SS_SIMD env + CPU detection, computed once.
@@ -113,7 +112,7 @@ struct LaneRegs {
 struct PassPlan {
   /// Butterfly passes pair lane i with lane i^stride — every perfect-
   /// shuffle and bitonic pass has this shape and vectorizes; odd-even
-  /// transposition does not and runs on the SWAR fallback.
+  /// transposition does not and runs on the reference comparators.
   bool butterfly = false;
   unsigned stride = 0;
   /// Per-lane comparator direction, pair-symmetric (0 / 0xFFFF).
@@ -121,8 +120,8 @@ struct PassPlan {
   /// The same directions as a lane bitmask (bit i == desc[i] != 0) — the
   /// k-mask form the AVX-512 kernel consumes without a per-pass load.
   std::uint32_t desc_bits = 0;
-  /// Generic pairing, always populated (the SWAR path and non-butterfly
-  /// schedules iterate it).
+  /// Generic pairing, always populated (the reference comparators
+  /// iterate it).
   struct Pair {
     std::uint16_t lo, hi;
     std::uint16_t desc;  ///< 0 or 1
@@ -135,16 +134,17 @@ struct KernelStats {
   std::uint64_t pending_pairs = 0;  ///< pairs with >=1 pending operand
 };
 
-/// Branch-free scalar (SWAR) decision for one pair: bit-identical to
-/// hw::decide(a, b, mode).a_wins.  Exposed for the crosscheck tests.
-[[nodiscard]] bool pair_a_wins_swar(const AttrWord& a, const AttrWord& b,
-                                    ComparisonMode mode);
+/// The kernel that runs `plan` over n slots when `k` is the resolved
+/// request: k itself where it covers the plan, AVX2 for a 16-slot plan on
+/// an AVX-512 host, otherwise kReference.  A vector kernel covers only
+/// all-butterfly plans — AVX-512 at 32 slots, AVX2 at 16 or 32.
+[[nodiscard]] Kernel fit(Kernel k, unsigned n, std::span<const PassPlan> plan);
 
-/// Run every pass of `plan` over the lane registers with kernel `k`
-/// (kAvx2 falls back to SWAR per pass where a pass is not vectorizable).
-/// Counter semantics match the scalar ShuffleNetwork::step() exactly.
-KernelStats run_passes(LaneRegs& regs, unsigned n,
-                       std::span<const PassPlan> plan, ComparisonMode mode,
-                       Kernel k);
+/// Run every pass of `plan` over the lane registers on vector kernel `k`,
+/// which must be what fit() returned for this plan.  Counter semantics
+/// match the scalar ShuffleNetwork::step() exactly.
+KernelStats run_plan(LaneRegs& regs, unsigned n,
+                     std::span<const PassPlan> plan, ComparisonMode mode,
+                     Kernel k);
 
 }  // namespace ss::hw::simd

@@ -1,8 +1,8 @@
-// simd_kernel_avx2.cpp — the AVX2 compare-exchange passes.
+// simd_kernel_avx2.cpp — the 16-lane AVX2 whole-plan kernel.
 //
 // Compiled with -mavx2 in its own translation unit; callers reach it only
-// through simd::run_passes after the runtime CPU check, so a non-AVX2
-// host never executes a byte of this file.
+// through simd::run_plan after the runtime CPU check, so a non-AVX2 host
+// never executes a byte of this file.
 //
 // A butterfly pass over n slots (n = 16 or 32) runs as one or two
 // 16-lane vector bursts.  Each field of the pair's operands is
@@ -15,24 +15,18 @@
 // its guard mask holds — the branch-free dual of the scalar
 // priority-encoded mux in decision_block_rtl.cpp.
 //
-// Two entry points share one pass body:
-//   * run_plan_avx2 — the hot path.  When EVERY pass of the schedule is
-//     a butterfly (bitonic, perfect shuffle), the whole plan executes
-//     register-resident: the 6 field vectors are loaded once, all passes
-//     run in ymm registers, and the lanes are stored once at the end.
-//     Swap/pending tallies accumulate in vector counters and reduce once.
-//     This mirrors the paper's chip, where a recirculating stage never
-//     writes attributes back to the register file between passes.
-//   * run_pass_avx2 — single-pass fallback for mixed schedules (odd-even
-//     transposition alternates butterfly and non-butterfly phases), with
-//     a full load/store round-trip per call.
+// run_plan_avx2 is the one entry point.  simd::fit() hands it only
+// all-butterfly plans (bitonic, perfect shuffle) over 16 or 32 slots, and
+// it runs the whole plan register-resident: the 6 field vectors are
+// loaded once, all passes run in ymm registers, and the lanes are stored
+// once at the end.  Swap/pending tallies accumulate in vector counters
+// and reduce once.  This mirrors the paper's chip, where a recirculating
+// stage never writes attributes back to the register file between passes.
 #include "hw/simd_kernel.hpp"
 
 #if defined(SS_HAVE_AVX2)
 
 #include <immintrin.h>
-
-#include <bit>
 
 namespace ss::hw::simd::detail {
 namespace {
@@ -80,7 +74,7 @@ inline __m256i neq16(__m256i a, __m256i b) {
 }
 
 // Wrap-aware 16-bit less-than per lane, lower-raw-wins at the antipode —
-// the vector twin of Serial<16>::operator< and serial16_less_bf.
+// the vector twin of Serial<16>::operator<.
 inline __m256i serial_less16(__m256i a, __m256i b) {
   const __m256i d = _mm256_sub_epi16(b, a);
   const __m256i zero = _mm256_setzero_si256();
@@ -152,12 +146,10 @@ inline std::uint32_t hsum_epi32(__m256i x) {
 
 }  // namespace
 
-bool run_plan_avx2(LaneRegs& r, unsigned n, std::span<const PassPlan> plan,
-                   ComparisonMode mode, KernelStats& st) {
-  if (n != 16 && n != 32) return false;
-  for (const PassPlan& pp : plan) {
-    if (!pp.butterfly || pp.stride > n / 2) return false;
-  }
+KernelStats run_plan_avx2(LaneRegs& r, unsigned n,
+                          std::span<const PassPlan> plan,
+                          ComparisonMode mode) {
+  assert(n == 16 || n == 32);
   const unsigned nv = n / 16;
   std::uint16_t* const fields[kFields] = {r.deadline, r.loss_num, r.loss_den,
                                           r.arrival,  r.id,       r.pend};
@@ -248,70 +240,10 @@ bool run_plan_avx2(LaneRegs& r, unsigned n, std::span<const PassPlan> plan,
     }
   }
   const __m256i one16 = _mm256_set1_epi16(1);
-  st.swaps += hsum_epi32(_mm256_madd_epi16(swap_acc, one16)) / 2;
-  st.pending_pairs += hsum_epi32(_mm256_madd_epi16(pend_acc, one16)) / 2;
-  return true;
-}
-
-void run_pass_avx2(LaneRegs& r, unsigned n, const PassPlan& plan,
-                   ComparisonMode mode, KernelStats& st) {
-  const unsigned nv = n / 16;
-  const unsigned stride = plan.stride;
-  std::uint16_t* const fields[kFields] = {r.deadline, r.loss_num, r.loss_den,
-                                          r.arrival,  r.id,       r.pend};
-  const __m256i ones = _mm256_set1_epi8(char(-1));
-  const __m256i zero = _mm256_setzero_si256();
-
-  // Registered comparator inputs: load every operand before writing any
-  // result (stride 16 pairs span both vectors).
-  __m256i self[kFields][2];
-  for (unsigned f = 0; f < kFields; ++f) {
-    for (unsigned v = 0; v < nv; ++v) {
-      self[f][v] = _mm256_load_si256(
-          reinterpret_cast<const __m256i*>(fields[f] + 16 * v));
-    }
-  }
-
-  unsigned swap_bits = 0;
-  unsigned pend_bits = 0;
-  for (unsigned v = 0; v < nv; ++v) {
-    __m256i partner[kFields];
-    __m256i hi;
-    if (stride == 16) {
-      for (unsigned f = 0; f < kFields; ++f) partner[f] = self[f][v ^ 1];
-      hi = (v == 0) ? zero : ones;
-    } else {
-      for (unsigned f = 0; f < kFields; ++f) {
-        partner[f] = partner_shuffle(self[f][v], stride);
-      }
-      hi = hi_lane_mask(stride);
-    }
-    __m256i a[kFields];
-    __m256i b[kFields];
-    for (unsigned f = 0; f < kFields; ++f) {
-      a[f] = blend(self[f][v], partner[f], hi);
-      b[f] = blend(partner[f], self[f][v], hi);
-    }
-    const __m256i aw = cascade(a, b, mode);
-    const __m256i desc = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(plan.desc + 16 * v));
-    // swap iff a_wins XNOR descending (winner to the lower lane; a
-    // descending comparator routes the winner up instead).
-    const __m256i swap =
-        _mm256_xor_si256(_mm256_xor_si256(aw, desc), ones);
-    for (unsigned f = 0; f < kFields; ++f) {
-      _mm256_store_si256(reinterpret_cast<__m256i*>(fields[f] + 16 * v),
-                         blend(self[f][v], partner[f], swap));
-    }
-    // Each swapped pair raises 4 mask bytes across the vectors (2 lanes x
-    // 2 bytes); same for pairs with a pending operand.
-    swap_bits += std::popcount(
-        static_cast<unsigned>(_mm256_movemask_epi8(swap)));
-    pend_bits += std::popcount(static_cast<unsigned>(_mm256_movemask_epi8(
-        _mm256_or_si256(self[kPd][v], partner[kPd]))));
-  }
-  st.swaps += swap_bits / 4;
-  st.pending_pairs += pend_bits / 4;
+  KernelStats st;
+  st.swaps = hsum_epi32(_mm256_madd_epi16(swap_acc, one16)) / 2;
+  st.pending_pairs = hsum_epi32(_mm256_madd_epi16(pend_acc, one16)) / 2;
+  return st;
 }
 
 }  // namespace ss::hw::simd::detail

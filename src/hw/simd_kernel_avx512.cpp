@@ -1,8 +1,9 @@
 // simd_kernel_avx512.cpp — the 32-lane AVX-512BW whole-plan kernel.
 //
 // Compiled with -mavx512f/-mavx512bw in its own translation unit;
-// callers reach it only through simd::run_passes after the runtime CPU
+// callers reach it only through simd::run_plan after the runtime CPU
 // check, so a host without AVX-512 never executes a byte of this file.
+// simd::fit() hands it only all-butterfly 32-slot plans.
 //
 // At 32 slots the entire lane file fits ONE zmm register per field, which
 // removes the two structural costs the AVX2 kernel pays:
@@ -15,10 +16,9 @@
 //     32-bit masks) rather than 256-bit blends, and the pair-canonical
 //     a_wins / tie / swap algebra runs on plain 32-bit integers.
 // The decision semantics are bit-identical to hw::decide() and to the
-// AVX2/SWAR kernels — same cascade order, same Serial<16> antipode
-// tie-break, same duplicate-id full-tie handling (see run_plan_avx2's
-// commentary; the differential campaigns referee all of them against the
-// scalar oracle).
+// AVX2 kernel — same cascade order, same Serial<16> antipode tie-break,
+// same duplicate-id full-tie handling (see run_plan_avx2's commentary;
+// the differential campaigns referee both against the scalar oracle).
 #include "hw/simd_kernel.hpp"
 
 #if defined(SS_HAVE_AVX512)
@@ -34,7 +34,7 @@ namespace {
 enum Field { kDl, kNu, kDe, kAr, kId, kPd, kFields };
 
 // Wrap-aware 16-bit less-than per lane, lower-raw-wins at the antipode —
-// the mask twin of Serial<16>::operator< and serial16_less_bf.
+// the mask twin of Serial<16>::operator<.
 inline __mmask32 serial_less16(__m512i a, __m512i b) {
   const __m512i d = _mm512_sub_epi16(b, a);
   const __m512i msb = _mm512_set1_epi16(static_cast<short>(0x8000u));
@@ -151,9 +151,9 @@ inline std::uint32_t mask_partner(std::uint32_t m, unsigned stride,
 // round-trip through the stack on every pass instead of staying in zmm
 // registers.
 template <ComparisonMode M, bool AllPend>
-void run_plan_impl(std::uint16_t* const fields[kFields],
-                   __m512i self[kFields], std::span<const PassPlan> plan,
-                   KernelStats& st) {
+KernelStats run_plan_impl(std::uint16_t* const fields[kFields],
+                          __m512i self[kFields],
+                          std::span<const PassPlan> plan) {
   constexpr std::array<bool, kFields> kRides = rides_for(M, AllPend);
   // kDwcsFull reads every attribute, so only non-DWCS modes carry
   // payload (AllPend excludes pend from both sets entirely).
@@ -229,18 +229,13 @@ void run_plan_impl(std::uint16_t* const fields[kFields],
     }
     _mm512_storeu_si512(fields[f], self[f]);
   }
-  st.swaps += swaps;
-  st.pending_pairs += pend_pairs;
+  return {swaps, pend_pairs};
 }
 
 }  // namespace
 
-bool run_plan_avx512(LaneRegs& r, unsigned n, std::span<const PassPlan> plan,
-                     ComparisonMode mode, KernelStats& st) {
-  if (n != 32) return false;
-  for (const PassPlan& pp : plan) {
-    if (!pp.butterfly || pp.stride > 16) return false;
-  }
+KernelStats run_plan_avx512(LaneRegs& r, std::span<const PassPlan> plan,
+                            ComparisonMode mode) {
   std::uint16_t* const fields[kFields] = {r.deadline, r.loss_num, r.loss_den,
                                           r.arrival,  r.id,       r.pend};
 
@@ -255,25 +250,22 @@ bool run_plan_avx512(LaneRegs& r, unsigned n, std::span<const PassPlan> plan,
 
   switch (mode) {
     case ComparisonMode::kDwcsFull:
-      all_pend ? run_plan_impl<ComparisonMode::kDwcsFull, true>(fields, self,
-                                                                plan, st)
-               : run_plan_impl<ComparisonMode::kDwcsFull, false>(fields, self,
-                                                                 plan, st);
-      break;
+      return all_pend ? run_plan_impl<ComparisonMode::kDwcsFull, true>(
+                            fields, self, plan)
+                      : run_plan_impl<ComparisonMode::kDwcsFull, false>(
+                            fields, self, plan);
     case ComparisonMode::kTagOnly:
-      all_pend ? run_plan_impl<ComparisonMode::kTagOnly, true>(fields, self,
-                                                               plan, st)
-               : run_plan_impl<ComparisonMode::kTagOnly, false>(fields, self,
-                                                                plan, st);
-      break;
+      return all_pend ? run_plan_impl<ComparisonMode::kTagOnly, true>(
+                            fields, self, plan)
+                      : run_plan_impl<ComparisonMode::kTagOnly, false>(
+                            fields, self, plan);
     case ComparisonMode::kStatic:
-      all_pend ? run_plan_impl<ComparisonMode::kStatic, true>(fields, self,
-                                                              plan, st)
-               : run_plan_impl<ComparisonMode::kStatic, false>(fields, self,
-                                                               plan, st);
-      break;
+      return all_pend ? run_plan_impl<ComparisonMode::kStatic, true>(
+                            fields, self, plan)
+                      : run_plan_impl<ComparisonMode::kStatic, false>(
+                            fields, self, plan);
   }
-  return true;
+  return {};
 }
 
 }  // namespace ss::hw::simd::detail

@@ -1,20 +1,22 @@
-// simd_kernel_test.cpp — the branch-free SoA/SIMD decision kernel.
+// simd_kernel_test.cpp — the branch-free SoA/SIMD decision kernels.
 //
 // Contracts pinned here:
 //  * pack()/unpack() round-trip across all 54 attribute bits, including
 //    the pending flag and the wrap-boundary deadline/arrival values, and
 //    the checked-contract behaviour for out-of-range slot IDs (assert in
 //    debug builds, saturate-to-top-slot in release);
-//  * pair_a_wins_swar() is bit-identical to the scalar oracle
-//    hw::decide() for every comparison mode, including the half-range
-//    antipode (deadline distance exactly 0x8000) and duplicate-id ties;
-//  * a ShuffleNetwork driven by each vector kernel (SWAR always; AVX2 /
-//    AVX-512 where the host supports them) produces the exact lane
-//    sequence, winner and swap count of the reference per-pair network,
-//    across every schedule, mode, slot count and pending mixture;
-//  * SS_SIMD token parsing and the dispatch/degradation rules.
+//  * a ShuffleNetwork driven by each vector kernel the host supports
+//    (AVX2, AVX-512) produces the exact lane sequence, winner and swap
+//    count of the reference per-pair network, across every schedule,
+//    mode, slot count and pending mixture — on random words, on
+//    antipodal deadline pairs (distance exactly 0x8000, both orders) and
+//    on duplicate-id lanes (the full-tie algebra);
+//  * SS_SIMD token parsing, the dispatch/degradation rules and the fit
+//    of one kernel per network.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "hw/decision_block.hpp"
@@ -90,74 +92,88 @@ TEST(PackRoundTrip, OutOfRangeIdIsChecked) {
 #endif
 }
 
-TEST(SwarPair, MatchesScalarOracleRandomized) {
-  Rng rng(0xBEEF);
-  for (const ComparisonMode mode : kModes) {
-    for (int t = 0; t < 50000; ++t) {
-      const AttrWord a = random_word(rng);
-      const AttrWord b = random_word(rng);
-      const DecisionResult r = decide(a, b, mode);
-      ASSERT_EQ(simd::pair_a_wins_swar(a, b, mode), r.a_wins)
-          << "mode " << static_cast<int>(mode) << " trial " << t;
-    }
-  }
-}
-
-TEST(SwarPair, AntipodalDeadlinePairs) {
-  // Deadline distance exactly 0x8000 in both directions: the lower raw
-  // value wins (the Serial<16> antipode rule) — enumerate the boundary.
-  for (const ComparisonMode mode :
-       {ComparisonMode::kDwcsFull, ComparisonMode::kTagOnly}) {
-    for (std::uint32_t raw = 0; raw < 0x10000; raw += 0x0FFB) {
-      AttrWord a, b;
-      a.deadline = Deadline{static_cast<std::uint16_t>(raw)};
-      b.deadline = Deadline{static_cast<std::uint16_t>(raw + 0x8000)};
-      a.arrival = b.arrival = Arrival{7};
-      a.loss_num = b.loss_num = 1;
-      a.loss_den = b.loss_den = 2;
-      a.id = 0;
-      b.id = 1;
-      a.pending = b.pending = true;
-      EXPECT_EQ(simd::pair_a_wins_swar(a, b, mode),
-                decide(a, b, mode).a_wins);
-      EXPECT_EQ(simd::pair_a_wins_swar(b, a, mode),
-                decide(b, a, mode).a_wins);
-    }
-  }
-}
-
-TEST(SwarPair, DuplicateIdFullTies) {
-  // Identical attribute words (including the id): the pair must report a
-  // stable verdict consistent with the oracle so a compare-exchange on a
-  // duplicated stream never oscillates.
-  Rng rng(0x1D1D);
-  for (const ComparisonMode mode : kModes) {
-    for (int t = 0; t < 2000; ++t) {
-      AttrWord a = random_word(rng);
-      AttrWord b = a;
-      EXPECT_EQ(simd::pair_a_wins_swar(a, b, mode),
-                decide(a, b, mode).a_wins);
-      // Same id, different attributes.
-      b = random_word(rng);
-      b.id = a.id;
-      EXPECT_EQ(simd::pair_a_wins_swar(a, b, mode),
-                decide(a, b, mode).a_wins);
-    }
-  }
-}
-
-// Kernels available on this host, beyond the reference comparator.
+// Vector kernels available on this host.
 std::vector<simd::KernelChoice> vector_kernels() {
-  std::vector<simd::KernelChoice> ks{simd::KernelChoice::kSwar};
+  std::vector<simd::KernelChoice> ks;
   if (simd::avx2_supported()) ks.push_back(simd::KernelChoice::kAvx2);
   if (simd::avx512_supported()) ks.push_back(simd::KernelChoice::kAvx512);
   return ks;
 }
 
+constexpr SortSchedule kSchedules[] = {SortSchedule::kPerfectShuffle,
+                                       SortSchedule::kBitonic,
+                                       SortSchedule::kOddEven};
+
+// The load families every kernel must route exactly like the referee.
+enum class Family {
+  kRandom,         // unique ids in lane order, every field adversarial
+  kAntipodal,      // deadlines D or D + 0x8000, every other field equal
+  kIdenticalWords, // each lane a copy of one of two words, id included
+  kSharedId,       // one id on every lane, random fields perturbed
+};
+
+std::vector<AttrWord> family_load(Family f, unsigned n, int trial,
+                                  Rng& rng) {
+  std::vector<AttrWord> words(n);
+  switch (f) {
+    case Family::kRandom:
+      for (unsigned i = 0; i < n; ++i) {
+        // Unique ids in lane order (the chip's LOAD contract); everything
+        // else adversarial, including all-idle loads.
+        words[i] = random_word(rng);
+        words[i].id = static_cast<SlotId>(i);
+      }
+      break;
+    case Family::kAntipodal: {
+      // Every comparison between a D lane and a D + 0x8000 lane reaches
+      // the Serial<16> antipode; which lanes carry the high half is
+      // random, so pairs meet in both orders.
+      AttrWord base = random_word(rng);
+      for (unsigned i = 0; i < n; ++i) {
+        words[i] = base;
+        words[i].id = static_cast<SlotId>(i);
+        if (rng.below(2) != 0) {
+          words[i].deadline = Deadline{static_cast<std::uint16_t>(
+              base.deadline.raw() + 0x8000u)};
+        }
+      }
+      break;
+    }
+    case Family::kIdenticalWords: {
+      const AttrWord w[2] = {random_word(rng), random_word(rng)};
+      for (unsigned i = 0; i < n; ++i) words[i] = w[rng.below(2)];
+      break;
+    }
+    case Family::kSharedId: {
+      // Same id, different attributes: each lane perturbs a random subset
+      // of the template's fields, so some pairs tie on exactly the
+      // fields a mode reads.
+      const AttrWord t = random_word(rng);
+      for (unsigned i = 0; i < n; ++i) {
+        const AttrWord r = random_word(rng);
+        words[i] = t;
+        if (rng.below(2) != 0) words[i].deadline = r.deadline;
+        if (rng.below(2) != 0) words[i].arrival = r.arrival;
+        if (rng.below(2) != 0) words[i].loss_num = r.loss_num;
+        if (rng.below(2) != 0) words[i].loss_den = r.loss_den;
+        if (rng.below(2) != 0) words[i].pending = r.pending;
+      }
+      break;
+    }
+  }
+  // Every 4th trial saturates the backlog: the all-pending
+  // specialization (pend lanes dropped from the pass loop) is the
+  // steady-state chip case but a (3/4)^32 longshot under random
+  // pendingness at n=32.
+  if (trial % 4 == 0) {
+    for (AttrWord& w : words) w.pending = true;
+  }
+  return words;
+}
+
 TEST(KernelEquivalence, LaneSequencesMatchReference) {
-  constexpr SortSchedule kSchedules[] = {SortSchedule::kPerfectShuffle,
-                                         SortSchedule::kBitonic,
-                                         SortSchedule::kOddEven};
+  constexpr Family kFamilies[] = {Family::kRandom, Family::kAntipodal,
+                                  Family::kIdenticalWords, Family::kSharedId};
   Rng rng(0xD1FF);
   for (const unsigned n : {2u, 4u, 8u, 16u, 32u}) {
     for (const SortSchedule sched : kSchedules) {
@@ -166,33 +182,35 @@ TEST(KernelEquivalence, LaneSequencesMatchReference) {
           ShuffleNetwork ref(n, sched, mode,
                              simd::KernelChoice::kReference);
           ShuffleNetwork vec(n, sched, mode, kc);
-          for (int trial = 0; trial < 40; ++trial) {
-            std::vector<AttrWord> words(n);
-            for (unsigned i = 0; i < n; ++i) {
-              // Unique ids in lane order (the chip's LOAD contract);
-              // everything else adversarial, including all-idle loads.
-              words[i] = random_word(rng);
-              words[i].id = static_cast<SlotId>(i);
-              // Every 4th trial saturates the backlog: the all-pending
-              // specialization (pend lanes dropped from the pass loop)
-              // is the steady-state chip case but a (3/4)^32 longshot
-              // under random pendingness at n=32.
-              if (trial % 4 == 0) words[i].pending = true;
-            }
-            ref.load(std::span<const AttrWord>(words));
-            vec.load(std::span<const AttrWord>(words));
-            ref.run_all();
-            vec.run_all();
-            ASSERT_EQ(ref.total_swaps(), vec.total_swaps())
-                << "n=" << n << " sched=" << static_cast<int>(sched)
-                << " mode=" << static_cast<int>(mode)
-                << " kernel=" << static_cast<int>(kc);
-            for (unsigned i = 0; i < n; ++i) {
-              ASSERT_EQ(ref.lanes()[i], vec.lanes()[i])
-                  << "lane " << i << " n=" << n
-                  << " sched=" << static_cast<int>(sched)
+          // Networks the fit hands to the referee would compare it with
+          // itself.
+          if (vec.kernel() == simd::Kernel::kReference) continue;
+          for (const Family fam : kFamilies) {
+            for (int trial = 0; trial < 100; ++trial) {
+              const std::vector<AttrWord> words =
+                  family_load(fam, n, trial, rng);
+              ref.load(std::span<const AttrWord>(words));
+              vec.load(std::span<const AttrWord>(words));
+              ref.run_all();
+              vec.run_all();
+              ASSERT_EQ(ref.total_swaps(), vec.total_swaps())
+                  << "n=" << n << " sched=" << static_cast<int>(sched)
                   << " mode=" << static_cast<int>(mode)
-                  << " kernel=" << static_cast<int>(kc);
+                  << " kernel=" << static_cast<int>(kc)
+                  << " family=" << static_cast<int>(fam);
+              ASSERT_EQ(ref.total_pending_comparisons(),
+                        vec.total_pending_comparisons())
+                  << "n=" << n << " family=" << static_cast<int>(fam);
+              const std::vector<AttrWord> want = ref.lanes();
+              const std::vector<AttrWord> got = vec.lanes();
+              for (unsigned i = 0; i < n; ++i) {
+                ASSERT_EQ(want[i], got[i])
+                    << "lane " << i << " n=" << n
+                    << " sched=" << static_cast<int>(sched)
+                    << " mode=" << static_cast<int>(mode)
+                    << " kernel=" << static_cast<int>(kc)
+                    << " family=" << static_cast<int>(fam);
+              }
             }
           }
         }
@@ -207,29 +225,37 @@ TEST(Dispatch, ParsesSsSimdTokens) {
   EXPECT_EQ(simd::parse_choice(""), KernelChoice::kAuto);
   EXPECT_EQ(simd::parse_choice("AUTO"), KernelChoice::kAuto);
   EXPECT_EQ(simd::parse_choice("auto"), KernelChoice::kAuto);
-  EXPECT_EQ(simd::parse_choice("OFF"), KernelChoice::kSwar);
-  EXPECT_EQ(simd::parse_choice("0"), KernelChoice::kSwar);
-  EXPECT_EQ(simd::parse_choice("swar"), KernelChoice::kSwar);
-  EXPECT_EQ(simd::parse_choice("Scalar"), KernelChoice::kSwar);
   EXPECT_EQ(simd::parse_choice("REF"), KernelChoice::kReference);
-  EXPECT_EQ(simd::parse_choice("reference"), KernelChoice::kReference);
-  EXPECT_EQ(simd::parse_choice("ON"), KernelChoice::kAvx2);
-  EXPECT_EQ(simd::parse_choice("1"), KernelChoice::kAvx2);
+  EXPECT_EQ(simd::parse_choice("ref"), KernelChoice::kReference);
   EXPECT_EQ(simd::parse_choice("avx2"), KernelChoice::kAvx2);
   EXPECT_EQ(simd::parse_choice("AVX512"), KernelChoice::kAvx512);
-  EXPECT_EQ(simd::parse_choice("bogus"), KernelChoice::kAuto);
+  EXPECT_EQ(simd::parse_choice("Avx512"), KernelChoice::kAvx512);
+  // Anything else fails loudly rather than running some other kernel.
+  for (const char* retired :
+       {"bogus", "OFF", "0", "swar", "Scalar", "ON", "1", "reference",
+        "AVX", "AVX5120", " REF"}) {
+    EXPECT_THROW((void)simd::parse_choice(retired), std::invalid_argument)
+        << retired;
+  }
+  try {
+    (void)simd::parse_choice("OFF");
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    for (const char* token : {"AUTO", "REF", "AVX2", "AVX512"}) {
+      EXPECT_NE(what.find(token), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Dispatch, ResolveRespectsHostSupport) {
   using simd::Kernel;
   using simd::KernelChoice;
   EXPECT_EQ(simd::resolve(KernelChoice::kReference), Kernel::kReference);
-  EXPECT_EQ(simd::resolve(KernelChoice::kSwar), Kernel::kSwar);
   // An explicit AVX2 request never upgrades to AVX-512 (differential legs
-  // pin the exact kernel); it degrades to SWAR off-host.
+  // pin the exact kernel); it degrades to the referee off-host.
   const Kernel avx2 = simd::resolve(KernelChoice::kAvx2);
   EXPECT_EQ(avx2,
-            simd::avx2_supported() ? Kernel::kAvx2 : Kernel::kSwar);
+            simd::avx2_supported() ? Kernel::kAvx2 : Kernel::kReference);
   // AUTO and AVX512 pick the widest supported tier.
   for (const KernelChoice c : {KernelChoice::kAuto, KernelChoice::kAvx512}) {
     const Kernel k = simd::resolve(c);
@@ -238,8 +264,49 @@ TEST(Dispatch, ResolveRespectsHostSupport) {
     } else if (simd::avx2_supported()) {
       EXPECT_EQ(k, Kernel::kAvx2);
     } else {
-      EXPECT_EQ(k, Kernel::kSwar);
+      EXPECT_EQ(k, Kernel::kReference);
     }
+  }
+}
+
+// kernel() names the code that runs: each network is fitted once, from
+// the CPU, the slot count and the schedule.
+TEST(Dispatch, NetworkFitsItsKernel) {
+  using simd::Kernel;
+  using simd::KernelChoice;
+  const auto kernel_of = [](unsigned n, SortSchedule s, KernelChoice c) {
+    return ShuffleNetwork(n, s, ComparisonMode::kDwcsFull, c).kernel();
+  };
+  constexpr KernelChoice kChoices[] = {KernelChoice::kAuto,
+                                       KernelChoice::kReference,
+                                       KernelChoice::kAvx2,
+                                       KernelChoice::kAvx512};
+  for (const KernelChoice c : kChoices) {
+    for (const SortSchedule s : kSchedules) {
+      for (const unsigned n : {2u, 4u, 8u}) {
+        EXPECT_EQ(kernel_of(n, s, c), Kernel::kReference)
+            << "n=" << n << " sched=" << static_cast<int>(s);
+      }
+    }
+    for (const unsigned n : {16u, 32u}) {
+      EXPECT_EQ(kernel_of(n, SortSchedule::kOddEven, c), Kernel::kReference)
+          << "odd-even n=" << n;
+    }
+  }
+  const Kernel avx2 =
+      simd::avx2_supported() ? Kernel::kAvx2 : Kernel::kReference;
+  const Kernel widest = simd::avx512_supported() ? Kernel::kAvx512 : avx2;
+  // kAuto follows SS_SIMD, which the CI legs pin.
+  const Kernel dflt = simd::default_kernel();
+  for (const SortSchedule s :
+       {SortSchedule::kPerfectShuffle, SortSchedule::kBitonic}) {
+    EXPECT_EQ(kernel_of(16, s, KernelChoice::kAvx2), avx2);
+    EXPECT_EQ(kernel_of(16, s, KernelChoice::kAvx512), avx2);
+    EXPECT_EQ(kernel_of(16, s, KernelChoice::kAuto),
+              dflt == Kernel::kReference ? Kernel::kReference : avx2);
+    EXPECT_EQ(kernel_of(32, s, KernelChoice::kAvx2), avx2);
+    EXPECT_EQ(kernel_of(32, s, KernelChoice::kAvx512), widest);
+    EXPECT_EQ(kernel_of(32, s, KernelChoice::kAuto), dflt);
   }
 }
 

@@ -67,6 +67,21 @@ TEST(ThreadedEndsystem, TinyRingsForceBackpressureNotLoss) {
   EXPECT_GT(rep.producer_full_stalls, 0u);    // but the producer did wait
 }
 
+TEST(ThreadedEndsystem, PendingReloadsKeepOneEntryPerStream) {
+  // 10,000 requests posted before run() commit as one reload per stream:
+  // a newer request supersedes the pending one instead of queueing.
+  ThreadedEndsystem es(cfg(8));
+  for (unsigned i = 0; i < 8; ++i) es.add_stream(fair(1.0));
+  for (unsigned k = 0; k < 10000; ++k) {
+    es.request_reload(k % 8, fair(1.0 + static_cast<double>(k % 5)));
+  }
+  const auto rep = es.run(500);
+  EXPECT_EQ(rep.reloads_applied, 8u);
+  EXPECT_EQ(rep.frames_produced, 8u * 500u);
+  EXPECT_EQ(rep.frames_transmitted, rep.frames_produced);
+  for (const auto v : rep.per_stream_tx) EXPECT_EQ(v, 500u);
+}
+
 TEST(ThreadedEndsystem, RepeatedRunsAreStable) {
   for (int round = 0; round < 3; ++round) {
     ThreadedEndsystem es(cfg(2));
