@@ -6,8 +6,11 @@
 // keeps the best pps of each leg: the max estimates unthrottled
 // capability, which is what a ratio between legs is about.
 //
-//   * the default SIMD decision kernel against KernelChoice::kReference
-//     (block mode, depth 1, 32 streams);
+//   * the default decision path against KernelChoice::kReference (block
+//     mode, depth 1, 32 tag-only streams, bitonic): the vector kernel
+//     and, where it applies, block reuse, which re-places the dirty
+//     slots in the previous sort instead of running the passes
+//     (DESIGN.md §12), against the per-pair referee;
 //   * observability attached against detached (block mode, depth 4, 16
 //     streams): the metrics registry, the production audit plane, the
 //     sampled audit session alone, and the stage profiler;

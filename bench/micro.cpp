@@ -1,11 +1,15 @@
 // micro — google-benchmark microbenchmarks of the hot paths: the Decision
 // block's combinational ordering, network passes, full chip decision
 // cycles (WR and BA across slot counts), SPSC ring ops, the software
-// disciplines' per-packet cost, and the DWCS software reference decision.
+// disciplines' per-packet cost, the DWCS software reference decision, and
+// the chip against that oracle on one stream set (BM_Backlog32*).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "dwcs/modes.hpp"
 #include "dwcs/reference_scheduler.hpp"
 #include "fabric/crossbar.hpp"
 #include "hw/scheduler_chip.hpp"
@@ -198,6 +202,92 @@ void BM_DwcsReferenceDecision(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DwcsReferenceDecision)->Arg(4)->Arg(16)->Arg(32);
+
+// The backlog32 stream set of perfbench's workloads of record: 32
+// fair-share streams of weights 1-4 in slot order, 100 frames per unit of
+// weight, all queued at t=0, tag-only comparisons.  The chip (bitonic
+// schedule, allocation-free decision API) and the software oracle drain
+// the identical set, so the pair compares the two schedulers like for
+// like.  One iteration drains the whole set outside the set-up; items are
+// committed decision cycles.  The argument is the BA batch depth (1, 0 =
+// the whole block, 4).
+struct Backlog32 {
+  std::vector<dwcs::StreamRequirement> reqs;
+  std::vector<std::uint32_t> periods;
+  std::vector<std::uint64_t> frames;
+
+  Backlog32() {
+    for (unsigned i = 0; i < 32; ++i) {
+      dwcs::StreamRequirement r;
+      r.kind = dwcs::RequirementKind::kFairShare;
+      r.weight = 1.0 + static_cast<double>(i % 4);
+      r.droppable = false;
+      reqs.push_back(r);
+      frames.push_back(100 * (1 + i % 4));
+    }
+    periods = dwcs::fair_share_periods(reqs);
+  }
+};
+
+void BM_Backlog32Chip(benchmark::State& state) {
+  const Backlog32 set;
+  hw::ChipConfig cfg;
+  cfg.slots = 32;
+  cfg.cmp_mode = hw::ComparisonMode::kTagOnly;
+  cfg.schedule = hw::SortSchedule::kBitonic;
+  cfg.block_mode = true;
+  cfg.batch_depth = static_cast<unsigned>(state.range(0));
+  hw::DecisionOutcome out;
+  std::uint64_t decisions = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    hw::SchedulerChip chip(cfg);
+    for (unsigned i = 0; i < 32; ++i) {
+      const auto s = static_cast<hw::SlotId>(i);
+      chip.load_slot(s, dwcs::to_slot_config(set.reqs[i], set.periods[i]));
+      for (std::uint64_t f = 0; f < set.frames[i]; ++f) {
+        chip.push_request(s, hw::Arrival{0});
+      }
+    }
+    state.ResumeTiming();
+    for (;;) {
+      chip.run_decision_cycle(out);
+      benchmark::DoNotOptimize(out);
+      if (out.idle) break;
+      ++decisions;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(decisions));
+}
+BENCHMARK(BM_Backlog32Chip)->Arg(1)->Arg(0)->Arg(4);
+
+void BM_Backlog32Oracle(benchmark::State& state) {
+  const Backlog32 set;
+  dwcs::ReferenceScheduler::Options opt;
+  opt.block_mode = true;
+  opt.edf_comparison = true;
+  opt.batch_depth = static_cast<unsigned>(state.range(0));
+  std::uint64_t decisions = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    dwcs::ReferenceScheduler sched(opt);
+    for (unsigned i = 0; i < 32; ++i) {
+      sched.add_stream(dwcs::to_stream_spec(set.reqs[i], set.periods[i]));
+      for (std::uint64_t f = 0; f < set.frames[i]; ++f) {
+        sched.push_request(i, 0);
+      }
+    }
+    state.ResumeTiming();
+    for (;;) {
+      const dwcs::SwDecision d = sched.run_decision_cycle();
+      benchmark::DoNotOptimize(d);
+      if (d.idle) break;
+      ++decisions;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(decisions));
+}
+BENCHMARK(BM_Backlog32Oracle)->Arg(1)->Arg(0)->Arg(4);
 
 }  // namespace
 

@@ -34,6 +34,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -361,5 +362,12 @@ int main(int argc, char** argv) {
   if (!args.obs.profile_out.empty() || args.obs.watchdog) return usage();
   // --trace-out is the executor's chip trace, not a frame-lifecycle trace.
   args.chip_trace = std::exchange(args.obs.trace_out, {});
-  return args.replay.empty() ? fuzz_mode(args) : replay_mode(args);
+  // A setting the program refuses (a bad SS_SIMD value, say) stops it the
+  // way a bad flag does: a message on stderr and exit 2.
+  try {
+    return args.replay.empty() ? fuzz_mode(args) : replay_mode(args);
+  } catch (const std::exception& e) {
+    std::cerr << "fuzz_ss: " << e.what() << "\n";
+    return 2;
+  }
 }

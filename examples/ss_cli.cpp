@@ -9,6 +9,7 @@
 //
 // Run without arguments for a demonstration of the subcommands.
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -276,9 +277,7 @@ int cmd_report(const ss::telemetry::ReportInputs& in) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int dispatch(int argc, char** argv) {
   if (argc < 2) {
     // Demonstration mode: one of everything.
     std::puts("== ss_cli demo (run with a subcommand for real use) ==\n");
@@ -324,4 +323,17 @@ int main(int argc, char** argv) {
   }
   usage();
   return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A setting the program refuses (a bad SS_SIMD value, say) stops it the
+  // way a bad flag does: a message on stderr and exit 2.
+  try {
+    return dispatch(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "ss_cli: " << e.what() << "\n";
+    return 2;
+  }
 }

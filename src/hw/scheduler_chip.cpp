@@ -124,15 +124,17 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
   // LOAD: Register Base block s drives network input s.  The slot-ordered
   // bus copy refreshes only the rows whose attribute bus changed since
   // the last LOAD, then goes onto the lane file whole, so every decision
-  // starts from slot order whatever the previous one sorted.
-  for (std::uint32_t m = dirty_mask_; m != 0; m &= m - 1) {
+  // starts from slot order whatever the previous one sorted — unless
+  // SCHEDULE below re-places exactly those rows, with the same result.
+  const std::uint32_t published = dirty_mask_;
+  for (std::uint32_t m = published; m != 0; m &= m - 1) {
     const auto s = static_cast<unsigned>(std::countr_zero(m));
     slots_[s].publish_lanes(bus_, s);
   }
   dirty_mask_ = 0;
-  network_.lane_file() = bus_;
-  network_.load_lanes(pend_mask);
-  if (tracer_) trace.loaded = network_.lanes();
+  if (tracer_) {
+    for (unsigned s = 0; s < n; ++s) trace.loaded.push_back(bus_.get(s));
+  }
 
   // Sampling gate, decided before the SCHEDULE passes so the comparison
   // hot path already knows whether this decision carries full provenance.
@@ -140,17 +142,25 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
   if (audit_ != nullptr) audit_sampled = audit_->begin_decision();
   network_.set_audit_live(audit_sampled);
 
-  // SCHEDULE: log2(N) (or schedule-specific) network passes.
-  const std::uint64_t swaps_before = network_.total_swaps();
+  // SCHEDULE: log2(N) (or schedule-specific) network passes — or, where
+  // the previous decision's sort provably still orders every clean slot,
+  // its re-place of the published rows, which leaves the same lane file
+  // (block reuse, DESIGN.md §12).  The control unit charges every pass
+  // either way.
   const std::uint64_t cmps_before = network_.total_comparisons();
   const std::uint64_t pend_before = network_.total_pending_comparisons();
+  bool reused = false;
   {
     SS_PROF(profiler_, telemetry::ProfStage::kShufflePasses);
-    network_.run_all();
+    reused = network_.replace(bus_, pend_mask, published);
+    if (!reused) {
+      network_.load_lanes(bus_, pend_mask);
+      network_.run_all();
+    }
   }
   if (metrics_) {
     metrics_->net_passes->add(network_.passes_executed());
-    metrics_->net_swaps->add(network_.total_swaps() - swaps_before);
+    metrics_->net_reuses->add(reused ? 1 : 0);
     metrics_->net_comparisons->add(network_.total_comparisons() - cmps_before);
   }
 

@@ -183,10 +183,11 @@ class SchedulerChip {
   /// chip_decision / shuffle_passes stages.
   void attach_profiler(telemetry::Profiler* p) { profiler_ = p; }
 
-  /// Switching-activity proxy: compare-exchange swaps executed by the
-  /// network so far (BA vs WR dynamic-power comparison).
-  [[nodiscard]] std::uint64_t network_swaps() const {
-    return network_.total_swaps();
+  /// Decision cycles whose SCHEDULE step re-placed the dirty slots in the
+  /// previous decision's sort instead of running the network passes
+  /// (block reuse: same lane file, same grants, same modeled cycles).
+  [[nodiscard]] std::uint64_t reused_decisions() const {
+    return network_.total_reuses();
   }
   [[nodiscard]] std::uint64_t network_comparisons() const {
     return network_.total_comparisons();
@@ -207,8 +208,9 @@ class SchedulerChip {
   /// Slot-ordered copy of the Register Base blocks' attribute buses (row
   /// s = slot s), refreshed only for dirty slots.  LOAD drives it whole
   /// onto the network's lane file, so block i feeds network input i at
-  /// every decision, and PRIORITY_UPDATE runs every block's expiry
-  /// comparator in one sweep over its deadline row.
+  /// every decision (or the network re-places its refreshed rows), and
+  /// PRIORITY_UPDATE runs every block's expiry comparator in one sweep
+  /// over its deadline row.
   simd::LaneRegs bus_;
   /// Chip-level mirrors of per-slot state, maintained at the mutation call
   /// sites (every Register Base mutation flows through a SchedulerChip

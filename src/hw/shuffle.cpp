@@ -1,6 +1,7 @@
 #include "hw/shuffle.hpp"
 
 #include <array>
+#include <bit>
 #include <cassert>
 
 #include "telemetry/audit.hpp"
@@ -76,6 +77,9 @@ ShuffleNetwork::ShuffleNetwork(unsigned slots, SortSchedule schedule,
                           ? simd::default_kernel()
                           : simd::resolve(kernel),
                       slots_, plan_);
+  sorts_ = schedule != SortSchedule::kPerfectShuffle;
+  reusable_ = kernel_ == simd::Kernel::kAvx512 && sorts_ &&
+              mode_ == ComparisonMode::kTagOnly;
 }
 
 void ShuffleNetwork::build_schedule(SortSchedule s) {
@@ -133,6 +137,14 @@ void ShuffleNetwork::build_schedule(SortSchedule s) {
   total_passes_ = static_cast<unsigned>(plan_.size());
 }
 
+void ShuffleNetwork::seal(std::uint32_t pending_mask) {
+  const std::uint32_t full = 0xFFFFFFFFu >> (32 - slots_);
+  all_pending_ = (pending_mask & full) == full;
+  pending_lanes_ = static_cast<unsigned>(std::popcount(pending_mask & full));
+  pass_ = 0;
+  sorted_ = false;
+}
+
 void ShuffleNetwork::load(std::span<const AttrWord> words) {
   assert(words.size() == slots_);
   std::uint32_t pending = 0;
@@ -140,7 +152,32 @@ void ShuffleNetwork::load(std::span<const AttrWord> words) {
     regs_.set(i, words[i]);
     pending |= static_cast<std::uint32_t>(words[i].pending) << i;
   }
-  load_lanes(pending);
+  seal(pending);
+}
+
+void ShuffleNetwork::load_lanes(const simd::LaneRegs& bus,
+                                std::uint32_t pending_mask) {
+  regs_ = bus;
+  seal(pending_mask);
+}
+
+bool ShuffleNetwork::replace(const simd::LaneRegs& bus,
+                             std::uint32_t pending_mask,
+                             std::uint32_t dirty) {
+  // The AVX-512 kernel is only fitted at 32 slots, so "every lane pends"
+  // is a full 32-bit mask.
+  if (!reusable_ || !sorted_ || audit_live_ || !all_pending_ ||
+      pending_mask != 0xFFFFFFFFu ||
+      !simd::replace_dirty(regs_, bus, dirty)) {
+    return false;
+  }
+  // Every lane pends, so every comparison of the skipped passes has a
+  // pending operand.
+  total_comparisons_ += total_pairs_;
+  pending_comparisons_ += total_pairs_;
+  pass_ = total_passes_;
+  ++reuses_;
+  return true;
 }
 
 std::vector<AttrWord> ShuffleNetwork::lanes() const {
@@ -150,6 +187,10 @@ std::vector<AttrWord> ShuffleNetwork::lanes() const {
 }
 
 void ShuffleNetwork::block_ids(std::vector<SlotId>& out) const {
+  if (sorts_ && done()) {
+    out.insert(out.end(), regs_.id, regs_.id + pending_lanes_);
+    return;
+  }
   // Branchless compaction: append every lane's id, advance the cursor
   // only past pending ones, then trim.  No per-push capacity check and
   // no data-dependent branch in the loop.
@@ -206,6 +247,7 @@ unsigned ShuffleNetwork::run_reference(unsigned passes) {
 
 unsigned ShuffleNetwork::step() {
   assert(pass_ < total_passes_);
+  sorted_ = false;
   return run_reference(1);
 }
 
@@ -218,16 +260,18 @@ void ShuffleNetwork::run_all() {
   // per-pair provenance the vector kernel does not produce; sampled
   // decisions therefore recirculate through the reference comparators,
   // on the same lane file.
-  if (kernel_ != simd::Kernel::kReference && pass_ == 0 && !audit_live_) {
+  const bool whole = pass_ == 0;
+  if (kernel_ != simd::Kernel::kReference && whole && !audit_live_) {
     const simd::KernelStats st =
         simd::run_plan(regs_, slots_, plan_, mode_, kernel_);
     total_swaps_ += st.swaps;
     total_comparisons_ += total_pairs_;
     pending_comparisons_ += st.pending_pairs;
     pass_ = total_passes_;
-    return;
+  } else {
+    run_reference(total_passes_ - pass_);
   }
-  run_reference(total_passes_ - pass_);
+  sorted_ = whole && sorts_;
 }
 
 void ShuffleNetwork::reset() { pass_ = 0; }

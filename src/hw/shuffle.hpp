@@ -24,7 +24,10 @@
 // Because the paper's schedule only finds the maximum, the order of a BA
 // block below lane 0 depends on which lanes each pass paired, so LOAD
 // order is part of the semantics: Register Base block i drives lane i at
-// every LOAD, whatever the previous decision sorted.
+// every LOAD, whatever the previous decision sorted.  A fully sorting
+// schedule over a strict total order is the exception: its output is the
+// unique sorted permutation, which is what lets replace() reuse the
+// previous decision's sort (DESIGN.md §12, "Block reuse").
 #pragma once
 
 #include <cstdint>
@@ -71,23 +74,35 @@ class ShuffleNetwork {
   /// seal the decision.
   void load(std::span<const AttrWord> words);
 
-  /// Direct-store LOAD path: the chip copies its slot-ordered attribute
-  /// buses straight into this lane file, then seals the decision with
-  /// load_lanes().
-  [[nodiscard]] simd::LaneRegs& lane_file() { return regs_; }
+  /// The chip's LOAD: copy its slot-ordered attribute buses (row i = slot
+  /// i) onto the lane file and seal the decision.  `pending_mask` holds
+  /// the per-lane pending bits (bit i == lane i backlogged).
+  void load_lanes(const simd::LaneRegs& bus, std::uint32_t pending_mask);
 
-  /// Seal a lane_file() publish.  `pending_mask` holds the accumulated
-  /// per-lane pending bits (bit i == lane i backlogged).
-  void load_lanes(std::uint32_t pending_mask) {
-    const std::uint32_t full = 0xFFFFFFFFu >> (32 - slots_);
-    all_pending_ = (pending_mask & full) == full;
-    pass_ = 0;
-  }
+  /// Block reuse: complete this decision cycle without a LOAD or a pass,
+  /// by re-placing the `dirty` rows of `bus` in the lane file's previous
+  /// sort (simd::replace_dirty).  Taken only when the lane file holds the
+  /// full sort of an earlier load_lanes(bus, ...) with every row outside
+  /// `dirty` unchanged since — the caller's guarantee — and:
+  ///   * the fitted kernel is AVX-512 and the schedule fully sorts (32
+  ///     slots, bitonic), and the comparator is kTagOnly;
+  ///   * the sort was a whole-decision run_all() or a re-place, with no
+  ///     load(), step() or load_lanes() since;
+  ///   * every lane pended at that LOAD and pends in `pending_mask`;
+  ///   * no live audit hook (sampled decisions keep per-comparison
+  ///     provenance);
+  ///   * simd::replace_dirty's own conditions hold (at most
+  ///     simd::kMaxReplaced dirty rows, one serial half-window).
+  /// The lane file then equals what load_lanes(bus, pending_mask) plus
+  /// run_all() would leave, and the comparison counters advance exactly
+  /// as run_all() would advance them; total_swaps() does not.  Returns
+  /// false, changing nothing, otherwise.
+  [[nodiscard]] bool replace(const simd::LaneRegs& bus,
+                             std::uint32_t pending_mask, std::uint32_t dirty);
 
   /// Run one pass (one hardware cycle of the SCHEDULE state) on the
   /// reference comparators.  Returns the number of decision blocks that
-  /// swapped their operands this pass (used by tests and by the
-  /// activity-based power proxy in the area model).
+  /// swapped their operands this pass.
   unsigned step();
 
   /// Run all remaining passes of the decision cycle.
@@ -115,7 +130,11 @@ class ShuffleNetwork {
   }
 
   /// Append the IDs of the backlogged lanes in lane order (the BA grant
-  /// *block*), read straight from the lane file.
+  /// *block*), read straight from the lane file.  After a full decision
+  /// on a fully sorting schedule the backlogged lanes are a prefix: the
+  /// pending-only rule overrides every other rule, so projected onto the
+  /// pending bit the network sorts a 0-1 sequence.  The block is then a
+  /// copy of that prefix; the perfect-shuffle schedule compacts per lane.
   void block_ids(std::vector<SlotId>& out) const;
 
   /// The pairings used for a given pass (exposed for the steering-logic
@@ -124,14 +143,15 @@ class ShuffleNetwork {
     return plan_[pass].pairs;
   }
 
-  /// Cumulative compare-exchange swaps (lane buses that toggled).  A
-  /// proxy for dynamic switching activity: the BA configuration routes
-  /// loser buses too, so its activity per decision exceeds WR's — the
-  /// power side of the paper's area/clock tradeoff.
+  /// Cumulative compare-exchange swaps (lane buses that toggled) over the
+  /// passes actually run; a re-placed decision runs none.
   [[nodiscard]] std::uint64_t total_swaps() const { return total_swaps_; }
   [[nodiscard]] std::uint64_t total_comparisons() const {
     return total_comparisons_;
   }
+
+  /// Decision cycles completed by replace() instead of the passes.
+  [[nodiscard]] std::uint64_t total_reuses() const { return reuses_; }
 
   /// Comparisons whose operands included at least one pending stream —
   /// the exact denominator of the audit plane (counted unconditionally
@@ -171,6 +191,9 @@ class ShuffleNetwork {
 
  private:
   void build_schedule(SortSchedule s);
+  /// Seal a LOAD: record its pending bits and restart the pass counter.
+  /// The lane file no longer holds a sort.
+  void seal(std::uint32_t pending_mask);
   /// Run `passes` passes on the reference comparators: gather the lane
   /// file into AttrWords once, step them through hw::decide(), scatter
   /// once.  Returns the swaps of those passes.
@@ -185,7 +208,14 @@ class ShuffleNetwork {
   std::uint64_t total_comparisons_ = 0;
   std::uint64_t pending_comparisons_ = 0;
   std::uint64_t total_pairs_ = 0;  ///< comparisons per full decision cycle
+  std::uint64_t reuses_ = 0;
+  unsigned pending_lanes_ = 0;  ///< backlogged lanes at the last LOAD
   bool all_pending_ = false;  ///< every loaded lane backlogged (pass-invariant)
+  bool sorts_ = false;      ///< the schedule fully sorts (not perfect shuffle)
+  bool reusable_ = false;   ///< replace() may run: AVX-512, sorting, kTagOnly
+  /// The lane file holds the full sort of the last LOAD: set only by a
+  /// whole-decision run_all() on a sorting schedule or by replace().
+  bool sorted_ = false;
   bool audit_live_ = false;   ///< per-decision comparison-callback gate
   std::vector<simd::PassPlan> plan_;  ///< the schedule, one entry per pass
   simd::LaneRegs regs_;               ///< the lane file

@@ -24,6 +24,8 @@ KernelStats run_plan_avx2(LaneRegs& regs, unsigned n,
 // Implemented in simd_kernel_avx512.cpp.
 KernelStats run_plan_avx512(LaneRegs& regs, std::span<const PassPlan> plan,
                             ComparisonMode mode);
+bool replace_dirty_avx512(LaneRegs& sorted, const LaneRegs& bus,
+                          std::uint32_t dirty);
 #endif
 }  // namespace detail
 
@@ -119,6 +121,19 @@ KernelStats run_plan(LaneRegs& regs, unsigned n,
   (void)mode;
   (void)k;
   return {};
+#endif
+}
+
+bool replace_dirty(LaneRegs& sorted, const LaneRegs& bus,
+                   std::uint32_t dirty) {
+#if defined(SS_HAVE_AVX512)
+  assert(avx512_supported());
+  return detail::replace_dirty_avx512(sorted, bus, dirty);
+#else
+  (void)sorted;
+  (void)bus;
+  (void)dirty;
+  return false;
 #endif
 }
 

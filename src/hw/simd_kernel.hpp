@@ -21,7 +21,9 @@
 //     selected only when the CPU reports AVX2 at runtime.
 // kReference is the per-pair hw::decide() path: the differential referee,
 // what SS_SIMD=REF forces, and the kernel of every network no vector
-// kernel covers.  fit() picks one kernel per network, once.
+// kernel covers.  fit() picks one kernel per network, once.  The AVX-512
+// kernel also carries block reuse (replace_dirty): re-placing a few
+// changed rows in the previous sort instead of running the plan.
 //
 // Runtime selection: SS_SIMD environment variable (case-insensitive) —
 //   unset / empty / AUTO -> widest kernel this binary AND CPU support
@@ -146,5 +148,27 @@ struct KernelStats {
 KernelStats run_plan(LaneRegs& regs, unsigned n,
                      std::span<const PassPlan> plan, ComparisonMode mode,
                      Kernel k);
+
+/// Most dirty slots a block-reuse re-place takes.  Each one costs a
+/// broadcast cascade compare: measured on a 4-vCPU AVX-512BW Xeon, the
+/// re-place took about 25 ns plus 9-12 ns per dirty slot, against
+/// 260-300 ns for LOAD plus the 15 bitonic passes, crossing over near 24
+/// dirty slots (DESIGN.md §12, "Block reuse").  16 keeps a margin below
+/// it.
+inline constexpr unsigned kMaxReplaced = 16;
+
+/// Block reuse on the 32-slot AVX-512 kernel, kTagOnly only.  `sorted`
+/// holds the full sort of an earlier LOAD of `bus` (a slot-ordered lane
+/// file, row s = slot s) and every row outside `dirty` is unchanged since
+/// that LOAD.  Removes the dirty slots' lanes and inserts their new rows
+/// at their ranks among all current words, leaving in `sorted` exactly
+/// what a sorting network run on `bus` would.  Returns false, `sorted`
+/// untouched, unless that is provably so: at most kMaxReplaced dirty
+/// slots, row s of `bus` carries id s, every dirty slot sits in exactly
+/// one lane of `sorted`, and every deadline and arrival stamp of `sorted`
+/// and `bus` lies in one serial half-window.  The caller guarantees that
+/// every lane pends in both.
+[[nodiscard]] bool replace_dirty(LaneRegs& sorted, const LaneRegs& bus,
+                                 std::uint32_t dirty);
 
 }  // namespace ss::hw::simd

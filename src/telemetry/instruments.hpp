@@ -18,7 +18,7 @@
 namespace ss::telemetry {
 
 /// hw::SchedulerChip — decisions, grants/drops, FSM phase cycles, shuffle
-/// network activity.
+/// network activity and block reuse.
 struct ChipMetrics {
   Counter* decisions = nullptr;       ///< chip.decision_cycles
   Counter* idle_decisions = nullptr;  ///< chip.idle_decision_cycles
@@ -31,7 +31,7 @@ struct ChipMetrics {
   Counter* update_cycles = nullptr;   ///< chip.phase.update_cycles
   Counter* output_cycles = nullptr;   ///< chip.phase.output_cycles
   Counter* net_passes = nullptr;      ///< chip.network.passes
-  Counter* net_swaps = nullptr;       ///< chip.network.swaps
+  Counter* net_reuses = nullptr;      ///< chip.network.reuses
   Counter* net_comparisons = nullptr; ///< chip.network.comparisons
   Histogram* block_size = nullptr;    ///< chip.block_size (pending lanes)
 
@@ -57,8 +57,9 @@ struct ChipMetrics {
         &reg.counter("chip.phase.output_cycles", "FSM OUTPUT phase cycles");
     m.net_passes =
         &reg.counter("chip.network.passes", "shuffle network passes run");
-    m.net_swaps = &reg.counter("chip.network.swaps",
-                               "compare-exchange swaps executed");
+    m.net_reuses = &reg.counter("chip.network.reuses",
+                                "decision cycles that re-placed dirty "
+                                "lanes in the previous sort");
     m.net_comparisons = &reg.counter("chip.network.comparisons",
                                      "comparator evaluations executed");
     m.block_size = &reg.histogram("chip.block_size", 0.0, 33.0, 33, false,

@@ -39,6 +39,15 @@ int run_in(const std::string& dir, const std::string& cmd) {
   return WEXITSTATUS(rc);
 }
 
+/// As run_in, with stderr captured in `dir`/stderr.txt as well.
+int run_in_keeping_stderr(const std::string& dir, const std::string& cmd) {
+  const std::string full =
+      "cd '" + dir + "' && " + cmd + " >stdout.txt 2>stderr.txt";
+  const int rc = std::system(full.c_str());
+  if (rc == -1 || !WIFEXITED(rc)) return -1;
+  return WEXITSTATUS(rc);
+}
+
 std::string read_text(const std::string& path) {
   std::ifstream in(path);
   std::stringstream ss;
@@ -219,6 +228,21 @@ TEST_F(CliSurface, FlagsThatWouldDoNothingExitTwo) {
 
   EXPECT_EQ(run_in(dir_, std::string(QUICKSTART_BINARY) + " --watchdog"), 2);
   EXPECT_EQ(run_in(dir_, std::string(QUICKSTART_BINARY)), 0);
+}
+
+// An SS_SIMD value the kernel dispatch refuses stops both CLIs like a bad
+// flag: exit 2 and a message naming the accepted values, not an uncaught
+// exception.
+TEST_F(CliSurface, BadSimdSettingExitsTwoNamingTheAcceptedValues) {
+  for (const std::string& cmd :
+       {std::string(SS_CLI_BINARY) + " run 4 10",
+        std::string(FUZZ_SS_BINARY) + " --seed 1 --scenarios 1 --events 10"}) {
+    EXPECT_EQ(run_in_keeping_stderr(dir_, "SS_SIMD=OFF " + cmd), 2) << cmd;
+    const std::string err = read_text(dir_ + "/stderr.txt");
+    for (const char* token : {"AUTO", "REF", "AVX2", "AVX512"}) {
+      EXPECT_NE(err.find(token), std::string::npos) << cmd << ": " << err;
+    }
+  }
 }
 
 }  // namespace
