@@ -34,9 +34,6 @@ class AggregationManager {
   /// aggregation handle (index).
   std::uint32_t bind_slot(const std::vector<StreamletSet>& sets);
 
-  [[nodiscard]] std::uint32_t slot_count() const {
-    return static_cast<std::uint32_t>(slots_.size());
-  }
   [[nodiscard]] std::uint32_t streamlet_count(std::uint32_t slot) const;
 
   /// The FPGA granted `slot` one frame: choose which streamlet transmits.

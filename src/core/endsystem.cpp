@@ -24,8 +24,7 @@ constexpr std::uint64_t kChunkFrames = 4096;
 Endsystem::Endsystem(const EndsystemConfig& cfg)
     : Pipeline(cfg, cfg.ref_frame_bytes),
       cfg_(cfg),
-      pci_(cfg.pci),
-      bank_(1 << 16, Nanos{2000}) {
+      pci_(cfg.pci) {
   pci_.attach_faults(fault_plan_.get());
 }
 
@@ -46,15 +45,8 @@ void Endsystem::finalize_admission() {
   monitor_->set_delay_histogram(cfg_.delay_histogram);
   if (cfg_.metrics) {
     pci_metrics_ = telemetry::PciMetrics::create(*cfg_.metrics);
-    sram_metrics_ = telemetry::SramMetrics::create(*cfg_.metrics);
     pci_.attach_metrics(&pci_metrics_);
-    bank_.attach_metrics(&sram_metrics_);
     if (cfg_.frame_trace) cfg_.frame_trace->bind_registry(*cfg_.metrics);
-  }
-  if (cfg_.use_streaming_unit) {
-    streaming_ = std::make_unique<hw::StreamingUnit>(
-        cfg_.streaming, pci_, bank_,
-        static_cast<std::uint32_t>(streams_.size()));
   }
   admitted_ = true;
 }
@@ -125,17 +117,13 @@ EndsystemReport Endsystem::run(
   const auto pci_xfer_ns = [&](std::size_t bytes, bool read) {
     SS_PROF(cfg_.profiler, telemetry::ProfStage::kPci);
     if (!fault_plan_) {
-      if (read) return count(pci_.pio_read(bytes));
-      return count(cfg_.dma_bulk ? pci_.dma_transfer(bytes)
-                                 : pci_.pio_write(bytes));
+      return count(read ? pci_.pio_read(bytes) : pci_.pio_write(bytes));
     }
     if (guard_.failed_over()) return std::uint64_t{0};
     const robust::RetryResult r = robust::with_retry(
         cfg_.recovery, pci_rstats, nullptr,
         cfg_.metrics ? &robust_metrics_ : nullptr, [&] {
-          if (read) return pci_.try_pio_read(bytes);
-          return cfg_.dma_bulk ? pci_.try_dma_transfer(bytes)
-                               : pci_.try_pio_write(bytes);
+          return read ? pci_.try_pio_read(bytes) : pci_.try_pio_write(bytes);
         });
     if (!r.ok) guard_.force_failover();
     return count(r.elapsed);
@@ -170,16 +158,10 @@ EndsystemReport Endsystem::run(
         static_cast<double>(guard_.vtime()) * packet_time_ns_);
 
     // Deliver due arrivals: frame into the QM ring, arrival offset to the
-    // card — either through the Streaming unit's watermark machinery or
-    // via fixed-size batch accounting.
+    // card in fixed-size PIO batches.
     {
       SS_PROF(cfg_.profiler, telemetry::ProfStage::kQueueDrain);
-      // Streaming-unit runs keep the full per-stream scan (the watermark
-      // refill machinery must run even for streams whose ring is full);
-      // the fixed-batch path walks only the drainable bits.
-      std::uint64_t scan =
-          streaming_ ? (std::uint64_t{1} << streams_.size()) - 1 : drainable;
-      for (; scan != 0; scan &= scan - 1) {
+      for (std::uint64_t scan = drainable; scan != 0; scan &= scan - 1) {
         const auto i = static_cast<std::uint32_t>(std::countr_zero(scan));
         Feed& fd = feeds[i];
         while (fd.cursor < fd.chunk.size()) {
@@ -197,20 +179,17 @@ EndsystemReport Endsystem::run(
             ft->arrival(i, f.seq, f.arrival_ns);
             ft->enqueue(i, f.seq, now_ns);
           }
-          if (!streaming_) {  // else the unit moves the offsets below
-            const auto off = static_cast<std::uint64_t>(
-                static_cast<double>(f.arrival_ns) / packet_time_ns_);
-            guard_.push_request(static_cast<hw::SlotId>(i), off);
-            if (++batch_fill[i] >= cfg_.pci_batch) {
-              batch_fill[i] = 0;
-              const std::size_t bytes = std::size_t{cfg_.pci_batch} * 2;
-              const std::uint64_t xfer_ns = pci_xfer_ns(bytes, false);
-              pci_ns += xfer_ns;
-              if (ft) {
-                ft->pci(cfg_.dma_bulk ? telemetry::PciDir::kDma
-                                      : telemetry::PciDir::kWrite,
-                        now_ns, xfer_ns, static_cast<std::uint32_t>(bytes));
-              }
+          const auto off = static_cast<std::uint64_t>(
+              static_cast<double>(f.arrival_ns) / packet_time_ns_);
+          guard_.push_request(static_cast<hw::SlotId>(i), off);
+          if (++batch_fill[i] >= cfg_.pci_batch) {
+            batch_fill[i] = 0;
+            const std::size_t bytes = std::size_t{cfg_.pci_batch} * 2;
+            const std::uint64_t xfer_ns = pci_xfer_ns(bytes, false);
+            pci_ns += xfer_ns;
+            if (ft) {
+              ft->pci(telemetry::PciDir::kWrite, now_ns, xfer_ns,
+                      static_cast<std::uint32_t>(bytes));
             }
           }
           --undelivered;
@@ -224,15 +203,6 @@ EndsystemReport Endsystem::run(
         }
         if (fd.cursor == fd.chunk.size()) {
           drainable &= ~(std::uint64_t{1} << i);  // every frame delivered
-        }
-        if (streaming_) {
-          // Watermark-driven refill; the scheduler only sees requests whose
-          // offsets physically reached the card queue.
-          if (streaming_->needs_refill(i)) streaming_->refill(i, qm_);
-          std::uint16_t off16;
-          while (streaming_->pop_arrival(i, off16)) {
-            guard_.push_request(static_cast<hw::SlotId>(i), off16);
-          }
         }
       }
     }
@@ -302,16 +272,10 @@ EndsystemReport Endsystem::run(
   }
   const auto t1 = std::chrono::steady_clock::now();
 
-  // Flush any partially filled arrival batches (accounting completeness);
-  // streaming-unit runs account transfers as they happen instead.
-  if (streaming_) {
-    pci_ns += streaming_->stats().transfer_ns;
-  } else {
-    for (std::uint32_t i = 0; i < streams_.size(); ++i) {
-      if (batch_fill[i] > 0) {
-        const std::size_t bytes = std::size_t{batch_fill[i]} * 2;
-        pci_ns += pci_xfer_ns(bytes, false);
-      }
+  // Flush any partially filled arrival batches (accounting completeness).
+  for (std::uint32_t i = 0; i < streams_.size(); ++i) {
+    if (batch_fill[i] > 0) {
+      pci_ns += pci_xfer_ns(std::size_t{batch_fill[i]} * 2, false);
     }
   }
 

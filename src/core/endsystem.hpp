@@ -2,11 +2,13 @@
 //
 // Figure 3 of the paper, end to end: producers fill per-stream SPSC rings
 // on the Stream processor (Queue Manager); 16-bit arrival-time offsets are
-// batched over the PCI model to the card; the SchedulerChip (cycle-level
-// FPGA simulation) picks winners; scheduled Stream IDs come back; the
-// Transmission Engine pops the granted stream's head frame onto the link
-// model; the QoS monitor records bandwidth and delay — the Figures 8/9
-// pipeline.
+// pushed to the card over PCI in fixed-size PIO batches (§5.2); the
+// SchedulerChip (cycle-level FPGA simulation) picks winners; scheduled
+// Stream IDs come back in one PIO read per decision; the Transmission
+// Engine pops the granted stream's head frame onto the link model; the QoS
+// monitor records bandwidth and delay — the Figures 8/9 pipeline.  The
+// Streaming unit's §4.2 push/pull refill is modeled on its own by
+// hw::StreamingUnit (bench/ablation_streaming).
 //
 // Time bases: the chip advances in packet-times (one reference-frame
 // serialization each); the host/link side runs in nanoseconds.  One chip
@@ -16,14 +18,14 @@
 // The pipeline itself (chip behind its scheduler front, QM, TE, LOAD,
 // metric bundles) is core::Pipeline; this realization adds what is its
 // own: timed delivery of frames generated in fixed-size chunks from the
-// drain loop, PCI and Streaming-unit accounting, the frame trace and the
-// QoS monitor.  Memory is O(streams x (ring + chunk)) for any run length.
+// drain loop, PCI accounting, the frame trace and the QoS monitor.
+// Memory is O(streams x (ring + chunk)) for any run length.
 //
 // Throughput accounting mirrors Section 5.2 exactly: the run is clocked
 // after all frames are queued ("we start the clock after 64000 packets
 // from each stream are queued"), pps-excluding-PCI divides frames by the
 // measured host loop time, and pps-including-PCI adds the modeled PCI
-// PIO/DMA exchange time.  Generating a later chunk is not host loop time.
+// PIO exchange time.  Generating a later chunk is not host loop time.
 #pragma once
 
 #include <cstdint>
@@ -33,28 +35,18 @@
 #include "core/pipeline.hpp"
 #include "core/qos_monitor.hpp"
 #include "hw/pci.hpp"
-#include "hw/sram.hpp"
-#include "hw/streaming_unit.hpp"
 #include "queueing/traffic_gen.hpp"
 #include "telemetry/frame_trace.hpp"
 
 namespace ss::core {
 
 /// The shared fields are PipelineConfig's.  Here the fault plane makes
-/// every PCI transfer fallible too, metrics add the PCI and SRAM layers,
-/// and the audit's burn attribution is imported into the QoS monitor.
+/// every PCI transfer fallible too, metrics add the PCI layer, and the
+/// audit's burn attribution is imported into the QoS monitor.
 struct EndsystemConfig : PipelineConfig {
   std::uint32_t ref_frame_bytes = 1500;     ///< defines one packet-time
   hw::PciConfig pci{};
   unsigned pci_batch = 32;                  ///< arrival offsets per PIO push
-  bool dma_bulk = false;                    ///< use DMA pulls for arrivals
-  /// Route arrival-time transfers through the card's Streaming unit
-  /// (watermark-driven push/pull refill over the arbitrated SRAM bank)
-  /// instead of the fixed-size batch accounting above.  The scheduler
-  /// then only sees requests whose offsets have physically reached the
-  /// card — the full Figure-3 data path.
-  bool use_streaming_unit = false;
-  hw::StreamingUnitConfig streaming{};
   std::uint64_t bw_window_ns = 10'000'000;  ///< Figure-8 window (10 ms)
   bool keep_series = true;
   /// QM ring slots per stream.  This reserves address space; a ring
@@ -125,16 +117,9 @@ class Endsystem : private Pipeline {
   using Pipeline::chip;
   using Pipeline::packet_time_ns;
 
-  /// Streaming-unit statistics (nullptr unless use_streaming_unit).
-  [[nodiscard]] const hw::StreamingStats* streaming_stats() const {
-    return streaming_ ? &streaming_->stats() : nullptr;
-  }
-
  private:
   EndsystemConfig cfg_;
   hw::PciModel pci_;
-  hw::SramBank bank_;
-  std::unique_ptr<hw::StreamingUnit> streaming_;
   std::unique_ptr<QosMonitor> monitor_;
 
   struct StreamCtx {
@@ -144,10 +129,9 @@ class Endsystem : private Pipeline {
   std::vector<StreamCtx> streams_;  ///< parallel to Pipeline::reqs_
   bool admitted_ = false;
 
-  // Pre-resolved metric handles for the layers only this realization has
-  // (attached when cfg_.metrics is set; they must outlive the layers).
+  // Pre-resolved metric handles for the layer only this realization has
+  // (attached when cfg_.metrics is set; they must outlive the layer).
   telemetry::PciMetrics pci_metrics_;
-  telemetry::SramMetrics sram_metrics_;
 };
 
 }  // namespace ss::core

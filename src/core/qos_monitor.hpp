@@ -81,15 +81,12 @@ class QosMonitor {
   /// percentile estimates — the aggregate-only replacement for keep_series
   /// when only tail latencies are needed.  Call before the first record().
   void set_delay_histogram(bool v) { delay_histogram_ = v; }
-  [[nodiscard]] bool delay_histogram_enabled() const {
-    return delay_histogram_;
-  }
 
   /// SLO burn attribution.  Cause indices follow telemetry::BurnCause
-  /// (lost_tiebreak, aggregation_starvation, fault_stall, queue_overflow,
-  /// unattributed); the array is sized generously so the monitor carries
-  /// no telemetry dependency.  The endsystem imports the decision-audit
-  /// profile here after a run.
+  /// (lost_tiebreak, fault_stall, queue_overflow, unattributed); the
+  /// array is sized generously so the monitor carries no telemetry
+  /// dependency.  The endsystem imports the decision-audit profile here
+  /// after a run.
   static constexpr std::size_t kViolationCauses = 8;
 
   void add_violation_cause(std::uint32_t s, std::size_t cause,

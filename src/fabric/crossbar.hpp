@@ -41,9 +41,6 @@ class Crossbar {
   /// Drain one frame from an output's staging queue (the line card pulls).
   [[nodiscard]] bool pull(std::uint32_t output_port, FabricFrame& out);
 
-  [[nodiscard]] std::size_t input_depth(std::uint32_t port) const {
-    return inputs_[port].size();
-  }
   [[nodiscard]] std::size_t output_depth(std::uint32_t port) const {
     return outputs_[port].size();
   }

@@ -44,11 +44,6 @@ bool SwitchSystem::inject(std::uint32_t input_port, const FlowKey& key,
   return xbar_ ? xbar_->offer(input_port, f) : voq_->offer(input_port, f);
 }
 
-std::uint64_t SwitchSystem::fabric_drops() const {
-  return xbar_ ? xbar_->input_drops() + xbar_->staging_drops()
-               : voq_->drops();
-}
-
 void SwitchSystem::step() {
   ++time_;
   if (xbar_) {

@@ -60,8 +60,6 @@ class SwitchSystem {
   [[nodiscard]] Crossbar& crossbar() { return *xbar_; }
   /// The VOQ fabric (only when FabricKind::kVoq).
   [[nodiscard]] VoqSwitch& voq() { return *voq_; }
-  /// Fabric-level drops regardless of kind.
-  [[nodiscard]] std::uint64_t fabric_drops() const;
 
   /// Inject a frame at an input port; classification decides where it
   /// goes.  Returns false if it was dropped (no route / input FIFO full).

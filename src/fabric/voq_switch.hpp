@@ -38,10 +38,6 @@ class VoqSwitch {
   /// Drain a delivered frame from an output.
   [[nodiscard]] bool pull(std::uint32_t output_port, FabricFrame& out);
 
-  [[nodiscard]] std::size_t voq_depth(std::uint32_t input,
-                                      std::uint32_t output) const {
-    return voqs_[input][output].size();
-  }
   [[nodiscard]] std::uint64_t drops() const { return drops_; }
   [[nodiscard]] std::uint64_t transferred() const { return transferred_; }
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }

@@ -4,8 +4,8 @@
 // and asserts the pull-start line; bank ownership is arbitrated to the
 // card, the burst streams over PCI, and ownership returns (Section 4.2,
 // "The ShareStreams Hardware and Streaming Unit").  This class composes
-// the PCI burst model with the SRAM bank arbitration so the endsystem
-// realization can account both costs in one call.
+// the PCI burst model with the SRAM bank arbitration so the Streaming
+// unit can account both costs in one call.
 #pragma once
 
 #include <cstdint>

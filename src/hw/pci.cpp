@@ -57,14 +57,6 @@ FallibleNanos PciModel::try_pio_read(std::size_t bytes) const {
   return {true, pio_read(bytes)};
 }
 
-FallibleNanos PciModel::try_dma_transfer(std::size_t bytes) const {
-  if (faults_) {
-    const FaultDecision d = faults_->on_transaction(FaultSite::kPciDma);
-    if (d.fault) return {false, d.penalty};
-  }
-  return {true, dma_transfer(bytes)};
-}
-
 Nanos PciModel::per_packet_pio_exchange(unsigned batch) const {
   if (batch == 0) batch = 1;
   // `batch` arrival times (2 bytes each) pushed, `batch` Stream IDs

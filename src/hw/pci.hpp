@@ -68,7 +68,6 @@ class PciModel {
   /// window).  On failure no data moves; the caller owns retry policy.
   [[nodiscard]] FallibleNanos try_pio_write(std::size_t bytes) const;
   [[nodiscard]] FallibleNanos try_pio_read(std::size_t bytes) const;
-  [[nodiscard]] FallibleNanos try_dma_transfer(std::size_t bytes) const;
 
  private:
   PciConfig cfg_;

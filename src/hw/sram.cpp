@@ -9,22 +9,15 @@ Nanos SramBank::acquire(BankOwner who) {
   if (owner_ == who) return Nanos{0};
   owner_ = who;
   ++switches_;
-  if (metrics_) {
-    metrics_->ownership_switches->add(1);
-    metrics_->stall_ns->add(count(switch_cost_));
-  }
   return switch_cost_;
 }
 
 FallibleNanos SramBank::try_acquire(BankOwner who) {
   if (faults_) {
     const FaultDecision d = faults_->on_transaction(FaultSite::kSramAcquire);
-    if (d.fault) {
-      // Arbitration stall: ownership does NOT switch; the requester just
-      // burned the stall window and must re-arbitrate.
-      if (metrics_) metrics_->stall_ns->add(count(d.penalty));
-      return {false, d.penalty};
-    }
+    // Arbitration stall: ownership does NOT switch; the requester just
+    // burned the stall window and must re-arbitrate.
+    if (d.fault) return {false, d.penalty};
   }
   return {true, acquire(who)};
 }

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "hw/fault_hooks.hpp"
-#include "telemetry/instruments.hpp"
 #include "util/sim_time.hpp"
 
 namespace ss::hw {
@@ -43,11 +42,6 @@ class SramBank {
   /// non-owner access is a programming error (throws).
   void write(BankOwner who, std::size_t addr, std::uint32_t value);
   [[nodiscard]] std::uint32_t read(BankOwner who, std::size_t addr) const;
-
-  /// Attach live metrics (nullptr detaches): ownership switches and the
-  /// arbitration stall time they cost — "generally the bottleneck for
-  /// high-performance PCI transfers" (Section 5.2), now observable.
-  void attach_metrics(telemetry::SramMetrics* m) { metrics_ = m; }
 
   /// Attach a fault injector (nullptr detaches).  Only try_acquire and
   /// read_checked consult it; the infallible paths are unchanged.
@@ -75,7 +69,6 @@ class SramBank {
   BankOwner owner_ = BankOwner::kHost;
   Nanos switch_cost_;
   std::uint64_t switches_ = 0;
-  telemetry::SramMetrics* metrics_ = nullptr;
   FaultInjector* faults_ = nullptr;
 };
 

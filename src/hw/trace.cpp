@@ -63,16 +63,6 @@ std::string Tracer::render_all() const {
   return out;
 }
 
-std::string Tracer::render_tail(std::size_t n) const {
-  std::string out;
-  const std::size_t start =
-      (n == 0 || n >= records_.size()) ? 0 : records_.size() - n;
-  for (std::size_t i = start; i < records_.size(); ++i) {
-    out += render(records_[i]);
-  }
-  return out;
-}
-
 std::string Tracer::to_chrome_json() const {
   std::string out =
       "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"

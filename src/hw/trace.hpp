@@ -52,10 +52,6 @@ class Tracer {
   /// Render the whole retained window.
   [[nodiscard]] std::string render_all() const;
 
-  /// Render the last `n` retained records (0 = all) — the "tail" attached
-  /// to divergence reports.
-  [[nodiscard]] std::string render_tail(std::size_t n) const;
-
   /// Chrome trace-event JSON of the retained window: one "decisions"
   /// track of complete events (one per decision cycle, ts = hw-cycle
   /// offset as ns, dur = the cycle's hw_cycles) carrying the grant /

@@ -4,27 +4,24 @@
 #include <cstdio>
 #include <fstream>
 
+#include "util/json.hpp"
+
 namespace ss::telemetry {
 
 namespace {
 
 constexpr std::memory_order kRel = std::memory_order_relaxed;
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
+using util::append_u64;
 
 }  // namespace
 
 const char* burn_cause_name(std::size_t cause) noexcept {
   switch (cause) {
     case 0: return "lost_tiebreak";
-    case 1: return "aggregation_starvation";
-    case 2: return "fault_stall";
-    case 3: return "queue_overflow";
-    case 4: return "unattributed";
+    case 1: return "fault_stall";
+    case 2: return "queue_overflow";
+    case 3: return "unattributed";
     default: return "unknown";
   }
 }
@@ -62,17 +59,14 @@ void DecisionAudit::on_violation(std::uint32_t stream) noexcept {
   ps.violations.fetch_add(1, kRel);
 
   // Attribution precedence: a fault episode explains every violation in
-  // its decision; overflow and starvation are per-stream one-shot flags;
-  // otherwise the last rule the stream lost on this cycle is the cause.
+  // its decision; overflow is a per-stream one-shot flag; otherwise the
+  // last rule the stream lost on this cycle is the cause.
   BurnCause cause = BurnCause::kUnattributed;
   if (cycle_faults_.load(kRel) > 0) {
     cause = BurnCause::kFaultStall;
   } else if (ps.overflow_pending.load(kRel) > 0) {
     ps.overflow_pending.fetch_sub(1, kRel);
     cause = BurnCause::kQueueOverflow;
-  } else if (ps.agg_starved.load(kRel) > 0) {
-    ps.agg_starved.fetch_sub(1, kRel);
-    cause = BurnCause::kAggregationStarvation;
   } else if (cycle_lost_rule_[stream] != kNoLoss) {
     cause = BurnCause::kLostTiebreak;
     ps.burn_rule[cycle_lost_rule_[stream]].fetch_add(1, kRel);
@@ -115,26 +109,17 @@ void DecisionAudit::note_overflow(std::uint32_t stream) noexcept {
   per_stream_[stream].overflow_pending.fetch_add(1, kRel);
 }
 
-void DecisionAudit::note_aggregation_starved(std::uint32_t stream) noexcept {
-  if (stream >= kAuditMaxStreams) return;
-  per_stream_[stream].agg_starved.fetch_add(1, kRel);
-}
-
 void DecisionAudit::bind_registry(MetricsRegistry& reg) {
-  comparison_counter_ = &reg.counter(
-      "audit.comparisons", "comparator resolutions observed (exact)");
+  comparison_counter_ = &reg.counter("audit.comparisons");
   for (std::size_t r = 0; r < kAuditRules; ++r) {
     rule_counters_[r] =
-        &reg.counter(std::string("audit.rule.") + audit_rule_name(r),
-                     "comparisons resolved by this rule (sampled)");
+        &reg.counter(std::string("audit.rule.") + audit_rule_name(r));
   }
   for (std::size_t c = 0; c < kBurnCauses; ++c) {
     burn_counters_[c] =
-        &reg.counter(std::string("audit.burn.") + burn_cause_name(c),
-                     "violations attributed to this cause (exact)");
+        &reg.counter(std::string("audit.burn.") + burn_cause_name(c));
   }
-  violation_counter_ = &reg.counter(
-      "audit.violations", "window-constraint violations observed (exact)");
+  violation_counter_ = &reg.counter("audit.violations");
 }
 
 std::uint64_t DecisionAudit::comparisons() const noexcept {

@@ -7,9 +7,9 @@
 // firings into a per-stream profile: how often stream S won or lost, and
 // on which rule.  The same per-cycle loss tracking attributes each
 // window-constraint violation to a cause the moment the chip's update
-// phase commits it — a lost tiebreak (with the losing rule), aggregation
-// round-robin starvation, a fault-induced stall, or host queue overflow —
-// feeding the per-stream burn-rate counters in QosMonitor/slo_report.
+// phase commits it — a lost tiebreak (with the losing rule), a
+// fault-induced stall, or host queue overflow — feeding the per-stream
+// burn-rate counters in QosMonitor/slo_report.
 //
 // AuditSession bundles the profile with a FlightRecorder ring, a
 // DecisionSampler and the dump policy: the robust layer pushes
@@ -39,8 +39,8 @@
 // a monitor thread mid-run.  The per-cycle state (which rule each stream
 // last lost on, rule counts inside the current decision) is owned by the
 // scheduling thread: on_comparison / on_violation / end_decision must be
-// called from the thread driving the chip.  note_fault / note_overflow /
-// note_aggregation_starved are atomic and may come from any thread.
+// called from the thread driving the chip.  note_fault / note_overflow
+// are atomic and may come from any thread.
 #pragma once
 
 #include <array>
@@ -58,14 +58,13 @@ namespace ss::telemetry {
 /// Why a window-constraint violation burned: the attribution categories of
 /// the SLO burn report.
 enum class BurnCause : std::uint8_t {
-  kLostTiebreak = 0,           ///< lost a comparator rule this decision
-  kAggregationStarvation = 1,  ///< aggregate round-robin starved the streamlet
-  kFaultStall = 2,             ///< a fault was injected during this decision
-  kQueueOverflow = 3,          ///< host ring rejected the frame
-  kUnattributed = 4,           ///< none of the above observed this cycle
+  kLostTiebreak = 0,   ///< lost a comparator rule this decision
+  kFaultStall = 1,     ///< a fault was injected during this decision
+  kQueueOverflow = 2,  ///< host ring rejected the frame
+  kUnattributed = 3,   ///< none of the above observed this cycle
 };
 
-inline constexpr std::size_t kBurnCauses = 5;
+inline constexpr std::size_t kBurnCauses = 4;
 
 /// Stable lowercase name ("lost_tiebreak", "fault_stall", ...).
 [[nodiscard]] const char* burn_cause_name(std::size_t cause) noexcept;
@@ -131,7 +130,6 @@ class DecisionAudit {
   /// Context hooks (any thread).
   void note_fault() noexcept;
   void note_overflow(std::uint32_t stream) noexcept;
-  void note_aggregation_starved(std::uint32_t stream) noexcept;
 
   /// Mirror the global rule counters into `reg` as audit.rule.<name>
   /// (plus audit.comparisons, audit.violations and the exact
@@ -174,7 +172,6 @@ class DecisionAudit {
     std::array<std::atomic<std::uint64_t>, kAuditRules> burn_rule{};
     std::atomic<std::uint64_t> violations{0};
     std::atomic<std::uint32_t> overflow_pending{0};
-    std::atomic<std::uint32_t> agg_starved{0};
   };
 
   std::uint32_t streams_;
@@ -193,9 +190,13 @@ class DecisionAudit {
   std::array<std::uint8_t, kAuditMaxStreams> cycle_lost_rule_{};
 
   // Optional mirrored registry counters (audit.*).
+  /// audit.rule.<rule>: comparisons resolved by the rule (sampled)
   std::array<Counter*, kAuditRules> rule_counters_{};
+  /// audit.burn.<cause>: violations attributed to the cause (exact)
   std::array<Counter*, kBurnCauses> burn_counters_{};
+  /// audit.comparisons: comparator resolutions observed (exact)
   Counter* comparison_counter_ = nullptr;
+  /// audit.violations: window-constraint violations observed (exact)
   Counter* violation_counter_ = nullptr;
 };
 

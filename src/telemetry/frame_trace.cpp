@@ -27,11 +27,7 @@ const char* stage_name(std::uint8_t kind) {
 }
 
 const char* pci_dir_name(std::uint8_t dir) {
-  switch (dir) {
-    case 0: return "pio_write";
-    case 1: return "pio_read";
-    default: return "dma";
-  }
+  return dir == 0 ? "pio_write" : "pio_read";
 }
 
 void append_ts(std::string& out, std::uint64_t ns) {
@@ -149,8 +145,7 @@ std::uint64_t FrameTrace::dropped() const {
 }
 
 void FrameTrace::bind_registry(MetricsRegistry& reg) {
-  Counter& c = reg.counter("telemetry.trace.dropped_events",
-                           "frame-trace events lost to the ring wrap");
+  Counter& c = reg.counter("telemetry.trace.dropped_events");
   const std::lock_guard<std::mutex> lock(mu_);
   dropped_counter_ = &c;
 }

@@ -34,7 +34,7 @@
 
 namespace ss::telemetry {
 
-enum class PciDir : std::uint8_t { kWrite, kRead, kDma };
+enum class PciDir : std::uint8_t { kWrite, kRead };
 
 class FrameTrace {
  public:

@@ -1,7 +1,7 @@
 // instruments.hpp — per-layer metric bundles.
 //
-// Each pipeline layer (chip, PCI, SRAM, queue manager, transmission
-// engine, endsystem loop) attaches one of these plain structs of
+// Each pipeline layer (chip, PCI, queue manager, transmission engine,
+// endsystem loop) attaches one of these plain structs of
 // pre-resolved metric handles.  create() registers the layer's canonical
 // names (DESIGN.md §9 naming scheme) against a MetricsRegistry once, at
 // attach time; the hot path then touches only the lock-free handles.
@@ -21,49 +21,42 @@ namespace ss::telemetry {
 /// network activity and block reuse.
 struct ChipMetrics {
   Counter* decisions = nullptr;       ///< chip.decision_cycles
-  Counter* idle_decisions = nullptr;  ///< chip.idle_decision_cycles
+  /// chip.idle_decision_cycles: decision cycles with no backlog
+  Counter* idle_decisions = nullptr;
   Counter* grants = nullptr;          ///< chip.grants
-  Counter* drops = nullptr;           ///< chip.drops
-  Counter* circulations = nullptr;    ///< chip.circulations
+  Counter* drops = nullptr;           ///< chip.drops: late droppable heads
+  /// chip.circulations: slot IDs circulated for the winner window
+  /// adjustment
+  Counter* circulations = nullptr;
   Counter* hw_cycles = nullptr;       ///< chip.hw_cycles
   Counter* load_cycles = nullptr;     ///< chip.phase.load_cycles
   Counter* schedule_cycles = nullptr; ///< chip.phase.schedule_cycles
   Counter* update_cycles = nullptr;   ///< chip.phase.update_cycles
   Counter* output_cycles = nullptr;   ///< chip.phase.output_cycles
   Counter* net_passes = nullptr;      ///< chip.network.passes
-  Counter* net_reuses = nullptr;      ///< chip.network.reuses
+  /// chip.network.reuses: decision cycles that re-placed dirty lanes in
+  /// the previous sort
+  Counter* net_reuses = nullptr;
   Counter* net_comparisons = nullptr; ///< chip.network.comparisons
-  Histogram* block_size = nullptr;    ///< chip.block_size (pending lanes)
+  /// chip.block_size: pending lanes per non-idle decision
+  Histogram* block_size = nullptr;
 
   static ChipMetrics create(MetricsRegistry& reg) {
     ChipMetrics m;
-    m.decisions = &reg.counter("chip.decision_cycles",
-                               "completed decision cycles");
-    m.idle_decisions = &reg.counter("chip.idle_decision_cycles",
-                                    "decision cycles with no backlog");
-    m.grants = &reg.counter("chip.grants", "frames granted");
-    m.drops = &reg.counter("chip.drops", "late droppable heads discarded");
-    m.circulations =
-        &reg.counter("chip.circulations", "slot IDs circulated for the "
-                                          "winner window adjustment");
-    m.hw_cycles = &reg.counter("chip.hw_cycles", "hardware cycles consumed");
-    m.load_cycles =
-        &reg.counter("chip.phase.load_cycles", "FSM LOAD phase cycles");
-    m.schedule_cycles = &reg.counter("chip.phase.schedule_cycles",
-                                     "FSM SCHEDULE phase cycles");
-    m.update_cycles = &reg.counter("chip.phase.update_cycles",
-                                   "FSM PRIORITY_UPDATE phase cycles");
-    m.output_cycles =
-        &reg.counter("chip.phase.output_cycles", "FSM OUTPUT phase cycles");
-    m.net_passes =
-        &reg.counter("chip.network.passes", "shuffle network passes run");
-    m.net_reuses = &reg.counter("chip.network.reuses",
-                                "decision cycles that re-placed dirty "
-                                "lanes in the previous sort");
-    m.net_comparisons = &reg.counter("chip.network.comparisons",
-                                     "comparator evaluations executed");
-    m.block_size = &reg.histogram("chip.block_size", 0.0, 33.0, 33, false,
-                                  "pending lanes per non-idle decision");
+    m.decisions = &reg.counter("chip.decision_cycles");
+    m.idle_decisions = &reg.counter("chip.idle_decision_cycles");
+    m.grants = &reg.counter("chip.grants");
+    m.drops = &reg.counter("chip.drops");
+    m.circulations = &reg.counter("chip.circulations");
+    m.hw_cycles = &reg.counter("chip.hw_cycles");
+    m.load_cycles = &reg.counter("chip.phase.load_cycles");
+    m.schedule_cycles = &reg.counter("chip.phase.schedule_cycles");
+    m.update_cycles = &reg.counter("chip.phase.update_cycles");
+    m.output_cycles = &reg.counter("chip.phase.output_cycles");
+    m.net_passes = &reg.counter("chip.network.passes");
+    m.net_reuses = &reg.counter("chip.network.reuses");
+    m.net_comparisons = &reg.counter("chip.network.comparisons");
+    m.block_size = &reg.histogram("chip.block_size", 0.0, 33.0, 33);
     return m;
   }
 };
@@ -78,27 +71,11 @@ struct PciMetrics {
 
   static PciMetrics create(MetricsRegistry& reg) {
     PciMetrics m;
-    m.pio_writes = &reg.counter("pci.pio_writes", "programmed-IO writes");
-    m.pio_reads = &reg.counter("pci.pio_reads", "programmed-IO reads");
-    m.dma_transfers = &reg.counter("pci.dma_transfers", "DMA transfers");
-    m.bytes = &reg.counter("pci.bytes", "bytes moved across the bus");
-    m.busy_ns = &reg.counter("pci.busy_ns", "modeled bus occupancy, ns");
-    return m;
-  }
-};
-
-/// hw::SramBank — the Section-5.2 bottleneck: ownership switches and the
-/// arbitration time they cost.
-struct SramMetrics {
-  Counter* ownership_switches = nullptr;  ///< sram.ownership_switches
-  Counter* stall_ns = nullptr;            ///< sram.ownership_stall_ns
-
-  static SramMetrics create(MetricsRegistry& reg) {
-    SramMetrics m;
-    m.ownership_switches = &reg.counter("sram.ownership_switches",
-                                        "host/FPGA bank ownership switches");
-    m.stall_ns = &reg.counter("sram.ownership_stall_ns",
-                              "arbitration stall time, ns");
+    m.pio_writes = &reg.counter("pci.pio_writes");
+    m.pio_reads = &reg.counter("pci.pio_reads");
+    m.dma_transfers = &reg.counter("pci.dma_transfers");
+    m.bytes = &reg.counter("pci.bytes");
+    m.busy_ns = &reg.counter("pci.busy_ns");
     return m;
   }
 };
@@ -109,16 +86,15 @@ struct QueueMetrics {
   Counter* enqueued = nullptr;        ///< qm.enqueued
   Counter* dequeued = nullptr;        ///< qm.dequeued
   Counter* ring_full = nullptr;       ///< qm.ring_full_pushes
-  Gauge* occupancy_hwm = nullptr;     ///< qm.occupancy_high_water
+  /// qm.occupancy_high_water: peak occupancy summed over every ring
+  Gauge* occupancy_hwm = nullptr;
 
   static QueueMetrics create(MetricsRegistry& reg) {
     QueueMetrics m;
-    m.enqueued = &reg.counter("qm.enqueued", "frames accepted into rings");
-    m.dequeued = &reg.counter("qm.dequeued", "frames drained from rings");
-    m.ring_full = &reg.counter("qm.ring_full_pushes",
-                               "pushes rejected by a full ring");
-    m.occupancy_hwm = &reg.gauge("qm.occupancy_high_water",
-                                 "peak total ring occupancy");
+    m.enqueued = &reg.counter("qm.enqueued");
+    m.dequeued = &reg.counter("qm.dequeued");
+    m.ring_full = &reg.counter("qm.ring_full_pushes");
+    m.occupancy_hwm = &reg.gauge("qm.occupancy_high_water");
     return m;
   }
 };
@@ -128,18 +104,17 @@ struct QueueMetrics {
 struct TxMetrics {
   Counter* tx_frames = nullptr;   ///< te.tx_frames
   Counter* tx_bytes = nullptr;    ///< te.tx_bytes
-  Counter* spurious = nullptr;    ///< te.spurious_schedules
-  Histogram* batch_size = nullptr;///< te.batch_size
+  /// te.spurious_schedules: grants with no queued frame
+  Counter* spurious = nullptr;
+  Histogram* batch_size = nullptr;  ///< te.batch_size: grant-burst sizes
   std::vector<Counter*> per_stream_tx;  ///< stream.<i>.tx_frames
 
   static TxMetrics create(MetricsRegistry& reg, std::uint32_t streams) {
     TxMetrics m;
-    m.tx_frames = &reg.counter("te.tx_frames", "frames transmitted");
-    m.tx_bytes = &reg.counter("te.tx_bytes", "bytes transmitted");
-    m.spurious = &reg.counter("te.spurious_schedules",
-                              "grants with no queued frame");
-    m.batch_size = &reg.histogram("te.batch_size", 0.0, 33.0, 33, false,
-                                  "grant-burst sizes");
+    m.tx_frames = &reg.counter("te.tx_frames");
+    m.tx_bytes = &reg.counter("te.tx_bytes");
+    m.spurious = &reg.counter("te.spurious_schedules");
+    m.batch_size = &reg.histogram("te.batch_size", 0.0, 33.0, 33);
     m.per_stream_tx.reserve(streams);
     for (std::uint32_t i = 0; i < streams; ++i) {
       m.per_stream_tx.push_back(
@@ -157,34 +132,29 @@ struct TxMetrics {
 struct EndsystemMetrics {
   Counter* loop_iterations = nullptr;   ///< es.loop_iterations
   Counter* arrivals_delivered = nullptr;///< es.arrivals_delivered
-  Counter* frames_completed = nullptr;  ///< es.frames_completed
+  /// es.frames_completed: frames transmitted or dropped
+  Counter* frames_completed = nullptr;
   Counter* dropped_late = nullptr;      ///< es.dropped_late
-  Counter* reloads = nullptr;           ///< es.reloads_applied
+  /// es.reloads_applied: admission reloads committed
+  Counter* reloads = nullptr;
   Histogram* reload_latency_ns = nullptr;  ///< es.reload_latency_ns
   Histogram* frame_delay_us = nullptr;  ///< es.frame_delay_us
 
   static EndsystemMetrics create(MetricsRegistry& reg) {
     EndsystemMetrics m;
-    m.loop_iterations = &reg.counter("es.loop_iterations",
-                                     "scheduler loop iterations");
-    m.arrivals_delivered = &reg.counter("es.arrivals_delivered",
-                                        "arrivals pushed into the pipeline");
-    m.frames_completed =
-        &reg.counter("es.frames_completed", "frames transmitted or dropped");
-    m.dropped_late = &reg.counter("es.dropped_late",
-                                  "late droppable frames discarded");
-    m.reloads = &reg.counter("es.reloads_applied",
-                             "admission reloads committed");
+    m.loop_iterations = &reg.counter("es.loop_iterations");
+    m.arrivals_delivered = &reg.counter("es.arrivals_delivered");
+    m.frames_completed = &reg.counter("es.frames_completed");
+    m.dropped_late = &reg.counter("es.dropped_late");
+    m.reloads = &reg.counter("es.reloads_applied");
     // Mailbox commit latencies span sub-us (same-iteration pickup) to ms
     // (scheduler busy in a long drain) — log bins cover the range.
     m.reload_latency_ns =
-        &reg.histogram("es.reload_latency_ns", 100.0, 1e9, 256, true,
-                       "admission-reload commit latency, ns");
+        &reg.histogram("es.reload_latency_ns", 100.0, 1e9, 256, true);
     // Arrival-to-departure delay per transmitted frame; the watchdog's
     // delay-quantile-drift rule reads this histogram's p99.
     m.frame_delay_us =
-        &reg.histogram("es.frame_delay_us", 0.1, 1e7, 128, true,
-                       "frame arrival-to-departure delay, microseconds");
+        &reg.histogram("es.frame_delay_us", 0.1, 1e7, 128, true);
     return m;
   }
 };
@@ -196,14 +166,13 @@ struct EndsystemMetrics {
 /// these.
 struct RankMetrics {
   Counter* pops = nullptr;        ///< rank.pops
-  Counter* inversions = nullptr;  ///< rank.inversions
+  /// rank.inversions: pops where a strictly smaller rank was still queued
+  Counter* inversions = nullptr;
 
   static RankMetrics create(MetricsRegistry& reg) {
     RankMetrics m;
-    m.pops = &reg.counter("rank.pops", "ranked-queue pops observed");
-    m.inversions = &reg.counter(
-        "rank.inversions",
-        "pops where a strictly smaller rank was still queued");
+    m.pops = &reg.counter("rank.pops");
+    m.inversions = &reg.counter("rank.inversions");
     return m;
   }
 };
@@ -214,31 +183,28 @@ struct RankMetrics {
 struct RobustMetrics {
   Counter* pci_faults = nullptr;      ///< robust.faults.pci
   Counter* sram_faults = nullptr;     ///< robust.faults.sram
-  Counter* chip_faults = nullptr;     ///< robust.faults.chip
+  /// robust.faults.chip: injected decision-cycle stalls
+  Counter* chip_faults = nullptr;
   Counter* retries = nullptr;         ///< robust.retries
-  Counter* recoveries = nullptr;      ///< robust.recoveries
+  /// robust.recoveries: retries that then succeeded
+  Counter* recoveries = nullptr;
   Counter* retry_exhausted = nullptr; ///< robust.retry_exhausted
-  Counter* failovers = nullptr;       ///< robust.failovers
+  /// robust.failovers: failovers to the software path
+  Counter* failovers = nullptr;
   Counter* backoff_ns = nullptr;      ///< robust.backoff_ns
   Gauge* health = nullptr;            ///< robust.health
 
   static RobustMetrics create(MetricsRegistry& reg) {
     RobustMetrics m;
-    m.pci_faults = &reg.counter("robust.faults.pci", "injected PCI faults");
-    m.sram_faults = &reg.counter("robust.faults.sram", "injected SRAM faults");
-    m.chip_faults = &reg.counter("robust.faults.chip",
-                                 "injected decision-cycle stalls");
-    m.retries = &reg.counter("robust.retries", "transaction retries");
-    m.recoveries =
-        &reg.counter("robust.recoveries", "retries that then succeeded");
-    m.retry_exhausted = &reg.counter("robust.retry_exhausted",
-                                     "retry budgets exhausted");
-    m.failovers =
-        &reg.counter("robust.failovers", "failovers to the software path");
-    m.backoff_ns = &reg.counter("robust.backoff_ns", "backoff time spent, ns");
-    m.health = &reg.gauge("robust.health",
-                          "health FSM state (0 healthy, 1 degraded, "
-                          "2 failed over)");
+    m.pci_faults = &reg.counter("robust.faults.pci");
+    m.sram_faults = &reg.counter("robust.faults.sram");
+    m.chip_faults = &reg.counter("robust.faults.chip");
+    m.retries = &reg.counter("robust.retries");
+    m.recoveries = &reg.counter("robust.recoveries");
+    m.retry_exhausted = &reg.counter("robust.retry_exhausted");
+    m.failovers = &reg.counter("robust.failovers");
+    m.backoff_ns = &reg.counter("robust.backoff_ns");
+    m.health = &reg.gauge("robust.health");
     return m;
   }
 };

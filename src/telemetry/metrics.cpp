@@ -6,9 +6,14 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/json.hpp"
+
 namespace ss::telemetry {
 
 namespace {
+
+using util::append_double;
+using util::json_escape_into;
 
 // Lock-free double accumulation: the sum lives as raw bits and additions
 // go through a CAS loop (contention is rare — observe() is called from at
@@ -22,48 +27,6 @@ void add_double_bits(std::atomic<std::uint64_t>& bits, double d) noexcept {
       return;
     }
   }
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
-
-// Prometheus metric names cannot contain '.', our canonical separator —
-// every non-alphanumeric byte (including backslashes and newlines smuggled
-// into a registered name) maps to '_'.
-std::string prom_name(const std::string& name) {
-  std::string out = "ss_";
-  for (const char c : name) {
-    out.push_back((std::isalnum(static_cast<unsigned char>(c)) != 0) ? c
-                                                                     : '_');
-  }
-  return out;
-}
-
-// HELP text escaping per the exposition format: backslash and line feed
-// are the only escapes the format defines.
-std::string prom_help(const std::string& help) {
-  std::string out;
-  out.reserve(help.size());
-  for (const char c : help) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  out += buf;
 }
 
 }  // namespace
@@ -158,26 +121,15 @@ void Histogram::reset() noexcept {
   sum_bits_.store(0, std::memory_order_relaxed);
 }
 
-void MetricsRegistry::note_help(const std::string& name,
-                                const std::string& help) {
-  if (help.empty()) return;
-  auto& slot = help_[name];
-  if (slot.empty()) slot = help;
-}
-
-Counter& MetricsRegistry::counter(const std::string& name,
-                                  const std::string& help) {
+Counter& MetricsRegistry::counter(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mu_);
-  note_help(name, help);
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
   return *slot;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name,
-                              const std::string& help) {
+Gauge& MetricsRegistry::gauge(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mu_);
-  note_help(name, help);
   auto& slot = gauges_[name];
   if (!slot) slot = std::make_unique<Gauge>();
   return *slot;
@@ -185,10 +137,8 @@ Gauge& MetricsRegistry::gauge(const std::string& name,
 
 Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
                                       double hi, std::size_t bins,
-                                      bool log_scale,
-                                      const std::string& help) {
+                                      bool log_scale) {
   const std::lock_guard<std::mutex> lock(mu_);
-  note_help(name, help);
   auto& slot = histograms_[name];
   if (!slot) slot = std::make_unique<Histogram>(lo, hi, bins, log_scale);
   return *slot;
@@ -196,17 +146,12 @@ Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
 
 Snapshot MetricsRegistry::snapshot() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto help_of = [this](const std::string& name) -> std::string {
-    const auto it = help_.find(name);
-    return it == help_.end() ? std::string{} : it->second;
-  };
   Snapshot snap;
   snap.samples.reserve(counters_.size() + gauges_.size() +
                        histograms_.size());
   for (const auto& [name, c] : counters_) {
     Sample s;
     s.name = name;
-    s.help = help_of(name);
     s.kind = MetricKind::kCounter;
     s.count = c->value();
     snap.samples.push_back(std::move(s));
@@ -214,7 +159,6 @@ Snapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, g] : gauges_) {
     Sample s;
     s.name = name;
-    s.help = help_of(name);
     s.kind = MetricKind::kGauge;
     s.gauge = g->value();
     snap.samples.push_back(std::move(s));
@@ -222,7 +166,6 @@ Snapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, h] : histograms_) {
     Sample s;
     s.name = name;
-    s.help = help_of(name);
     s.kind = MetricKind::kHistogram;
     s.count = h->count();
     s.sum = h->sum();
@@ -307,66 +250,6 @@ std::string Snapshot::to_json() const {
     out.push_back('}');
   }
   out += "}}";
-  return out;
-}
-
-std::string Snapshot::to_prometheus() const {
-  std::string out;
-  char buf[96];
-  for (const Sample& s : samples) {
-    const std::string n = prom_name(s.name);
-    if (!s.help.empty()) {
-      out += "# HELP " + n + " " + prom_help(s.help) + "\n";
-    }
-    switch (s.kind) {
-      case MetricKind::kCounter:
-        out += "# TYPE " + n + " counter\n" + n;
-        std::snprintf(buf, sizeof buf, " %llu\n",
-                      static_cast<unsigned long long>(s.count));
-        out += buf;
-        break;
-      case MetricKind::kGauge:
-        out += "# TYPE " + n + " gauge\n" + n;
-        std::snprintf(buf, sizeof buf, " %lld\n",
-                      static_cast<long long>(s.gauge));
-        out += buf;
-        break;
-      case MetricKind::kHistogram: {
-        // Real Prometheus histogram exposition: cumulative `_bucket`
-        // lines per upper edge plus the mandatory `+Inf` bucket, then
-        // `_sum`/`_count`.  (Earlier versions exported a summary with
-        // quantile labels — standard scrapers saw no distribution at
-        // all; the bins were JSON-only.)  Out-of-range observations
-        // clamp into the edge bins at observe() time, so the `+Inf`
-        // bucket equals the total count by construction.
-        out += "# TYPE " + n + " histogram\n";
-        std::uint64_t cum = 0;
-        for (std::size_t b = 0; b < s.bin_counts.size(); ++b) {
-          cum += s.bin_counts[b];
-          out += n + "_bucket{le=\"";
-          append_double(out, s.bin_edges[b + 1]);
-          std::snprintf(buf, sizeof buf, "\"} %llu\n",
-                        static_cast<unsigned long long>(cum));
-          out += buf;
-        }
-        // The snapshot reads bins and the total count non-atomically, so
-        // a racing observe() can leave the copied total one behind the
-        // bins; cap keeps the exposition internally monotonic.
-        const std::uint64_t inf = std::max(cum, s.count);
-        out += n + "_bucket{le=\"+Inf\"} ";
-        std::snprintf(buf, sizeof buf, "%llu\n",
-                      static_cast<unsigned long long>(inf));
-        out += buf;
-        out += n + "_sum ";
-        append_double(out, s.sum);
-        out += "\n" + n + "_count ";
-        std::snprintf(buf, sizeof buf, "%llu\n",
-                      static_cast<unsigned long long>(inf));
-        out += buf;
-        break;
-      }
-    }
-  }
   return out;
 }
 

@@ -11,9 +11,8 @@
 //
 // Consistency contract: snapshot() is per-metric atomic and monotonic
 // (a counter never appears to decrease across snapshots), not globally
-// atomic across metrics — the usual Prometheus-style contract.  Exports
-// are single-line JSON (machine diffing, jq) and Prometheus text
-// exposition (scrapers, humans).
+// atomic across metrics.  The export is single-line JSON (machine
+// diffing, jq).
 //
 // Instrumentation is attach-based and disabled by default: a component
 // with no metrics struct attached pays one null-pointer test per site,
@@ -131,7 +130,7 @@ class Histogram {
 
   /// Quantile from an explicit bin set (`edges` size B+1, `counts` size
   /// B): the one interpolation definition shared by quantile(), the
-  /// Prometheus bucket export and the time-series interval (bin-delta)
+  /// snapshot percentiles and the time-series interval (bin-delta)
   /// percentiles, so a "windowed p99" means the same thing everywhere.
   /// p in [0, 100]; 0 when the counts sum to zero.
   static double quantile_from_bins(const std::vector<double>& edges,
@@ -159,7 +158,6 @@ enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 /// One metric's value at snapshot time.
 struct Sample {
   std::string name;
-  std::string help;  ///< description registered at create() time ("" = none)
   MetricKind kind = MetricKind::kCounter;
   std::uint64_t count = 0;  ///< counter value / histogram observation count
   std::int64_t gauge = 0;
@@ -167,8 +165,8 @@ struct Sample {
   double p50 = 0.0, p90 = 0.0, p99 = 0.0;
   /// Histogram bin layout (histograms only): B+1 edges, B counts, and the
   /// spacing flag interpolation needs.  One coherent copy per snapshot so
-  /// downstream consumers (the Prometheus `_bucket` lines, the time-series
-  /// interval sampler's bin deltas) never race the live bins.
+  /// the time-series interval sampler's bin deltas never race the live
+  /// bins.
   bool hist_log = false;
   std::vector<double> bin_edges;
   std::vector<std::uint64_t> bin_counts;
@@ -180,13 +178,6 @@ struct Snapshot {
   /// {"schema":"ss-metrics-v1","counters":{...},"gauges":{...},
   ///  "histograms":{"name":{"count":..,"sum":..,"p50":..,...}}} — one line.
   [[nodiscard]] std::string to_json() const;
-
-  /// Prometheus text exposition: `# HELP` (when a description was
-  /// registered; newlines/backslashes escaped per the exposition format)
-  /// and `# TYPE` lines plus one sample per line (histograms as
-  /// cumulative `_bucket{le="..."}` lines per upper bin edge, the
-  /// mandatory `+Inf` bucket, then `_sum`/`_count`).
-  [[nodiscard]] std::string to_prometheus() const;
 };
 
 /// Named-metric registry.  Registration (counter()/gauge()/histogram())
@@ -200,22 +191,15 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// `help` is an optional human description carried into snapshots and
-  /// emitted as the Prometheus `# HELP` line; the first non-empty
-  /// registration wins (like the metric itself).
-  Counter& counter(const std::string& name, const std::string& help = {});
-  Gauge& gauge(const std::string& name, const std::string& help = {});
+  Counter& counter(const std::string& name);
+  Gauge& gauge(const std::string& name);
   /// Re-requesting an existing histogram name returns the existing
   /// instance (the bin layout of the first registration wins).
   Histogram& histogram(const std::string& name, double lo, double hi,
-                       std::size_t bins, bool log_scale = false,
-                       const std::string& help = {});
+                       std::size_t bins, bool log_scale = false);
 
   [[nodiscard]] Snapshot snapshot() const;
   [[nodiscard]] std::string to_json() const { return snapshot().to_json(); }
-  [[nodiscard]] std::string to_prometheus() const {
-    return snapshot().to_prometheus();
-  }
 
   /// Zero every metric (counters, gauges, histogram bins).  Snapshots
   /// taken concurrently see each metric either before or after its reset.
@@ -224,13 +208,10 @@ class MetricsRegistry {
   [[nodiscard]] std::size_t size() const;
 
  private:
-  void note_help(const std::string& name, const std::string& help);
-
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::string> help_;
 };
 
 }  // namespace ss::telemetry

@@ -1,8 +1,9 @@
 #include "telemetry/profiler.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <fstream>
+
+#include "util/json.hpp"
 
 namespace ss::telemetry {
 
@@ -49,17 +50,8 @@ double tsc_ns_per_tick() noexcept {
 }
 #endif
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  out += buf;
-}
+using util::append_double;
+using util::append_u64;
 
 }  // namespace
 
@@ -113,9 +105,7 @@ void Profiler::bind_registry(MetricsRegistry& reg) {
   for (std::size_t s = 0; s < kProfStages; ++s) {
     hist_[s] = &reg.histogram(
         std::string("prof.") + prof_stage_name(s) + ".ns", kHistLoNs,
-        kHistHiNs, kHistBins, /*log_scale=*/true,
-        std::string("wall-time per ") + prof_stage_name(s) +
-            " stage scope, nanoseconds");
+        kHistHiNs, kHistBins, /*log_scale=*/true);
   }
 }
 

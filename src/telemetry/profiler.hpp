@@ -18,8 +18,8 @@
 // count/total_ns stay exact) — quantiles are unbiased estimates from
 // every 8th scope, totals and counts are not sampled.
 // bind_registry() re-homes them in a MetricsRegistry under the prof.*
-// namespace (prof.<stage>.ns) so they ride in ss-metrics-v1 snapshots and
-// Prometheus exposition; to_json()/write_json() emit a flamegraph-style
+// namespace (prof.<stage>.ns) so they ride in ss-metrics-v1 snapshots;
+// to_json()/write_json() emit a flamegraph-style
 // ss-profile-v1 document (schema in docs/formats.md) with per-stage
 // totals, self-time (shuffle passes nest inside the chip decision) and
 // quantiles — the --profile-out payload of `ss_cli run`.

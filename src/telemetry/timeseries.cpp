@@ -5,24 +5,12 @@
 #include <fstream>
 #include <utility>
 
+#include "util/json.hpp"
+
 namespace ss::telemetry {
 
-namespace {
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  out += buf;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
-
-}  // namespace
+using util::append_double;
+using util::json_escape_into;
 
 TimeSeries::TimeSeries(MetricsRegistry& reg, TimeSeriesConfig cfg)
     : reg_(reg), cfg_(cfg), t0_(std::chrono::steady_clock::now()) {

@@ -8,6 +8,15 @@ namespace ss::telemetry {
 
 namespace {
 
+// Rule thresholds.
+constexpr double kDelayDriftFactor = 4.0;  ///< p99 vs rolling median p99
+constexpr double kDelayFloorUs = 50.0;     ///< ignore drift below this p99
+constexpr std::uint64_t kBurnSpike = 50;   ///< per-cause burn growth/window
+constexpr std::uint64_t kStallMinDecisions = 64;  ///< decisions w/o a grant
+constexpr std::uint64_t kRetrySurge = 32;         ///< retry growth/window
+constexpr double kInversionExcessPct = 25.0;      ///< inversions / 100 pops
+constexpr std::uint64_t kInversionMinPops = 200;  ///< pops before arming
+
 std::string fmt_ctx(const char* rule, const char* detail, double value,
                     double threshold, std::size_t window_polls) {
   char buf[256];
@@ -38,10 +47,8 @@ Watchdog::Watchdog(TimeSeries& ts, AuditSession* session, WatchdogConfig cfg)
 
 void Watchdog::init() {
   if (cfg_.window < 2) cfg_.window = 2;
-  polls_counter_ = &ts_->registry().counter(
-      "watchdog.polls", "metric snapshots taken by the watchdog");
-  fired_counter_ = &ts_->registry().counter(
-      "watchdog.fired", "watchdog rules fired (flight-recorder dumps)");
+  polls_counter_ = &ts_->registry().counter("watchdog.polls");
+  fired_counter_ = &ts_->registry().counter("watchdog.fired");
   observer_token_ = ts_->add_observer([this] { observe(); });
 }
 
@@ -99,24 +106,24 @@ std::optional<std::string> Watchdog::evaluate_locked() {
   };
 
   // burn_rate_spike: any cause's exact burn counter jumped this window.
-  if (cfg_.burn_spike > 0 && !suppressed("burn_rate_spike")) {
+  if (!suppressed("burn_rate_spike")) {
     for (std::size_t c = 0; c < kBurnCauses; ++c) {
       std::uint64_t first = 0, last = 0;
       span((std::string("audit.burn.") + burn_cause_name(c)).c_str(), first,
            last);
       const std::uint64_t d = last - first;
-      if (d >= cfg_.burn_spike) {
+      if (d >= kBurnSpike) {
         fire("burn_rate_spike",
              fmt_ctx("burn_rate_spike", burn_cause_name(c),
-                     static_cast<double>(d),
-                     static_cast<double>(cfg_.burn_spike), n));
+                     static_cast<double>(d), static_cast<double>(kBurnSpike),
+                     n));
         return "burn_rate_spike";
       }
     }
   }
 
   // grant_rate_stall: decisions tick, backlog exists, no grant emerges.
-  if (cfg_.stall_min_decisions > 0 && !suppressed("grant_rate_stall")) {
+  if (!suppressed("grant_rate_stall")) {
     std::uint64_t dec_first = 0, dec_last = 0, grants_first = 0,
                   grants_last = 0, enq_first = 0, enq_last = 0, deq_first = 0,
                   deq_last = 0;
@@ -127,25 +134,25 @@ std::optional<std::string> Watchdog::evaluate_locked() {
     const std::uint64_t decisions = dec_last - dec_first;
     const std::uint64_t backlog =
         enq_last > deq_last ? enq_last - deq_last : 0;
-    if (decisions >= cfg_.stall_min_decisions && backlog > 0 &&
+    if (decisions >= kStallMinDecisions && backlog > 0 &&
         grants_last == grants_first) {
       fire("grant_rate_stall",
            fmt_ctx("grant_rate_stall", "decisions_without_grant",
                    static_cast<double>(decisions),
-                   static_cast<double>(cfg_.stall_min_decisions), n));
+                   static_cast<double>(kStallMinDecisions), n));
       return "grant_rate_stall";
     }
   }
 
   // retry_surge: recovery layer suddenly busy.
-  if (cfg_.retry_surge > 0 && !suppressed("retry_surge")) {
+  if (!suppressed("retry_surge")) {
     std::uint64_t first = 0, last = 0;
     span("robust.retries", first, last);
     const std::uint64_t d = last - first;
-    if (d >= cfg_.retry_surge) {
+    if (d >= kRetrySurge) {
       fire("retry_surge",
            fmt_ctx("retry_surge", "retries", static_cast<double>(d),
-                   static_cast<double>(cfg_.retry_surge), n));
+                   static_cast<double>(kRetrySurge), n));
       return "retry_surge";
     }
   }
@@ -153,36 +160,36 @@ std::optional<std::string> Watchdog::evaluate_locked() {
   // delay_quantile_drift: latest p99 leaves the window's median behind.
   // Reads the *cumulative* estimate at each poll — the historical signal
   // — not the interval percentile the time-series layer also carries.
-  if (cfg_.delay_drift_factor > 0.0 && !suppressed("delay_quantile_drift")) {
+  if (!suppressed("delay_quantile_drift")) {
     std::vector<double> p99s;
     p99s.reserve(n);
     for (const TsPoint& p : delay) p99s.push_back(p.cum_p99);
     const double latest = p99s.back();
     std::sort(p99s.begin(), p99s.end());
     const double median = p99s[p99s.size() / 2];
-    if (latest >= cfg_.delay_floor_us && median > 0.0 &&
-        latest >= cfg_.delay_drift_factor * median) {
+    if (latest >= kDelayFloorUs && median > 0.0 &&
+        latest >= kDelayDriftFactor * median) {
       fire("delay_quantile_drift",
            fmt_ctx("delay_quantile_drift", "p99_us", latest,
-                   cfg_.delay_drift_factor * median, n));
+                   kDelayDriftFactor * median, n));
       return "delay_quantile_drift";
     }
   }
 
   // inversion_excess: the SP-PIFO approximation degrading under load.
-  if (cfg_.inversion_excess_pct > 0.0 && !suppressed("inversion_excess")) {
+  if (!suppressed("inversion_excess")) {
     std::uint64_t pops_first = 0, pops_last = 0, inv_first = 0, inv_last = 0;
     span("rank.pops", pops_first, pops_last);
     span("rank.inversions", inv_first, inv_last);
     const std::uint64_t pops = pops_last - pops_first;
     const std::uint64_t inv = inv_last - inv_first;
-    if (pops >= cfg_.inversion_min_pops) {
+    if (pops >= kInversionMinPops) {
       const double pct =
           100.0 * static_cast<double>(inv) / static_cast<double>(pops);
-      if (pct >= cfg_.inversion_excess_pct) {
+      if (pct >= kInversionExcessPct) {
         fire("inversion_excess",
              fmt_ctx("inversion_excess", "inversions_per_100_pops", pct,
-                     cfg_.inversion_excess_pct, n));
+                     kInversionExcessPct, n));
         return "inversion_excess";
       }
     }

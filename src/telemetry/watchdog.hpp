@@ -7,8 +7,6 @@
 // signals — it owns a private sampler when constructed from a bare
 // registry, or shares one you already run for --timeseries-out):
 //
-//   delay_quantile_drift  es.frame_delay_us p99 exceeds a factor of the
-//                         window's median p99 (and an absolute floor)
 //   burn_rate_spike       any audit.burn.<cause> counter grew by more
 //                         than a threshold across the window
 //   grant_rate_stall      chip decision cycles kept ticking over the
@@ -17,6 +15,8 @@
 //                         chip.grants did not move
 //   retry_surge           robust.retries grew by more than a threshold
 //                         across the window
+//   delay_quantile_drift  es.frame_delay_us p99 exceeds a factor of the
+//                         window's median p99 (and an absolute floor)
 //   inversion_excess      rank.inversions per 100 rank.pops exceeded a
 //                         bound (the SP-PIFO approximation degrading)
 //
@@ -57,18 +57,10 @@
 
 namespace ss::telemetry {
 
+/// The rule thresholds are constants in watchdog.cpp.
 struct WatchdogConfig {
   std::chrono::milliseconds poll_interval{5};
   std::size_t window = 4;  ///< polls per rolling window (>= 2 to evaluate)
-
-  // Rule thresholds; 0 (or 0.0) disables the rule.
-  double delay_drift_factor = 4.0;  ///< p99 vs rolling median p99
-  double delay_floor_us = 50.0;     ///< ignore drift below this p99
-  std::uint64_t burn_spike = 50;    ///< per-cause burn growth per window
-  std::uint64_t stall_min_decisions = 64;  ///< window decisions w/o a grant
-  std::uint64_t retry_surge = 32;          ///< retry growth per window
-  double inversion_excess_pct = 25.0;      ///< inversions per 100 pops
-  std::uint64_t inversion_min_pops = 200;  ///< pops before the rule arms
 };
 
 class Watchdog {

@@ -22,35 +22,22 @@ void AsciiChart::set_y_range(double lo, double hi) {
   have_y_range_ = true;
 }
 
-void AsciiChart::set_x_range(double lo, double hi) {
-  x_lo_ = lo;
-  x_hi_ = hi;
-  have_x_range_ = true;
-}
-
 std::string AsciiChart::render() const {
-  double xlo = x_lo_, xhi = x_hi_, ylo = y_lo_, yhi = y_hi_;
-  if (!have_x_range_ || !have_y_range_) {
-    double axlo = std::numeric_limits<double>::infinity(), axhi = -axlo;
-    double aylo = axlo, ayhi = -axlo;
-    for (const auto& s : series_) {
-      for (double v : s.x) {
-        axlo = std::min(axlo, v);
-        axhi = std::max(axhi, v);
-      }
-      for (double v : s.y) {
-        aylo = std::min(aylo, v);
-        ayhi = std::max(ayhi, v);
-      }
+  double xlo = std::numeric_limits<double>::infinity(), xhi = -xlo;
+  double ylo = xlo, yhi = -xlo;
+  for (const auto& s : series_) {
+    for (double v : s.x) {
+      xlo = std::min(xlo, v);
+      xhi = std::max(xhi, v);
     }
-    if (!have_x_range_) {
-      xlo = axlo;
-      xhi = axhi;
+    for (double v : s.y) {
+      ylo = std::min(ylo, v);
+      yhi = std::max(yhi, v);
     }
-    if (!have_y_range_) {
-      ylo = aylo;
-      yhi = ayhi;
-    }
+  }
+  if (have_y_range_) {
+    ylo = y_lo_;
+    yhi = y_hi_;
   }
   if (!(xhi > xlo)) xhi = xlo + 1;
   if (!(yhi > ylo)) yhi = ylo + 1;

@@ -25,9 +25,9 @@ class AsciiChart {
 
   void add(Series s) { series_.push_back(std::move(s)); }
 
-  /// Force axis ranges (otherwise auto-fit to the data).
+  /// Force the y-axis range (otherwise auto-fit to the data, as the x
+  /// axis always is).
   void set_y_range(double lo, double hi);
-  void set_x_range(double lo, double hi);
 
   /// Plot points on a log10 x axis (for stream-count sweeps 4..256).
   void set_log_x(bool v) { log_x_ = v; }
@@ -38,8 +38,8 @@ class AsciiChart {
   std::string title_, x_label_, y_label_;
   std::size_t width_, height_;
   std::vector<Series> series_;
-  bool have_y_range_ = false, have_x_range_ = false, log_x_ = false;
-  double y_lo_ = 0, y_hi_ = 0, x_lo_ = 0, x_hi_ = 0;
+  bool have_y_range_ = false, log_x_ = false;
+  double y_lo_ = 0, y_hi_ = 0;
 };
 
 }  // namespace ss

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -188,6 +189,25 @@ std::optional<JsonValue> parse_json_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return JsonValue::parse(buf.str());
+}
+
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
+  out += buf;
+}
+
+void append_double(std::string& out, double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.6g", v);
+  out += buf;
+}
+
+void json_escape_into(std::string& out, const std::string& s) {
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(c);
+  }
 }
 
 }  // namespace ss::util

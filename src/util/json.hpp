@@ -7,8 +7,9 @@
 // out to jq.  This is the smallest parser that round-trips the
 // documents we emit: the full JSON value grammar (null/bool/number/
 // string/array/object), doubles for every number, no streaming, no
-// writer (producers keep their hand-rolled emitters so the export
-// format stays exactly what docs/formats.md pins).
+// document writer (producers keep their hand-rolled emitters so the
+// export format stays exactly what docs/formats.md pins; the append
+// helpers at the end are the pieces those emitters share).
 //
 // Objects preserve insertion order (vector of pairs, linear find) —
 // report rendering walks documents in their written order, and the maps
@@ -52,13 +53,9 @@ class JsonValue {
     return type_ == Type::kObject;
   }
   [[nodiscard]] bool is_array() const noexcept { return type_ == Type::kArray; }
-  [[nodiscard]] bool is_number() const noexcept {
-    return type_ == Type::kNumber;
-  }
   [[nodiscard]] bool is_string() const noexcept {
     return type_ == Type::kString;
   }
-  [[nodiscard]] bool is_bool() const noexcept { return type_ == Type::kBool; }
 
   /// Typed accessors with defaults — reading a field that is absent or of
   /// another type yields the default, so the report degrades gracefully
@@ -91,20 +88,6 @@ class JsonValue {
     return v != nullptr ? v->as_bool(dflt) : dflt;
   }
 
-  // Construction helpers for tests.
-  static JsonValue make_num(double v) {
-    JsonValue j;
-    j.type_ = Type::kNumber;
-    j.num_ = v;
-    return j;
-  }
-  static JsonValue make_str(std::string s) {
-    JsonValue j;
-    j.type_ = Type::kString;
-    j.str_ = std::move(s);
-    return j;
-  }
-
  private:
   struct Parser;
 
@@ -117,5 +100,12 @@ class JsonValue {
 
 /// Slurp `path` and parse it; nullopt on IO or syntax error.
 std::optional<JsonValue> parse_json_file(const std::string& path);
+
+/// Writer helpers: `v` in decimal, `v` as "%.6g", and `s` with '"' and
+/// '\\' backslash-escaped (metric and stream names carry no control
+/// characters).
+void append_u64(std::string& out, std::uint64_t v);
+void append_double(std::string& out, double v);
+void json_escape_into(std::string& out, const std::string& s);
 
 }  // namespace ss::util

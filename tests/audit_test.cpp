@@ -190,22 +190,12 @@ TEST(AuditBurn, ClassificationPrecedence) {
   EXPECT_EQ(audit.burn(0, static_cast<std::size_t>(BurnCause::kFaultStall)),
             1u);
 
-  // Overflow (sticky across decisions until consumed) beats starvation and
-  // tiebreak.
+  // Overflow (sticky across decisions until consumed) beats tiebreak.
   audit.note_overflow(1);
-  audit.note_aggregation_starved(1);
   audit.on_violation(1);
   audit.end_decision();
   EXPECT_EQ(
       audit.burn(1, static_cast<std::size_t>(BurnCause::kQueueOverflow)), 1u);
-
-  // A second violation for the same stream now consumes the starvation
-  // note.
-  audit.on_violation(1);
-  audit.end_decision();
-  EXPECT_EQ(audit.burn(1, static_cast<std::size_t>(
-                              BurnCause::kAggregationStarvation)),
-            1u);
 
   // Lost a comparator this decision: attributed to the losing rule.
   audit.on_comparison(3, 2, 2);  // stream 2 lost on window-constraint
@@ -228,7 +218,7 @@ TEST(AuditBurn, ClassificationPrecedence) {
       audit.burn(2, static_cast<std::size_t>(BurnCause::kUnattributed)), 1u)
       << "stale lost-rule context survived the decision boundary";
 
-  EXPECT_EQ(audit.violations(1), 2u);
+  EXPECT_EQ(audit.violations(1), 1u);
   EXPECT_EQ(audit.violations(2), 2u);
 
   // Every burn counter sums back to the violation count.

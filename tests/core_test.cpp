@@ -359,6 +359,45 @@ TEST(Endsystem, PciBatchingReducesModelledOverhead) {
   EXPECT_LT(run_with_batch(64), run_with_batch(1));
 }
 
+// The modeled PCI time of a run is exactly the fixed-batch formula: per
+// stream, every full batch of `pci_batch` 16-bit offsets is one PIO
+// write, the leftover offsets are one more at the end, and each committed
+// WR decision reads its one Stream ID back with one PIO read.
+TEST(Endsystem, PciAccountingIsTheFixedBatchFormula) {
+  EndsystemConfig cfg;
+  cfg.chip.slots = 4;
+  cfg.chip.cmp_mode = hw::ComparisonMode::kTagOnly;
+  cfg.pci_batch = 16;
+  cfg.keep_series = false;
+  Endsystem es(cfg);
+  for (double w : {1.0, 2.0, 1.0, 4.0}) {
+    dwcs::StreamRequirement r;
+    r.kind = dwcs::RequirementKind::kFairShare;
+    r.weight = w;
+    r.droppable = false;
+    es.add_stream(r, std::make_unique<queueing::CbrGen>(300), 1500);
+  }
+  // Remainders 4, 5, 0 and 5 offsets; stream 3 never fills a batch.
+  const std::vector<std::uint64_t> frames = {100, 37, 64, 5};
+  const auto rep = es.run(frames);
+
+  const hw::PciModel pci(cfg.pci);
+  std::uint64_t want = 0;
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : frames) {
+    total += n;
+    want += (n / cfg.pci_batch) *
+            count(pci.pio_write(std::size_t{cfg.pci_batch} * 2));
+    if (const std::uint64_t rest = n % cfg.pci_batch; rest != 0) {
+      want += count(pci.pio_write(static_cast<std::size_t>(rest) * 2));
+    }
+  }
+  ASSERT_EQ(rep.frames, total);
+  ASSERT_EQ(rep.committed_decisions, total) << "WR grants one frame each";
+  want += rep.committed_decisions * count(pci.pio_read(1));
+  EXPECT_EQ(rep.pci_ns, want);
+}
+
 // Set-up errors are exceptions, not asserts, so they hold in every build
 // type: an over-full stream set used to make run() spin forever once
 // NDEBUG compiled the assert away.

@@ -154,16 +154,10 @@ TEST(ProfilerRegistry, BindsEveryStageUnderProfNamespace) {
         std::string("prof.") + telemetry::prof_stage_name(s) + ".ns";
     bool found = false;
     for (const telemetry::Sample& smp : snap.samples) {
-      if (smp.name == want) {
-        found = true;
-        EXPECT_FALSE(smp.help.empty()) << want << " registered without help";
-      }
+      if (smp.name == want) found = true;
     }
     EXPECT_TRUE(found) << want << " missing from the snapshot";
   }
-  // And they ride into Prometheus exposition under the mangled ss_ name.
-  EXPECT_NE(reg.snapshot().to_prometheus().find("ss_prof_chip_decision_ns"),
-            std::string::npos);
 }
 
 // The documented concurrency contract: each stage has a single writer, but

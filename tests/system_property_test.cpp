@@ -62,28 +62,6 @@ TEST(EndsystemProperty, DroppableOverloadDropsAreReportedNotLost) {
   EXPECT_EQ(monitored + rep.dropped_late, rep.frames);
 }
 
-TEST(EndsystemProperty, DmaBulkCheaperThanPioForLargeBatches) {
-  auto pci_ns = [](bool dma, unsigned batch) {
-    EndsystemConfig cfg = base_cfg();
-    cfg.chip.slots = 2;
-    cfg.dma_bulk = dma;
-    cfg.pci_batch = batch;
-    Endsystem es(cfg);
-    for (int i = 0; i < 2; ++i) {
-      dwcs::StreamRequirement r;
-      r.kind = dwcs::RequirementKind::kFairShare;
-      r.weight = 1.0;
-      r.droppable = false;
-      es.add_stream(r, std::make_unique<queueing::CbrGen>(100), 1500);
-    }
-    return es.run(4000).pci_ns;
-  };
-  // Small batches: DMA setup dominates, PIO wins.  Large batches: the
-  // burst rate wins.  (The paper's push-for-small / pull-for-bulk rule.)
-  EXPECT_LT(pci_ns(false, 4), pci_ns(true, 4));
-  EXPECT_LT(pci_ns(true, 2048), pci_ns(false, 2048));
-}
-
 TEST(EndsystemProperty, DelayBoundHoldsForAdmittedPacedSet) {
   // Periods {2,4,8,8}: U = 1.0.  Paced arrivals, non-droppable: every
   // frame's measured delay must be within its slot's period plus one
@@ -114,51 +92,6 @@ TEST(EndsystemProperty, DelayBoundHoldsForAdmittedPacedSet) {
           << "stream " << i << " exceeded its delay bound";
     }
   }
-}
-
-TEST(EndsystemProperty, StreamingUnitModeDeliversEverythingAndAccounts) {
-  auto run_mode = [](bool streaming) {
-    EndsystemConfig cfg = base_cfg();
-    cfg.use_streaming_unit = streaming;
-    Endsystem es(cfg);
-    for (double w : {1.0, 1.0, 2.0, 4.0}) {
-      dwcs::StreamRequirement r;
-      r.kind = dwcs::RequirementKind::kFairShare;
-      r.weight = w;
-      r.droppable = false;
-      es.add_stream(r, std::make_unique<queueing::CbrGen>(200), 1500);
-    }
-    return es.run(std::vector<std::uint64_t>{500, 500, 1000, 2000});
-  };
-  const auto batch = run_mode(false);
-  const auto stream = run_mode(true);
-  EXPECT_EQ(stream.frames, 4000u);
-  EXPECT_EQ(stream.frames, batch.frames);
-  EXPECT_GT(stream.pci_ns, 0u);
-  // Both accountings land in the same order of magnitude for the same
-  // workload (the streaming unit batches adaptively).
-  EXPECT_LT(stream.pci_ns, batch.pci_ns * 10);
-  EXPECT_GT(stream.pci_ns, batch.pci_ns / 10);
-}
-
-TEST(EndsystemProperty, StreamingUnitStatsExposed) {
-  EndsystemConfig cfg = base_cfg();
-  cfg.use_streaming_unit = true;
-  Endsystem es(cfg);
-  for (int i = 0; i < 2; ++i) {
-    dwcs::StreamRequirement r;
-    r.kind = dwcs::RequirementKind::kFairShare;
-    r.weight = 1.0;
-    r.droppable = false;
-    es.add_stream(r, std::make_unique<queueing::CbrGen>(200), 1500);
-  }
-  EXPECT_EQ(es.streaming_stats(), nullptr);  // before admission
-  es.run(std::vector<std::uint64_t>{400, 400});
-  ASSERT_NE(es.streaming_stats(), nullptr);
-  EXPECT_EQ(es.streaming_stats()->offsets_moved, 800u);
-  EXPECT_GT(es.streaming_stats()->push_refills +
-                es.streaming_stats()->pull_refills,
-            0u);
 }
 
 TEST(EndsystemProperty, MpegGranularityStreamsCoexistWithEthernet) {

@@ -148,10 +148,6 @@ TEST(TelemetryRegistry, SnapshotSortedAndJsonCarriesSchema) {
   EXPECT_NE(json.find("\"d.delay\""), std::string::npos);
   EXPECT_EQ(json.find('\n'), std::string::npos) << "export is one line";
 
-  const std::string prom = snap.to_prometheus();
-  EXPECT_NE(prom.find("# TYPE"), std::string::npos);
-  EXPECT_NE(prom.find("counter"), std::string::npos);
-
   reg.reset();
   EXPECT_EQ(reg.counter("a.count").value(), 0u);
   EXPECT_EQ(reg.gauge("c.depth").value(), 0);
@@ -259,74 +255,6 @@ TEST(FrameTraceTest, WrapDroppedEventsAreAccountedEverywhere) {
   EXPECT_EQ(ft.dropped(), 0u) << "clear resets the wrap accounting";
 }
 
-// Prometheus exposition: registered help strings surface as `# HELP`
-// lines (name-mangled to the ss_ namespace, newlines and backslashes
-// escaped per the text format), and metrics registered without help get
-// no HELP line at all.
-TEST(TelemetryPrometheus, HelpLinesEscapedAndOptional) {
-  MetricsRegistry reg;
-  reg.counter("chip.grants", "frames granted by the chip");
-  reg.counter("chip.drops");  // no help registered
-  reg.gauge("qm.depth", "line one\nline two \\ backslash");
-  reg.histogram("es.frame_delay_us", 1.0, 1e6, 16, true,
-                "arrival-to-transmit delay");
-  const std::string prom = reg.snapshot().to_prometheus();
-
-  EXPECT_NE(prom.find("# HELP ss_chip_grants frames granted by the chip\n"
-                      "# TYPE ss_chip_grants counter\n"),
-            std::string::npos)
-      << "HELP line must immediately precede the TYPE line";
-  EXPECT_EQ(prom.find("# HELP ss_chip_drops"), std::string::npos)
-      << "no registered help -> no HELP line";
-  EXPECT_NE(prom.find("# TYPE ss_chip_drops counter"), std::string::npos);
-  EXPECT_NE(
-      prom.find("# HELP ss_qm_depth line one\\nline two \\\\ backslash\n"),
-      std::string::npos)
-      << "newlines/backslashes must be escaped, not emitted raw";
-  EXPECT_NE(prom.find("# HELP ss_es_frame_delay_us arrival-to-transmit"),
-            std::string::npos);
-
-  // Help registration is first-writer-wins and idempotent per name.
-  reg.counter("chip.grants", "a different string");
-  EXPECT_NE(reg.snapshot().to_prometheus().find(
-                "# HELP ss_chip_grants frames granted by the chip"),
-            std::string::npos);
-}
-
-// Histograms expose the real Prometheus exposition: one cumulative
-// `_bucket{le="<upper edge>"}` line per bin, the mandatory `+Inf`
-// bucket carrying the total count, then `_sum`/`_count`.  (Earlier
-// versions emitted a summary with quantile labels — scrapers saw no
-// distribution at all.)
-TEST(TelemetryPrometheus, HistogramBucketsAreCumulativeWithInf) {
-  MetricsRegistry reg;
-  telemetry::Histogram& h =
-      reg.histogram("es.delay", 0.0, 40.0, 4);  // linear bins of width 10
-  h.observe(5.0);    // bin [0,10)
-  h.observe(15.0);   // bin [10,20)
-  h.observe(16.0);   // bin [10,20)
-  h.observe(35.0);   // bin [30,40)
-  const std::string prom = reg.snapshot().to_prometheus();
-
-  EXPECT_NE(prom.find("# TYPE ss_es_delay histogram"), std::string::npos);
-  EXPECT_NE(prom.find("ss_es_delay_bucket{le=\"10\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(prom.find("ss_es_delay_bucket{le=\"20\"} 3\n"),
-            std::string::npos)
-      << "bucket counts must be cumulative, not per-bin";
-  EXPECT_NE(prom.find("ss_es_delay_bucket{le=\"30\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(prom.find("ss_es_delay_bucket{le=\"40\"} 4\n"),
-            std::string::npos);
-  EXPECT_NE(prom.find("ss_es_delay_bucket{le=\"+Inf\"} 4\n"),
-            std::string::npos)
-      << "+Inf bucket must equal the observation count";
-  EXPECT_NE(prom.find("ss_es_delay_count 4\n"), std::string::npos);
-  EXPECT_NE(prom.find("ss_es_delay_sum 71"), std::string::npos);
-  // The summary-era quantile labels must be gone.
-  EXPECT_EQ(prom.find("quantile="), std::string::npos);
-}
-
 TEST(FrameTraceTest, ChromeJsonHasTracksAndLifecycleSpans) {
   telemetry::FrameTrace ft;
   // One frame's full life on stream 2: arrive, enqueue, cross PCI, get a
@@ -417,9 +345,8 @@ TEST(TelemetryStress, SnapshotRacesThreadedEndsystemRun) {
           last_tx = s.count;
         }
       }
-      // Exercise both render paths too — they share the snapshot lock.
+      // Exercise the render path too — it shares the snapshot lock.
       ASSERT_NE(reg.to_json().find("ss-metrics-v1"), std::string::npos);
-      (void)reg.to_prometheus();
       snapshots.fetch_add(1, std::memory_order_relaxed);
     }
   });

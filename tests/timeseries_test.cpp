@@ -319,7 +319,16 @@ std::string ref_ctx(const char* rule, const char* detail, double value,
 // at cfg.window, rules evaluated in fixed order with once-per-run
 // suppression.  This is deliberately the *old* shape — the parity
 // campaign proves the shared-backend refactor changed nothing visible.
+// It keeps its own copy of the rule thresholds.
 class ReferenceWatchdog {
+  static constexpr double kDelayDriftFactor = 4.0;
+  static constexpr double kDelayFloorUs = 50.0;
+  static constexpr std::uint64_t kBurnSpike = 50;
+  static constexpr std::uint64_t kStallMinDecisions = 64;
+  static constexpr std::uint64_t kRetrySurge = 32;
+  static constexpr double kInversionExcessPct = 25.0;
+  static constexpr std::uint64_t kInversionMinPops = 200;
+
  public:
   explicit ReferenceWatchdog(MetricsRegistry& reg, WatchdogConfig cfg = {})
       : reg_(reg), cfg_(cfg) {
@@ -392,54 +401,54 @@ class ReferenceWatchdog {
     const Reading& a = window_.front();
     const Reading& b = window_.back();
 
-    if (cfg_.burn_spike > 0 && !suppressed("burn_rate_spike")) {
+    if (!suppressed("burn_rate_spike")) {
       for (std::size_t c = 0; c < telemetry::kBurnCauses; ++c) {
         const std::uint64_t d = b.burn[c] - a.burn[c];
-        if (d >= cfg_.burn_spike) {
+        if (d >= kBurnSpike) {
           return fire("burn_rate_spike", telemetry::burn_cause_name(c),
                       static_cast<double>(d),
-                      static_cast<double>(cfg_.burn_spike));
+                      static_cast<double>(kBurnSpike));
         }
       }
     }
-    if (cfg_.stall_min_decisions > 0 && !suppressed("grant_rate_stall")) {
+    if (!suppressed("grant_rate_stall")) {
       const std::uint64_t decisions = b.decisions - a.decisions;
       const std::uint64_t backlog = b.enq > b.deq ? b.enq - b.deq : 0;
-      if (decisions >= cfg_.stall_min_decisions && backlog > 0 &&
+      if (decisions >= kStallMinDecisions && backlog > 0 &&
           b.grants == a.grants) {
         return fire("grant_rate_stall", "decisions_without_grant",
                     static_cast<double>(decisions),
-                    static_cast<double>(cfg_.stall_min_decisions));
+                    static_cast<double>(kStallMinDecisions));
       }
     }
-    if (cfg_.retry_surge > 0 && !suppressed("retry_surge")) {
+    if (!suppressed("retry_surge")) {
       const std::uint64_t d = b.retries - a.retries;
-      if (d >= cfg_.retry_surge) {
+      if (d >= kRetrySurge) {
         return fire("retry_surge", "retries", static_cast<double>(d),
-                    static_cast<double>(cfg_.retry_surge));
+                    static_cast<double>(kRetrySurge));
       }
     }
-    if (cfg_.delay_drift_factor > 0.0 && !suppressed("delay_quantile_drift")) {
+    if (!suppressed("delay_quantile_drift")) {
       std::vector<double> p99s;
       for (const Reading& r : window_) p99s.push_back(r.delay_p99);
       const double latest = p99s.back();
       std::sort(p99s.begin(), p99s.end());
       const double median = p99s[p99s.size() / 2];
-      if (latest >= cfg_.delay_floor_us && median > 0.0 &&
-          latest >= cfg_.delay_drift_factor * median) {
+      if (latest >= kDelayFloorUs && median > 0.0 &&
+          latest >= kDelayDriftFactor * median) {
         return fire("delay_quantile_drift", "p99_us", latest,
-                    cfg_.delay_drift_factor * median);
+                    kDelayDriftFactor * median);
       }
     }
-    if (cfg_.inversion_excess_pct > 0.0 && !suppressed("inversion_excess")) {
+    if (!suppressed("inversion_excess")) {
       const std::uint64_t pops = b.pops - a.pops;
       const std::uint64_t inv = b.inversions - a.inversions;
-      if (pops >= cfg_.inversion_min_pops) {
+      if (pops >= kInversionMinPops) {
         const double pct =
             100.0 * static_cast<double>(inv) / static_cast<double>(pops);
-        if (pct >= cfg_.inversion_excess_pct) {
+        if (pct >= kInversionExcessPct) {
           return fire("inversion_excess", "inversions_per_100_pops", pct,
-                      cfg_.inversion_excess_pct);
+                      kInversionExcessPct);
         }
       }
     }
