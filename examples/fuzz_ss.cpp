@@ -7,7 +7,7 @@
 //
 //   fuzz_ss --seed 7 --scenarios 50 --events 1000     # a fuzz campaign
 //   fuzz_ss --seed 7 --seconds 30                     # time-budgeted smoke
-//   fuzz_ss --seed 7 --out run.sst                    # byte-deterministic
+//   fuzz_ss --seed 7 --capture run.sst                # byte-deterministic
 //                                                       trace capture
 //   fuzz_ss --replay fuzz_failure.sst                 # deterministic repro
 //   fuzz_ss --seed 7 --inject-fault 3                 # self-test: corrupt
@@ -22,9 +22,11 @@
 //   fuzz_ss --seed 7 --fault-seed 42                  # every scenario runs
 //                                                       under a seeded
 //                                                       hardware fault plane
-//   fuzz_ss --seed 7 --audit-out audit.json           # black-box flight
-//                                                       recorder + rule
-//                                                       provenance dump
+//   fuzz_ss --seed 7 --out run.json                   # run document:
+//                                                       metrics, audit
+//                                                       (flight recorder +
+//                                                       rule provenance),
+//                                                       time series
 //
 // Exit status: 0 = no divergence (or replay reproduced nothing), 1 = a
 // divergence was found (minimized reproducer written), 2 = usage/IO
@@ -60,13 +62,13 @@ struct Args {
   std::uint64_t fault_seed = 0;  // non-zero: every scenario gets a fault plane
   bool explore_batch = false;
   bool explore_rank = false;
-  std::string out;         // trace capture path (fuzz mode)
+  std::string capture;     // trace capture path (fuzz mode)
   std::string replay;      // replay path; empty = fuzz mode
   std::string chip_trace;  // --trace-out: the chip's Chrome trace-event JSON
-  // The metrics, audit and time-series exports.  The fuzzer keeps full
-  // audit by default (sample_every 1) — it is a correctness tool, not a
-  // production loop — but --sample-every lets campaigns measure the
-  // sampled configuration.
+  // The run document (--out: metrics, audit and time series).  The fuzzer
+  // keeps full audit by default (sample_every 1) — it is a correctness
+  // tool, not a production loop — but --sample-every lets campaigns
+  // measure the sampled configuration.
   ss::telemetry::ObservabilityOptions obs;
 };
 
@@ -84,7 +86,7 @@ DifferentialExecutor::Options exec_options(const Args& args,
                                            ss::telemetry::Observability& obs) {
   DifferentialExecutor::Options opt;
   // Divergence reports always carry a metrics snapshot and the
-  // time-series tail, so the registry rides along without --metrics-json.
+  // time-series tail, so the registry rides along without --out.
   opt.metrics = &obs.registry();
   opt.audit = obs.audit();
   if (!args.chip_trace.empty()) {
@@ -94,7 +96,7 @@ DifferentialExecutor::Options exec_options(const Args& args,
   return opt;
 }
 
-/// Write every requested export; false on any I/O error.
+/// Write the run document and the chip trace; false on any I/O error.
 bool write_exports(const Args& args, ss::telemetry::Observability& obs,
                    const std::string& chrome_trace) {
   bool ok = obs.finish("fuzz_ss");
@@ -152,12 +154,12 @@ void print_point(const Scenario& sc) {
 int usage() {
   std::cerr <<
       "usage: fuzz_ss [--seed S] [--scenarios K] [--events N] [--seconds T]\n"
-      "               [--out FILE] [--inject-fault G] [--fault-seed S]\n"
+      "               [--capture FILE] [--inject-fault G] [--fault-seed S]\n"
       "               [--explore-batch] [--explore-rank]\n"
             << ss::telemetry::ObservabilityOptions::usage(15) <<
       "       fuzz_ss --replay FILE [the observability flags above]\n"
-      "--trace-out writes the chip's decision-cycle trace; --profile-out and\n"
-      "--watchdog need a live pipeline (ss_cli run) and exit 2 here.\n";
+      "--trace-out writes the chip's decision-cycle trace; --watchdog needs\n"
+      "a live pipeline (ss_cli run) and exits 2 here.\n";
   return 2;
 }
 
@@ -171,7 +173,8 @@ int replay_mode(const Args& args) {
   }
   // The audit session is sized for the widest fabric; the executor resets
   // the violation baselines per run (begin_run).
-  ss::telemetry::Observability obs(args.obs, ss::telemetry::kAuditMaxStreams);
+  ss::telemetry::Observability obs(args.obs, ss::telemetry::kAuditMaxStreams,
+                                   /*profiled=*/false);
   const DifferentialExecutor ex(exec_options(args, obs));
   const RunResult r = ex.run(tf.scenario);
   obs.timeseries().sample_once();  // one interval: the whole replay
@@ -215,14 +218,15 @@ int fuzz_mode(const Args& args) {
   // The time series is sampled by hand, one interval per scenario: the
   // campaign's rate history with scenario granularity, and on divergence
   // the tail shows which scenarios around the failure were doing what.
-  ss::telemetry::Observability obs(args.obs, ss::telemetry::kAuditMaxStreams);
+  ss::telemetry::Observability obs(args.obs, ss::telemetry::kAuditMaxStreams,
+                                   /*profiled=*/false);
   const DifferentialExecutor ex(exec_options(args, obs));
 
   std::ofstream trace;
-  if (!args.out.empty()) {
-    trace.open(args.out, std::ios::binary);
+  if (!args.capture.empty()) {
+    trace.open(args.capture, std::ios::binary);
     if (!trace) {
-      std::cerr << "fuzz_ss: cannot open " << args.out << '\n';
+      std::cerr << "fuzz_ss: cannot open " << args.capture << '\n';
       return 2;
     }
   }
@@ -347,9 +351,9 @@ int main(int argc, char** argv) {
       args.explore_batch = true;
     } else if (a == "--explore-rank") {
       args.explore_rank = true;
-    } else if (a == "--out") {
+    } else if (a == "--capture") {
       if (i + 1 >= argc) return usage();
-      args.out = argv[++i];
+      args.capture = argv[++i];
     } else if (a == "--replay") {
       if (i + 1 >= argc) return usage();
       args.replay = argv[++i];
@@ -358,8 +362,8 @@ int main(int argc, char** argv) {
     }
   }
   // The executor drives the chip, not the endsystem pipeline: it has no
-  // stage scopes to profile and no live run for a watchdog to poll.
-  if (!args.obs.profile_out.empty() || args.obs.watchdog) return usage();
+  // live run for a watchdog to poll.
+  if (args.obs.watchdog) return usage();
   // --trace-out is the executor's chip trace, not a frame-lifecycle trace.
   args.chip_trace = std::exchange(args.obs.trace_out, {});
   // A setting the program refuses (a bad SS_SIMD value, say) stops it the

@@ -5,7 +5,7 @@
 //   ss_cli area  <slots>                          Virtex-I/II area & clock
 //   ss_cli trace                                  a traced 8-cycle DWCS run
 //   ss_cli run <streams> <frames> [flags]         instrumented pipeline run
-//   ss_cli report [--metrics F] [--audit F] ...   render a run's exports
+//   ss_cli report <run-document>                  render a run document
 //
 // Run without arguments for a demonstration of the subcommands.
 #include <cstdio>
@@ -142,8 +142,7 @@ void usage() {
   std::puts("       ss_cli run <streams> <frames> [--fault-seed S]");
   std::puts("                  [--inject-fault K] [--overload]");
   std::fputs(ss::telemetry::ObservabilityOptions::usage(18).c_str(), stdout);
-  std::puts("       ss_cli report [--metrics FILE] [--audit FILE]");
-  std::puts("                  [--profile FILE] [--timeseries FILE]");
+  std::puts("       ss_cli report FILE");
 }
 
 /// `run`: the one instrumented pipeline command.  Window-constrained
@@ -211,7 +210,7 @@ int cmd_run(int argc, char** argv) {
     if (cfg.faults.seed == 0) cfg.faults.seed = 1;
   }
   telemetry::Observability obs(opts, static_cast<std::uint32_t>(streams),
-                               cfg.faults.enabled());
+                               /*profiled=*/true, cfg.faults.enabled());
   cfg.metrics = obs.metrics();
   cfg.frame_trace = obs.frame_trace();
   cfg.audit = obs.audit();
@@ -264,13 +263,12 @@ int cmd_run(int argc, char** argv) {
   return obs.finish("run") ? 0 : 1;
 }
 
-/// `report`: render a run's export documents as one text page.
-int cmd_report(const ss::telemetry::ReportInputs& in) {
-  const ss::telemetry::Report rep = ss::telemetry::build_report(in);
-  if (!rep.any_input) {
-    std::fprintf(stderr,
-                 "report: no readable input documents (check paths and "
-                 "schemas)\n");
+/// `report`: render a run document as one text page.
+int cmd_report(const std::string& path) {
+  const ss::telemetry::Report rep = ss::telemetry::build_report(path);
+  if (!rep.loaded) {
+    std::fprintf(stderr, "report: %s is not a readable ss-run-v1 document\n",
+                 path.c_str());
     return 2;
   }
   std::printf("%s", rep.text.c_str());
@@ -302,25 +300,7 @@ int dispatch(int argc, char** argv) {
   }
   if (cmd == "trace") return cmd_trace();
   if (cmd == "run" && argc >= 4) return cmd_run(argc, argv);
-  if (cmd == "report") {
-    ss::telemetry::ReportInputs in;
-    for (int i = 2; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a == "--metrics" && i + 1 < argc) {
-        in.metrics_path = argv[++i];
-      } else if (a == "--audit" && i + 1 < argc) {
-        in.audit_path = argv[++i];
-      } else if (a == "--profile" && i + 1 < argc) {
-        in.profile_path = argv[++i];
-      } else if (a == "--timeseries" && i + 1 < argc) {
-        in.timeseries_path = argv[++i];
-      } else {
-        usage();
-        return 1;
-      }
-    }
-    return cmd_report(in);
-  }
+  if (cmd == "report" && argc == 3) return cmd_report(argv[2]);
   usage();
   return 1;
 }

@@ -280,16 +280,6 @@ EndsystemReport Endsystem::run(
   }
 
   monitor_->finish();
-  // Import the audit layer's burn attribution so slo_report can render
-  // per-cause violation counts and burn rates without a new dependency.
-  if (cfg_.audit != nullptr) {
-    const telemetry::DecisionAudit& da = cfg_.audit->audit();
-    for (std::uint32_t s = 0; s < streams_.size(); ++s) {
-      for (std::size_t c = 0; c < telemetry::kBurnCauses; ++c) {
-        monitor_->add_violation_cause(s, c, da.burn(s, c));
-      }
-    }
-  }
   rep.frames = transmitted;
   rep.link_ns = link_.busy_until_ns();
   rep.host_seconds =

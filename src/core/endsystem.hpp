@@ -41,8 +41,7 @@
 namespace ss::core {
 
 /// The shared fields are PipelineConfig's.  Here the fault plane makes
-/// every PCI transfer fallible too, metrics add the PCI layer, and the
-/// audit's burn attribution is imported into the QoS monitor.
+/// every PCI transfer fallible too and metrics add the PCI layer.
 struct EndsystemConfig : PipelineConfig {
   std::uint32_t ref_frame_bytes = 1500;     ///< defines one packet-time
   hw::PciConfig pci{};

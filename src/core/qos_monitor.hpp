@@ -7,7 +7,6 @@
 // per-frame departure-minus-arrival.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -82,39 +81,6 @@ class QosMonitor {
   /// when only tail latencies are needed.  Call before the first record().
   void set_delay_histogram(bool v) { delay_histogram_ = v; }
 
-  /// SLO burn attribution.  Cause indices follow telemetry::BurnCause
-  /// (lost_tiebreak, fault_stall, queue_overflow, unattributed); the
-  /// array is sized generously so the monitor carries no telemetry
-  /// dependency.  The endsystem imports the decision-audit profile here
-  /// after a run.
-  static constexpr std::size_t kViolationCauses = 8;
-
-  void add_violation_cause(std::uint32_t s, std::size_t cause,
-                           std::uint64_t n) {
-    if (cause < kViolationCauses && n > 0) {
-      per_stream_[s].violation_causes[cause] += n;
-    }
-  }
-  [[nodiscard]] std::uint64_t violation_cause(std::uint32_t s,
-                                              std::size_t cause) const {
-    return cause < kViolationCauses ? per_stream_[s].violation_causes[cause]
-                                    : 0;
-  }
-  /// Total attributed window violations (all causes).
-  [[nodiscard]] std::uint64_t attributed_violations(std::uint32_t s) const {
-    std::uint64_t total = 0;
-    for (const std::uint64_t v : per_stream_[s].violation_causes) total += v;
-    return total;
-  }
-  /// Burn rate: attributed violations per second of the stream's active
-  /// transmit span (0 when the span is empty).
-  [[nodiscard]] double violation_burn_per_s(std::uint32_t s) const {
-    const PerStream& ps = per_stream_[s];
-    if (ps.last_ns <= ps.first_ns) return 0.0;
-    return static_cast<double>(attributed_violations(s)) /
-           (static_cast<double>(ps.last_ns - ps.first_ns) * 1e-9);
-  }
-
  private:
   struct PerStream {
     std::vector<BwPoint> bw_series;
@@ -128,7 +94,6 @@ class QosMonitor {
     RunningStats delay;
     JitterTracker jitter;
     std::optional<Histogram> delay_hist;  ///< log-binned delays (us)
-    std::array<std::uint64_t, kViolationCauses> violation_causes{};
   };
   void roll_window(PerStream& ps, std::uint64_t now_ns);
 

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "hw/scheduler_chip.hpp"
-#include "telemetry/audit.hpp"
 
 namespace ss::core {
 
@@ -31,11 +30,6 @@ StreamSlo SloEvaluator::evaluate_stream(const AdmissionEntry& entry,
   }
   s.window_violations = counters.violations;
   s.window_ok = counters.violations == 0;
-  for (std::size_t c = 0; c < QosMonitor::kViolationCauses; ++c) {
-    s.violation_causes[c] = monitor.violation_cause(stream, c);
-  }
-  s.attributed_violations = monitor.attributed_violations(stream);
-  s.burn_per_s = monitor.violation_burn_per_s(stream);
   return s;
 }
 
@@ -74,18 +68,6 @@ std::string SloReport::render() const {
                   s.window_ok ? "OK" : "FAIL",
                   static_cast<unsigned long long>(s.window_violations));
     out += line;
-    if (s.attributed_violations > 0) {
-      std::snprintf(line, sizeof line, "    burn %.3f viol/s:", s.burn_per_s);
-      out += line;
-      for (std::size_t c = 0; c < telemetry::kBurnCauses; ++c) {
-        if (s.violation_causes[c] == 0) continue;
-        std::snprintf(
-            line, sizeof line, " %s %llu", telemetry::burn_cause_name(c),
-            static_cast<unsigned long long>(s.violation_causes[c]));
-        out += line;
-      }
-      out += "\n";
-    }
   }
   out += all_ok ? "SLO: every guarantee held\n"
                 : "SLO: at least one guarantee FAILED\n";

@@ -10,7 +10,6 @@
 // for "the guarantees held".
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,13 +37,6 @@ struct StreamSlo {
   bool window_ok = true;
   std::uint64_t window_violations = 0;
   bool best_effort = false;
-  // Burn attribution (from the decision audit, via the QoS monitor):
-  // violations broken down by cause index (telemetry::BurnCause order) and
-  // the burn rate over the stream's active span.  All zero when no audit
-  // session was attached to the run.
-  std::array<std::uint64_t, QosMonitor::kViolationCauses> violation_causes{};
-  std::uint64_t attributed_violations = 0;
-  double burn_per_s = 0.0;
 
   [[nodiscard]] bool ok() const {
     return bandwidth_ok && delay_ok && window_ok;

@@ -25,7 +25,6 @@ namespace ss::hw {
 enum class FaultSite : std::uint8_t {
   kPciWrite,     ///< programmed-I/O posted write (arrival-offset push)
   kPciRead,      ///< programmed-I/O blocking read (Stream-ID pull)
-  kPciDma,       ///< card-DMA burst
   kSramAcquire,  ///< bank ownership arbitration
   kSramData,     ///< bank data read (single-event upsets on the array)
   kChipDecision, ///< one scheduler decision cycle

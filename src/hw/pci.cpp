@@ -32,13 +32,7 @@ Nanos PciModel::dma_transfer(std::size_t bytes) const {
   const double stream_ns =
       static_cast<double>(bytes) /
       (burst_bytes_per_ns() * cfg_.dma_efficiency);
-  const Nanos ns{cfg_.dma_setup_ns + static_cast<std::uint64_t>(stream_ns)};
-  if (metrics_) {
-    metrics_->dma_transfers->add(1);
-    metrics_->bytes->add(bytes);
-    metrics_->busy_ns->add(count(ns));
-  }
-  return ns;
+  return Nanos{cfg_.dma_setup_ns + static_cast<std::uint64_t>(stream_ns)};
 }
 
 FallibleNanos PciModel::try_pio_write(std::size_t bytes) const {

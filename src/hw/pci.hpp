@@ -55,8 +55,8 @@ class PciModel {
   [[nodiscard]] const PciConfig& config() const { return cfg_; }
 
   /// Attach live metrics (nullptr detaches).  Transfer counts, bytes and
-  /// modeled bus-busy time are recorded on every modeled transfer; the
-  /// cost when detached is one null test per call.
+  /// modeled bus-busy time are recorded on every PIO transfer; the cost
+  /// when detached is one null test per call.
   void attach_metrics(telemetry::PciMetrics* m) { metrics_ = m; }
 
   /// Attach a fault injector (nullptr detaches).  Only the try_* variants

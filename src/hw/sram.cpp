@@ -56,20 +56,6 @@ std::uint32_t SramBank::read(BankOwner who, std::size_t addr) const {
   return mem_[addr];
 }
 
-BankedSram::BankedSram(unsigned banks, std::size_t words_per_bank,
-                       Nanos ownership_switch_cost) {
-  banks_.reserve(banks);
-  for (unsigned i = 0; i < banks; ++i) {
-    banks_.emplace_back(words_per_bank, ownership_switch_cost);
-  }
-}
-
-std::uint64_t BankedSram::total_switches() const {
-  std::uint64_t n = 0;
-  for (const auto& b : banks_) n += b.switches();
-  return n;
-}
-
 DualPortedSram::DualPortedSram(std::size_t words) : mem_(words, 0) {}
 
 void DualPortedSram::write(std::size_t addr, std::uint32_t value) {

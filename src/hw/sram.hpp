@@ -72,26 +72,6 @@ class SramBank {
   FaultInjector* faults_ = nullptr;
 };
 
-/// The RC1000's banked SRAM: independent banks so the Stream processor can
-/// fill one while the scheduler drains another ("providing concurrent
-/// accesses to the SRAM bank for the Stream processor and FPGA are crucial
-/// to providing high-performance").
-class BankedSram {
- public:
-  BankedSram(unsigned banks, std::size_t words_per_bank,
-             Nanos ownership_switch_cost);
-
-  [[nodiscard]] SramBank& bank(unsigned i) { return banks_.at(i); }
-  [[nodiscard]] const SramBank& bank(unsigned i) const { return banks_.at(i); }
-  [[nodiscard]] unsigned bank_count() const {
-    return static_cast<unsigned>(banks_.size());
-  }
-  [[nodiscard]] std::uint64_t total_switches() const;
-
- private:
-  std::vector<SramBank> banks_;
-};
-
 /// Dual-ported SRAM for the linecard realization: both ports access
 /// concurrently, no arbitration.  Partitioned into named regions.
 class DualPortedSram {

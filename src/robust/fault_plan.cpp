@@ -16,7 +16,6 @@ hw::FaultDecision FaultPlan::on_transaction(hw::FaultSite site) {
   switch (site) {
     case hw::FaultSite::kPciWrite:
     case hw::FaultSite::kPciRead:
-    case hw::FaultSite::kPciDma:
       rate = prof_.pci_fault_per64k;
       penalty_ns = prof_.pci_timeout_ns;
       break;
@@ -69,7 +68,6 @@ hw::FaultDecision FaultPlan::on_transaction(hw::FaultSite site) {
     switch (site) {
       case hw::FaultSite::kPciWrite:
       case hw::FaultSite::kPciRead:
-      case hw::FaultSite::kPciDma:
         metrics_->pci_faults->add(1);
         break;
       case hw::FaultSite::kSramAcquire:
@@ -85,7 +83,6 @@ hw::FaultDecision FaultPlan::on_transaction(hw::FaultSite site) {
     switch (site) {
       case hw::FaultSite::kPciWrite:
       case hw::FaultSite::kPciRead:
-      case hw::FaultSite::kPciDma:
         audit_->note_fault(telemetry::AuditSession::FaultSite::kPci);
         break;
       case hw::FaultSite::kSramAcquire:

@@ -71,11 +71,11 @@ class FaultPlan final : public hw::FaultInjector {
   FaultProfile prof_;
   Rng rng_;
   /// Remaining faulted attempts in the current episode, per site.
-  std::array<std::uint32_t, 6> burst_left_{};
+  std::array<std::uint32_t, 5> burst_left_{};
   /// Set when an episode ends: the next attempt at the site is forced
   /// clean, so episodes can never chain past max_burst.
-  std::array<bool, 6> cooldown_{};
-  std::array<std::uint64_t, 6> injected_{};
+  std::array<bool, 5> cooldown_{};
+  std::array<std::uint64_t, 5> injected_{};
   std::uint64_t chip_attempts_ = 0;
   telemetry::RobustMetrics* metrics_ = nullptr;
   telemetry::AuditSession* audit_ = nullptr;

@@ -110,8 +110,8 @@ class GuardedScheduler {
   /// Attach a decision-audit session (nullptr detaches); forwards to the
   /// chip (provenance + flight recorder) and the fault plan (fault
   /// context).  force_failover() then freezes the black box: the recorder
-  /// stops at the failover point and an ss-audit-v1 dump is written
-  /// (cause "failover") if the session carries a dump path.
+  /// stops at the failover point and the session dumps its audit section
+  /// with cause "failover".
   void attach_audit(telemetry::AuditSession* a);
 
  private:

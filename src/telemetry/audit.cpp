@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstdio>
-#include <fstream>
 
 #include "util/json.hpp"
 
@@ -173,16 +172,6 @@ void DecisionAudit::cycle_rules(
 AuditSession::AuditSession(std::uint32_t streams, std::size_t ring_capacity)
     : audit_(streams), recorder_(ring_capacity) {}
 
-void AuditSession::set_dump_path(std::string path) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  dump_path_ = std::move(path);
-}
-
-std::string AuditSession::dump_path() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return dump_path_;
-}
-
 void AuditSession::set_health(std::uint8_t state) noexcept {
   health_.store(state, std::memory_order_relaxed);
 }
@@ -258,7 +247,7 @@ void AuditSession::set_watchdog_context(std::string json_object) {
   watchdog_context_ = std::move(json_object);
 }
 
-std::string AuditSession::to_json(const std::string& cause) const {
+std::string AuditSession::to_json() const {
   // Scale that turns a sampled tally into an estimate of the full one;
   // 1.0 when the sampler never ran (standalone sessions, full audit).
   const double scale = sampler_.scale();
@@ -269,9 +258,7 @@ std::string AuditSession::to_json(const std::string& cause) const {
 
   std::string out;
   out.reserve(4096);
-  out += "{\"schema\":\"ss-audit-v2\",\"cause\":\"";
-  out += cause;
-  out += "\",\"streams\":";
+  out += "{\"streams\":";
   append_u64(out, audit_.streams());
   out += ",\"decisions\":";
   append_u64(out, recorder_.recorded());
@@ -394,25 +381,21 @@ std::string AuditSession::to_json(const std::string& cause) const {
   return out;
 }
 
-bool AuditSession::dump(const std::string& cause) {
-  const std::string doc = to_json(cause);
+void AuditSession::set_dump_sink(DumpSink sink) {
   const std::lock_guard<std::mutex> lock(mu_);
-  last_cause_ = cause;
-  dumped_.store(true, std::memory_order_relaxed);
-  if (dump_path_.empty()) return false;
-  std::ofstream f(dump_path_, std::ios::binary);
-  if (!f) return false;
-  f << doc << "\n";
-  return static_cast<bool>(f);
+  sink_ = std::move(sink);
 }
 
-bool AuditSession::dumped() const noexcept {
-  return dumped_.load(std::memory_order_relaxed);
+void AuditSession::dump(const std::string& cause) {
+  Dump d{cause, to_json()};
+  const std::lock_guard<std::mutex> lock(mu_);
+  last_dump_ = std::move(d);
+  if (sink_) sink_(*last_dump_);
 }
 
-std::string AuditSession::last_cause() const {
+std::optional<AuditSession::Dump> AuditSession::last_dump() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return last_cause_;
+  return last_dump_;
 }
 
 }  // namespace ss::telemetry

@@ -9,7 +9,8 @@
 // window-constraint violation to a cause the moment the chip's update
 // phase commits it — a lost tiebreak (with the losing rule), a
 // fault-induced stall, or host queue overflow — feeding the per-stream
-// burn-rate counters in QosMonitor/slo_report.
+// burn counters of the run document's audit section and the registry's
+// audit.burn.* counters.
 //
 // AuditSession bundles the profile with a FlightRecorder ring, a
 // DecisionSampler and the dump policy: the robust layer pushes
@@ -17,14 +18,15 @@
 // decision is sampled, then calls on_decision() (sampled: full record)
 // or on_decision_lite() (unsampled: exact counters only) once per
 // committed decision; failover / retry exhaustion / differential
-// divergence / watchdog rules trigger a single-line `ss-audit-v2` dump
-// (schema in docs/formats.md).
+// divergence / watchdog rules freeze the audit section under their cause
+// and hand it to the dump sink, the run-document writer (the `audit`
+// section of `ss-run-v1`, docs/formats.md).
 //
 // Sampling contract: grants, drops, violations, per-cause burns and the
 // total comparison count are exact at every sample rate; the per-rule
 // win/loss profile, the lost-tiebreak per-rule detail (burn_rule) and the
 // flight-recorder ring cover only sampled decisions (scaled estimates
-// ride in the v2 export).  Unsampled decisions attribute lost-tiebreak
+// ride in the export).  Unsampled decisions attribute lost-tiebreak
 // burns from the chip's contended-and-not-granted mask instead of the
 // per-comparison callback, so the cause stays exact while the rule
 // detail is sampled.  Decisions and winners are bit-identical whether
@@ -46,7 +48,9 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "telemetry/flight_recorder.hpp"
@@ -134,8 +138,8 @@ class DecisionAudit {
   /// Mirror the global rule counters into `reg` as audit.rule.<name>
   /// (plus audit.comparisons, audit.violations and the exact
   /// audit.burn.<cause> counters the watchdog's burn-spike rule reads)
-  /// so they ride in the ss-metrics-v1 snapshot.  Idempotent; call at
-  /// attach time.
+  /// so they ride in the metrics snapshot.  Idempotent; call at attach
+  /// time.
   void bind_registry(MetricsRegistry& reg);
 
   // -- accessors (safe from any thread) ------------------------------------
@@ -219,9 +223,6 @@ class AuditSession {
     return recorder_;
   }
 
-  void set_dump_path(std::string path);
-  [[nodiscard]] std::string dump_path() const;
-
   /// Per-N decision sampling (default: every decision fully audited).
   /// Scheduling thread / before the run; seed picks the grid phase.
   void set_sampling(std::uint32_t every, std::uint64_t seed = 0) noexcept {
@@ -278,16 +279,27 @@ class AuditSession {
   /// window stats, spliced into the next dump under "watchdog".
   void set_watchdog_context(std::string json_object);
 
-  /// The single-line `ss-audit-v2` document.
-  [[nodiscard]] std::string to_json(const std::string& cause) const;
+  /// The run document's single-line `audit` section (docs/formats.md).
+  [[nodiscard]] std::string to_json() const;
 
-  /// Write to_json(cause) to dump_path() (no-op path -> not written).
-  /// Records cause/dumped state either way.  Returns true if a file was
-  /// written.
-  bool dump(const std::string& cause);
+  /// One black-box capture: why it was taken and the section as it stood.
+  struct Dump {
+    std::string cause;
+    std::string section;  ///< to_json() at the anomaly
+  };
+  /// Receives every dump as it happens (the run-document writer), under
+  /// the session's lock, so concurrent anomalies reach it one at a time
+  /// and the last one written is last_dump(); it must not call back into
+  /// the session.
+  using DumpSink = std::function<void(const Dump&)>;
+  void set_dump_sink(DumpSink sink);
 
-  [[nodiscard]] bool dumped() const noexcept;
-  [[nodiscard]] std::string last_cause() const;
+  /// Freeze the section under `cause` (failover, watchdog firing,
+  /// divergence), keep it as last_dump() and hand it to the sink.
+  void dump(const std::string& cause);
+
+  /// The latest dump; nullopt when no anomaly happened.
+  [[nodiscard]] std::optional<Dump> last_dump() const;
 
  private:
   void classify_fresh_violations(std::uint32_t n_streams,
@@ -299,12 +311,11 @@ class AuditSession {
   std::atomic<std::uint8_t> health_{0};
   std::array<std::atomic<std::uint64_t>, 3> faults_{};
   std::array<std::uint64_t, kAuditMaxStreams> prev_violations_{};
-  std::atomic<bool> dumped_{false};
-  mutable std::mutex mu_;  ///< guards dump_path_/last_cause_/watchdog
-                           ///< context + file writes
-  std::string dump_path_;
-  std::string last_cause_;
+  mutable std::mutex mu_;  ///< guards the watchdog context, the sink and
+                           ///< the last dump
   std::string watchdog_context_;
+  DumpSink sink_;
+  std::optional<Dump> last_dump_;
 };
 
 }  // namespace ss::telemetry

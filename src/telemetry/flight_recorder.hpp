@@ -8,9 +8,9 @@
 // deadline/loss/violation state after the update phase, the control-FSM
 // phase, the robust-health state and the cumulative fault count.  On
 // failover, retry exhaustion or differential divergence the owning
-// AuditSession dumps the ring as part of a single-line `ss-audit-v2` JSON
-// document (schema in docs/formats.md); `--audit-out` on `ss_cli run` and
-// `fuzz_ss` dumps it on demand.
+// AuditSession dumps the ring as part of the run document's `audit`
+// section (docs/formats.md); `--out` on `ss_cli run` and `fuzz_ss` writes
+// it on demand.
 //
 // Concurrency contract mirrors FrameTrace: record() and the read accessors
 // take one uncontended mutex, so a monitor thread may export while the

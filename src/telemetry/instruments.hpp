@@ -65,7 +65,6 @@ struct ChipMetrics {
 struct PciMetrics {
   Counter* pio_writes = nullptr;    ///< pci.pio_writes
   Counter* pio_reads = nullptr;     ///< pci.pio_reads
-  Counter* dma_transfers = nullptr; ///< pci.dma_transfers
   Counter* bytes = nullptr;         ///< pci.bytes
   Counter* busy_ns = nullptr;       ///< pci.busy_ns
 
@@ -73,7 +72,6 @@ struct PciMetrics {
     PciMetrics m;
     m.pio_writes = &reg.counter("pci.pio_writes");
     m.pio_reads = &reg.counter("pci.pio_reads");
-    m.dma_transfers = &reg.counter("pci.dma_transfers");
     m.bytes = &reg.counter("pci.bytes");
     m.busy_ns = &reg.counter("pci.busy_ns");
     return m;

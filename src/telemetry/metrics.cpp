@@ -204,7 +204,7 @@ std::size_t MetricsRegistry::size() const {
 }
 
 std::string Snapshot::to_json() const {
-  std::string out = "{\"schema\":\"ss-metrics-v1\",\"counters\":{";
+  std::string out = "{\"counters\":{";
   char buf[64];
   bool first = true;
   for (const Sample& s : samples) {

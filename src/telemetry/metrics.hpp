@@ -175,8 +175,9 @@ struct Sample {
 struct Snapshot {
   std::vector<Sample> samples;  ///< sorted by name
 
-  /// {"schema":"ss-metrics-v1","counters":{...},"gauges":{...},
-  ///  "histograms":{"name":{"count":..,"sum":..,"p50":..,...}}} — one line.
+  /// {"counters":{...},"gauges":{...},"histograms":{"name":{"count":..,
+  ///  "sum":..,"p50":..,...}}} — one line, the run document's `metrics`
+  ///  section (docs/formats.md).
   [[nodiscard]] std::string to_json() const;
 };
 

@@ -5,15 +5,18 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <utility>
+
+#include "util/json.hpp"
 
 namespace ss::telemetry {
 
 namespace {
 
-// Where a watchdog or fault-plane run dumps the audit when --audit-out
+// Where a watchdog or fault-plane run writes its run document when --out
 // was not given.
-constexpr const char* kDefaultAuditDump = "ss_audit_dump.json";
+constexpr const char* kDefaultRunPath = "ss_run.json";
 
 struct PathFlag {
   const char* name;
@@ -21,16 +24,34 @@ struct PathFlag {
 };
 
 constexpr PathFlag kPathFlags[] = {
-    {"--metrics-json", &ObservabilityOptions::metrics_json},
+    {"--out", &ObservabilityOptions::out},
     {"--trace-out", &ObservabilityOptions::trace_out},
-    {"--audit-out", &ObservabilityOptions::audit_out},
-    {"--profile-out", &ObservabilityOptions::profile_out},
-    {"--timeseries-out", &ObservabilityOptions::timeseries_out},
 };
 
-bool write_text(const std::string& path, const std::string& body) {
-  std::ofstream f(path);
-  f << body;
+/// One plane's section of the run document; an empty body leaves the
+/// section out (the plane was not attached).
+struct Section {
+  const char* name;
+  std::string body;
+};
+
+/// The ss-run-v1 layout (docs/formats.md): schema, cause, then each
+/// attached plane's section, on one line.
+bool write_run_document(const std::string& path, const std::string& cause,
+                        std::span<const Section> sections) {
+  std::string doc = "{\"schema\":\"ss-run-v1\",\"cause\":\"";
+  util::json_escape_into(doc, cause);
+  doc += '"';
+  for (const Section& s : sections) {
+    if (s.body.empty()) continue;
+    doc += ",\"";
+    doc += s.name;
+    doc += "\":";
+    doc += s.body;
+  }
+  doc += "}\n";
+  std::ofstream f(path, std::ios::binary);
+  f << doc;
   return static_cast<bool>(f);
 }
 
@@ -79,34 +100,34 @@ ObservabilityOptions::Flag ObservabilityOptions::take(int argc, char** argv,
 
 std::string ObservabilityOptions::usage(int indent) {
   const std::string pad(static_cast<std::size_t>(indent), ' ');
-  return pad +
-         "[--metrics-json FILE] [--trace-out FILE] [--audit-out FILE]\n" +
-         pad + "[--profile-out FILE] [--timeseries-out FILE]\n" + pad +
-         "[--sample-every N] [--watchdog]\n";
+  return pad + "[--out FILE] [--trace-out FILE] [--sample-every N]\n" + pad +
+         "[--watchdog]\n";
 }
 
 Observability::Observability(ObservabilityOptions opts, std::uint32_t streams,
-                             bool fault_plane)
-    : opts_(std::move(opts)) {
-  if (opts_.audit_out.empty() && (opts_.watchdog || fault_plane)) {
-    opts_.audit_out = kDefaultAuditDump;
-  }
+                             bool profiled, bool fault_plane)
+    : opts_(std::move(opts)),
+      registry_on_(!opts_.out.empty() || opts_.watchdog) {
   if (!opts_.trace_out.empty()) frame_trace_.emplace();
-  if (!opts_.profile_out.empty()) profiler_.emplace();
-  if (!opts_.audit_out.empty()) {
+  if (!opts_.out.empty() && profiled) profiler_.emplace();
+  if (registry_on_ || fault_plane) {
+    if (opts_.out.empty()) opts_.out = kDefaultRunPath;
     audit_.emplace(streams);
-    audit_->set_dump_path(opts_.audit_out);
     audit_->set_sampling(opts_.sample_every);
+    // The black box reaches disk at the anomaly itself; finish() later
+    // rewrites the whole document around the same audit section.
+    audit_->set_dump_sink([path = opts_.out](const AuditSession::Dump& d) {
+      const Section audit[] = {{"audit", d.section}};
+      (void)write_run_document(path, d.cause, audit);
+    });
   }
   // One interval sampler serves both consumers: the watchdog's rolling
-  // rules and the --timeseries-out export read the same rings.
+  // rules and the run document's time-series section read the same rings.
   if (opts_.watchdog) watchdog_.emplace(timeseries_, audit());
 }
 
 MetricsRegistry* Observability::metrics() noexcept {
-  const bool wanted = !opts_.metrics_json.empty() ||
-                      !opts_.timeseries_out.empty() || opts_.watchdog;
-  return wanted ? &registry_ : nullptr;
+  return registry_on_ ? &registry_ : nullptr;
 }
 
 FrameTrace* Observability::frame_trace() noexcept {
@@ -122,8 +143,7 @@ AuditSession* Observability::audit() noexcept {
 }
 
 void Observability::start() {
-  sampling_ = !opts_.timeseries_out.empty() || opts_.watchdog;
-  if (sampling_) timeseries_.start();
+  if (registry_on_) timeseries_.start();
 }
 
 bool Observability::finish(const char* prog) {
@@ -141,14 +161,6 @@ bool Observability::finish(const char* prog) {
                 fired ? ", last rule " : "",
                 fired ? watchdog_->last_rule().c_str() : "");
   }
-  if (const std::string& path = opts_.metrics_json; !path.empty()) {
-    if (write_text(path, registry_.to_json() + "\n")) {
-      std::printf("metrics snapshot (%zu metrics) -> %s\n", registry_.size(),
-                  path.c_str());
-    } else {
-      failed(path);
-    }
-  }
   if (frame_trace_) {
     if (frame_trace_->write_chrome_json(opts_.trace_out)) {
       std::printf("frame-lifecycle trace (%llu events) -> %s  "
@@ -159,45 +171,36 @@ bool Observability::finish(const char* prog) {
       failed(opts_.trace_out);
     }
   }
-  if (profiler_) {
-    if (profiler_->write_json(opts_.profile_out)) {
-      std::printf("profile: per-stage wall time (%s clock) -> %s\n",
-                  Profiler::clock_name(), opts_.profile_out.c_str());
-    } else {
-      failed(opts_.profile_out);
-    }
+  if (!audit_) return ok;  // no --out, watchdog or fault plane: no document
+
+  const std::optional<AuditSession::Dump> frozen = audit_->last_dump();
+  const AuditSession::Dump box =
+      frozen ? *frozen : AuditSession::Dump{"on_demand", audit_->to_json()};
+  const Section sections[] = {
+      {"metrics", registry_on_ ? registry_.to_json() : ""},
+      {"audit", box.section},
+      {"profile", profiler_ ? profiler_->to_json() : ""},
+      {"timeseries", registry_on_ ? timeseries_.to_json() : ""},
+  };
+  if (!write_run_document(opts_.out, box.cause, sections)) {
+    failed(opts_.out);
+    return ok;
   }
-  if (const std::string& path = opts_.timeseries_out; !path.empty()) {
-    if (!timeseries_.write_json(path)) {
-      failed(path);
-    } else if (sampling_) {
-      std::printf("time series: %zu interval(s) at %lld ms cadence -> %s\n",
-                  timeseries_.size(),
-                  static_cast<long long>(
-                      timeseries_.config().poll_interval.count()),
-                  path.c_str());
-    } else {
-      std::printf("time series: %zu interval(s) sampled by hand -> %s\n",
-                  timeseries_.size(), path.c_str());
-    }
+  std::printf("audit: %llu comparisons (%llu with sampled provenance, "
+              "1-in-%u) over %llu decisions\n",
+              static_cast<unsigned long long>(audit_->audit().comparisons()),
+              static_cast<unsigned long long>(
+                  audit_->audit().comparisons_sampled()),
+              audit_->sampler().every(),
+              static_cast<unsigned long long>(audit_->sampler().decisions()));
+  std::string names;
+  for (const Section& s : sections) {
+    if (s.body.empty()) continue;
+    names += names.empty() ? "" : ", ";
+    names += s.name;
   }
-  if (audit_) {
-    if (!audit_->dumped() && !audit_->dump("on_demand")) {
-      failed(opts_.audit_out);
-    } else {
-      std::printf("audit: %llu comparisons (%llu with sampled provenance, "
-                  "1-in-%u) over %llu decisions; flight recorder dump "
-                  "(cause \"%s\") -> %s\n",
-                  static_cast<unsigned long long>(
-                      audit_->audit().comparisons()),
-                  static_cast<unsigned long long>(
-                      audit_->audit().comparisons_sampled()),
-                  audit_->sampler().every(),
-                  static_cast<unsigned long long>(
-                      audit_->sampler().decisions()),
-                  audit_->last_cause().c_str(), opts_.audit_out.c_str());
-    }
-  }
+  std::printf("run document (cause \"%s\"; %s) -> %s\n", box.cause.c_str(),
+              names.c_str(), opts_.out.c_str());
   return ok;
 }
 

@@ -1,7 +1,6 @@
 #include "telemetry/profiler.hpp"
 
 #include <chrono>
-#include <fstream>
 
 #include "util/json.hpp"
 
@@ -134,7 +133,7 @@ std::string Profiler::to_json() const {
 
   std::string out;
   out.reserve(1024);
-  out += "{\"schema\":\"ss-profile-v1\",\"clock\":\"";
+  out += "{\"clock\":\"";
   out += clock_name();
   out += "\",\"total_ns\":";
   append_u64(out, root_total);
@@ -168,13 +167,6 @@ std::string Profiler::to_json() const {
   }
   out += "]}";
   return out;
-}
-
-bool Profiler::write_json(const std::string& path) const {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
-  f << to_json() << "\n";
-  return static_cast<bool>(f);
 }
 
 std::uint64_t Profiler::ticks_to_ns(std::uint64_t ticks) noexcept {

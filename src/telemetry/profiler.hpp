@@ -18,11 +18,10 @@
 // count/total_ns stay exact) — quantiles are unbiased estimates from
 // every 8th scope, totals and counts are not sampled.
 // bind_registry() re-homes them in a MetricsRegistry under the prof.*
-// namespace (prof.<stage>.ns) so they ride in ss-metrics-v1 snapshots;
-// to_json()/write_json() emit a flamegraph-style
-// ss-profile-v1 document (schema in docs/formats.md) with per-stage
-// totals, self-time (shuffle passes nest inside the chip decision) and
-// quantiles — the --profile-out payload of `ss_cli run`.
+// namespace (prof.<stage>.ns) so they ride in metrics snapshots;
+// to_json() emits the flamegraph-style `profile` section of the run
+// document (docs/formats.md) with per-stage totals, self-time (shuffle
+// passes nest inside the chip decision) and quantiles.
 //
 // Concurrency: each stage has a single writer (the thread that owns that
 // pipeline stage — in the threaded endsystem the scheduler thread owns
@@ -84,10 +83,8 @@ class Profiler {
   [[nodiscard]] std::uint64_t count(ProfStage stage) const noexcept;
   [[nodiscard]] std::uint64_t total_ns(ProfStage stage) const noexcept;
 
-  /// One-line ss-profile-v1 JSON (schema in docs/formats.md).
+  /// The run document's one-line `profile` section (docs/formats.md).
   [[nodiscard]] std::string to_json() const;
-  /// Write to_json() to `path`; false on I/O error.
-  bool write_json(const std::string& path) const;
 
   /// Raw timestamp in clock ticks / tick->ns conversion / clock identity
   /// ("rdtsc" or "steady_clock").  now_ticks is inline — it runs twice

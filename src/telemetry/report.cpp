@@ -34,16 +34,6 @@ std::string sparkline(const std::vector<double>& v) {
   return out;
 }
 
-/// Load `path` and require its "schema" field to be `schema`; nullopt on
-/// missing file, parse error, or schema mismatch.
-std::optional<JsonValue> load_doc(const std::string& path,
-                                  const char* schema) {
-  if (path.empty()) return std::nullopt;
-  auto doc = ss::util::parse_json_file(path);
-  if (!doc || doc->str_at("schema") != schema) return std::nullopt;
-  return doc;
-}
-
 std::vector<double> num_array(const JsonValue* v) {
   std::vector<double> out;
   if (v != nullptr && v->is_array()) {
@@ -65,16 +55,17 @@ char* fmt(char* buf, std::size_t n, const char* f, ...) {
 
 }  // namespace
 
-Report build_report(const ReportInputs& in) {
-  const auto metrics = load_doc(in.metrics_path, "ss-metrics-v1");
-  const auto audit = load_doc(in.audit_path, "ss-audit-v2");
-  const auto profile = load_doc(in.profile_path, "ss-profile-v1");
-  const auto ts = load_doc(in.timeseries_path, "ss-timeseries-v1");
-
+Report build_report(const std::string& path) {
   Report rep;
-  rep.any_input = metrics || audit || profile || ts;
+  const std::optional<JsonValue> doc = ss::util::parse_json_file(path);
+  if (!doc || doc->str_at("schema") != "ss-run-v1") return rep;
+  rep.loaded = true;
+  const JsonValue* const metrics = doc->find("metrics");
+  const JsonValue* const audit = doc->find("audit");
+  const JsonValue* const profile = doc->find("profile");
+  const JsonValue* const ts = doc->find("timeseries");
 
-  // Counter rate series (time-series doc): name -> {cum, mean/max rate,
+  // Counter rate series (timeseries section): name -> {cum, mean/max rate,
   // rate vector for the sparkline}.  Kept for counters that moved.
   struct RateRow {
     std::string name;
@@ -116,11 +107,11 @@ Report build_report(const ReportInputs& in) {
     if (rates.size() > 8) rates.resize(8);  // top movers only
   }
 
-  // Delay (and any other) histograms from the metrics doc.
+  // Delay (and any other) histograms from the metrics section.
   struct DelayRow {
     std::string name;
     double count = 0.0, p50 = 0.0, p90 = 0.0, p99 = 0.0;
-    std::vector<double> interval_p99;  // from the time-series doc
+    std::vector<double> interval_p99;  // from the timeseries section
   };
   std::vector<DelayRow> delays;
   if (metrics) {
@@ -215,7 +206,7 @@ Report build_report(const ReportInputs& in) {
   t += "ShareStreams run report\n";
   t += "=======================\n";
   t += fmt(buf, sizeof buf,
-           "inputs: metrics %s  audit %s  profile %s  timeseries %s\n",
+           "sections: metrics %s  audit %s  profile %s  timeseries %s\n",
            metrics ? "yes" : "-", audit ? "yes" : "-", profile ? "yes" : "-",
            ts ? "yes" : "-");
   if (ts) {
@@ -285,7 +276,7 @@ Report build_report(const ReportInputs& in) {
   if (audit) {
     t += fmt(buf, sizeof buf,
              "\naudit: cause=%s decisions=%lld comparisons=%lld health=%lld\n",
-             audit->str_at("cause").c_str(),
+             doc->str_at("cause").c_str(),
              static_cast<long long>(audit->num_at("decisions")),
              static_cast<long long>(audit->num_at("comparisons")),
              static_cast<long long>(audit->num_at("health")));

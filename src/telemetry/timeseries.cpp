@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <utility>
 
 #include "util/json.hpp"
@@ -208,7 +207,7 @@ std::string TimeSeries::to_json() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::string out;
   out.reserve(4096);
-  out += "{\"schema\":\"ss-timeseries-v1\",\"interval_ns\":";
+  out += "{\"interval_ns\":";
   out += std::to_string(
       std::chrono::duration_cast<std::chrono::nanoseconds>(cfg_.poll_interval)
           .count());
@@ -286,13 +285,6 @@ std::string TimeSeries::to_json() const {
   }
   out += "}";
   return out;
-}
-
-bool TimeSeries::write_json(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << to_json() << '\n';
-  return static_cast<bool>(out);
 }
 
 std::string TimeSeries::tail_text(std::size_t k) const {

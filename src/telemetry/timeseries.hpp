@@ -23,10 +23,8 @@
 //
 // The Watchdog evaluates its five rules over this backend (it owns a
 // private TimeSeries when constructed from a bare registry, or shares
-// yours), and the CLIs export the rings as a single-line
-// `ss-timeseries-v1` document via --timeseries-out (schema in
-// docs/formats.md) — the substrate later sharding/overload work reports
-// through.
+// yours), and the CLIs export the rings as the run document's
+// `timeseries` section (docs/formats.md).
 //
 // Concurrency: start()/stop() own the monitor thread; sample_once() may
 // also be driven manually (tests, per-scenario sampling in fuzz_ss) and
@@ -105,9 +103,6 @@ class TimeSeries {
   /// from any thread.  Returns the total interval count after this one.
   std::uint64_t sample_once();
 
-  [[nodiscard]] const TimeSeriesConfig& config() const noexcept {
-    return cfg_;
-  }
   /// Retained intervals (<= capacity).
   [[nodiscard]] std::size_t size() const;
   /// Total intervals ever sampled.
@@ -128,10 +123,9 @@ class TimeSeries {
   /// Kind of a tracked series; false when the name has never been seen.
   [[nodiscard]] bool kind_of(const std::string& name, SeriesKind& out) const;
 
-  /// Single-line `ss-timeseries-v1` document (docs/formats.md).
+  /// The run document's single-line `timeseries` section
+  /// (docs/formats.md).
   [[nodiscard]] std::string to_json() const;
-  /// Write to_json() + newline to `path`; false on IO error.
-  bool write_json(const std::string& path) const;
 
   /// Human-readable tail of the last `k` intervals — the rate context
   /// fuzz_ss prints next to a divergence.  Counters with zero growth in

@@ -5,7 +5,7 @@
 // *anomaly*.  A Watchdog evaluates five rules over the last `window`
 // intervals of a TimeSeries (the tree's one definition of windowed
 // signals — it owns a private sampler when constructed from a bare
-// registry, or shares one you already run for --timeseries-out):
+// registry, or shares one you already run for the run document):
 //
 //   burn_rate_spike       any audit.burn.<cause> counter grew by more
 //                         than a threshold across the window
@@ -22,8 +22,8 @@
 //
 // A firing rule triggers AuditSession::dump with cause
 // "watchdog:<rule>", after force-sampling the next decision and
-// attaching a window-stats context object that lands in the ss-audit-v2
-// document under "watchdog" — the dump says not just *that* the box
+// attaching a window-stats context object that lands in the audit
+// section under "watchdog" — the dump says not just *that* the box
 // tripped but which rule, on what value, against what threshold.  Each
 // rule fires at most once per run (no dump storms); firings are counted
 // in watchdog.fired, polls in watchdog.polls.

@@ -482,10 +482,7 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
   if (res.diverged) {
     res.chip_trace_tail = tracer.render_all();
     if (opt_.metrics) res.metrics_json = opt_.metrics->to_json();
-    if (opt_.audit) {
-      res.audit_json = opt_.audit->to_json("divergence");
-      opt_.audit->dump("divergence");
-    }
+    if (opt_.audit) opt_.audit->dump("divergence");
   }
   if (opt_.export_chrome_trace) {
     res.chip_trace_chrome_json = tracer.to_chrome_json();

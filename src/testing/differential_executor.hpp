@@ -80,11 +80,6 @@ struct RunResult {
   /// Chrome trace-event JSON of the retained decision-cycle window (only
   /// when Options::export_chrome_trace; empty otherwise).
   std::string chip_trace_chrome_json;
-
-  /// ss-audit-v1 snapshot taken at the divergence point (only when
-  /// Options::audit was attached and the run diverged; empty otherwise).
-  /// The session itself is also dumped with cause "divergence".
-  std::string audit_json;
 };
 
 class DifferentialExecutor {
@@ -106,7 +101,7 @@ class DifferentialExecutor {
     bool export_chrome_trace = false;
     /// Accumulate chip metrics for the run into this registry when set
     /// (fuzz/replay drivers pass one to get a metrics snapshot attached to
-    /// divergence reports and --metrics-json output).
+    /// divergence reports and the run document).
     telemetry::MetricsRegistry* metrics = nullptr;
     /// Decision-audit session: rule provenance + the flight-recorder ring
     /// for the run.  The executor calls begin_run() (the chip's counters

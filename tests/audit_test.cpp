@@ -9,9 +9,10 @@
 //   2. OBSERVATION ONLY — attaching an AuditSession to a differential run
 //      must not change a single grant: a >=10k-decision fuzz campaign
 //      produces identical digests with auditing on and off.
-//   3. THE BLACK BOX — a forced mid-run failover dumps an `ss-audit-v1`
-//      document whose last recorded decision matches the software oracle's
-//      state at the failover point, decision for decision.
+//   3. THE BLACK BOX — a forced mid-run failover dumps an audit section
+//      whose last recorded decision matches the software oracle's state at
+//      the failover point, decision for decision, and under Observability
+//      that section reaches the run document at the seam.
 // The AuditStress suite additionally races a live to_json() exporter
 // against the threaded endsystem (TSan job).
 #include <gtest/gtest.h>
@@ -27,16 +28,16 @@
 #include <vector>
 
 #include "core/endsystem.hpp"
-#include "core/qos_monitor.hpp"
-#include "core/slo_report.hpp"
 #include "core/threaded_endsystem.hpp"
 #include "dwcs/ordering.hpp"
 #include "dwcs/reference_scheduler.hpp"
 #include "hw/decision_block.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/flight_recorder.hpp"
+#include "telemetry/observability.hpp"
 #include "testing/differential_executor.hpp"
 #include "testing/workload_fuzzer.hpp"
+#include "util/json.hpp"
 
 namespace ss {
 namespace {
@@ -46,6 +47,13 @@ using telemetry::BurnCause;
 using telemetry::DecisionAudit;
 using telemetry::DecisionRecord;
 using telemetry::FlightRecorder;
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
 
 // ---------------------------------------------------------------------------
 // Flight recorder ring mechanics.
@@ -168,7 +176,7 @@ TEST(AuditProvenance, ProfilesCountComparisons) {
   EXPECT_EQ(audit.losses(3, 6), 1u);
   EXPECT_EQ(audit.wins(3, 6), 0u);
 
-  // The same firings ride in the ss-metrics-v1 snapshot.
+  // The same firings ride in the metrics snapshot.
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("\"audit.comparisons\":3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"audit.rule.deadline\":2"), std::string::npos);
@@ -232,40 +240,10 @@ TEST(AuditBurn, ClassificationPrecedence) {
 }
 
 // ---------------------------------------------------------------------------
-// SLO surface: burn counters flow monitor -> report -> render.
+// SLO burn through the endsystem.
 
-TEST(AuditSlo, MonitorAccumulatesAndReportRendersCauses) {
-  core::QosMonitor mon(2, 1'000'000);
-  mon.add_violation_cause(0, static_cast<std::size_t>(BurnCause::kFaultStall),
-                          2);
-  mon.add_violation_cause(
-      0, static_cast<std::size_t>(BurnCause::kLostTiebreak), 1);
-  EXPECT_EQ(mon.violation_cause(
-                0, static_cast<std::size_t>(BurnCause::kFaultStall)),
-            2u);
-  EXPECT_EQ(mon.attributed_violations(0), 3u);
-  EXPECT_EQ(mon.attributed_violations(1), 0u);
-  EXPECT_EQ(mon.violation_burn_per_s(0), 0.0) << "no active span yet";
-
-  core::SloReport rep;
-  core::StreamSlo s;
-  s.window_ok = false;
-  s.window_violations = 3;
-  s.attributed_violations = 3;
-  s.burn_per_s = 1.5;
-  s.violation_causes[static_cast<std::size_t>(BurnCause::kFaultStall)] = 2;
-  s.violation_causes[static_cast<std::size_t>(BurnCause::kLostTiebreak)] = 1;
-  rep.streams.push_back(s);
-  rep.all_ok = false;
-  const std::string text = rep.render();
-  EXPECT_NE(text.find("burn 1.500 viol/s"), std::string::npos) << text;
-  EXPECT_NE(text.find("fault_stall 2"), std::string::npos) << text;
-  EXPECT_NE(text.find("lost_tiebreak 1"), std::string::npos) << text;
-}
-
-// End to end through the endsystem: whatever violations the chip commits,
-// the audit classifies every one of them, and the import into the QoS
-// monitor preserves the totals the SLO report reads.
+// Whatever violations the chip commits, the audit classifies every one of
+// them: each stream's burn causes sum back to its violation count.
 TEST(AuditSlo, EndsystemImportsBurnCounters) {
   using namespace ss;
   telemetry::AuditSession session(4);
@@ -297,8 +275,6 @@ TEST(AuditSlo, EndsystemImportsBurnCounters) {
       burn_total += da.burn(s, c);
     }
     EXPECT_EQ(burn_total, da.violations(s)) << "stream " << s;
-    EXPECT_EQ(es.monitor().attributed_violations(s), da.violations(s))
-        << "monitor import lost violations for stream " << s;
   }
 }
 
@@ -375,10 +351,7 @@ TEST(AuditFailoverDump, LastDecisionMatchesOracle) {
   constexpr std::uint64_t kFailAtGrant = 50;
   sc.inject_fault_at_grant = kFailAtGrant;
 
-  const std::string dump_path = ::testing::TempDir() + "audit_failover.json";
-  std::remove(dump_path.c_str());
   telemetry::AuditSession session(4);
-  session.set_dump_path(dump_path);
   DifferentialExecutor::Options opt;
   opt.audit = &session;
   const DifferentialExecutor ex(opt);
@@ -389,16 +362,10 @@ TEST(AuditFailoverDump, LastDecisionMatchesOracle) {
                              << " faults=" << r.faults_injected;
 
   // The failover dumped the black box.
-  EXPECT_TRUE(session.dumped());
-  EXPECT_EQ(session.last_cause(), "failover");
-  std::ifstream in(dump_path);
-  ASSERT_TRUE(in.good()) << "failover left no dump at " << dump_path;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string doc = buf.str();
-  EXPECT_NE(doc.find("\"schema\":\"ss-audit-v2\""), std::string::npos);
-  EXPECT_NE(doc.find("\"cause\":\"failover\""), std::string::npos);
-  EXPECT_NE(doc.find("\"ring\":["), std::string::npos);
+  const std::optional<AuditSession::Dump> dump = session.last_dump();
+  ASSERT_TRUE(dump.has_value()) << "failover left no dump";
+  EXPECT_EQ(dump->cause, "failover");
+  EXPECT_NE(dump->section.find("\"ring\":["), std::string::npos);
 
   // Independent oracle replay of the same scenario up to the failover
   // point: the chip's last recorded decision is the one that granted the
@@ -449,6 +416,75 @@ TEST(AuditFailoverDump, LastDecisionMatchesOracle) {
       << "chip decisions recorded after the failover seam";
 }
 
+// Under Observability the failover's dump reaches the run document at the
+// seam: before finish() the file holds the schema, the cause and the audit
+// section and nothing else; finish() then writes every section around the
+// same audit bytes.
+TEST(AuditFailoverDump, RunDocumentKeepsTheSeamCapture) {
+  const std::string path = ::testing::TempDir() + "failover_run.json";
+  std::remove(path.c_str());
+  telemetry::ObservabilityOptions opts;
+  opts.out = path;
+  telemetry::Observability obs(opts, 4, /*profiled=*/true,
+                               /*fault_plane=*/true);
+
+  core::EndsystemConfig cfg;
+  cfg.chip.slots = 4;
+  cfg.chip.cmp_mode = hw::ComparisonMode::kDwcsFull;
+  cfg.keep_series = false;
+  cfg.faults.seed = 1;
+  cfg.faults.chip_fail_after = 200;  // chip death at decision attempt 200
+  cfg.metrics = obs.metrics();
+  cfg.audit = obs.audit();
+  cfg.profiler = obs.profiler();
+  core::Endsystem es(cfg);
+  const double ptime_ns = packet_time_ns(1500, cfg.link_gbps);
+  for (unsigned i = 0; i < 4; ++i) {
+    dwcs::StreamRequirement r;
+    r.kind = dwcs::RequirementKind::kWindowConstrained;
+    r.period = 4;
+    r.loss_num = 1;
+    r.loss_den = 4;
+    r.initial_deadline = i + 1;
+    es.add_stream(r, std::make_unique<queueing::CbrGen>(
+                         static_cast<std::uint64_t>(ptime_ns * 4)),
+                  1500);
+  }
+  obs.start();
+  ASSERT_TRUE(es.run(1000).failed_over);
+
+  const std::string seam_text = slurp(path);
+  const auto seam = util::JsonValue::parse(seam_text);
+  ASSERT_TRUE(seam.has_value()) << "no run document at the seam";
+  EXPECT_EQ(seam->str_at("schema"), "ss-run-v1");
+  EXPECT_EQ(seam->str_at("cause"), "failover");
+  ASSERT_NE(seam->find("audit"), nullptr);
+  const util::JsonValue* ring = seam->find("audit")->find("ring");
+  ASSERT_NE(ring, nullptr);
+  EXPECT_GT(ring->as_array().size(), 0u);
+  EXPECT_EQ(seam->as_object().size(), 3u) << "schema, cause and audit only";
+
+  // The session moves on after the seam (a fresh section would now count
+  // one more fault); the document must keep the section the seam froze.
+  obs.audit()->note_fault(AuditSession::FaultSite::kPci);
+  ASSERT_TRUE(obs.finish("test"));
+  const std::string full_text = slurp(path);
+  const auto full = util::JsonValue::parse(full_text);
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(full->str_at("cause"), "failover");
+  for (const char* section : {"metrics", "audit", "profile", "timeseries"}) {
+    EXPECT_NE(full->find(section), nullptr) << section;
+  }
+  // The seam document is `{...,"audit":<section>}\n`; the full one must
+  // carry the same section bytes.
+  const std::string key = "\"audit\":";
+  const std::size_t at = seam_text.find(key) + key.size();
+  const std::string section = seam_text.substr(at, seam_text.size() - at - 2);
+  EXPECT_NE(full_text.find(key + section + ",\"profile\":"), std::string::npos)
+      << "finish() rewrote the audit section the seam froze";
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency: live export races the threaded endsystem (TSan job).
 
@@ -477,8 +513,8 @@ TEST(AuditStress, LiveExportRacesThreadedRun) {
   std::atomic<std::uint64_t> exports{0};
   std::thread monitor([&] {
     while (!done.load(std::memory_order_acquire)) {
-      const std::string j = session.to_json("live");
-      ASSERT_NE(j.find("ss-audit-v2"), std::string::npos);
+      const std::string j = session.to_json();
+      ASSERT_NE(j.find("\"ring\":"), std::string::npos);
       (void)session.recorder().entries();
       (void)session.audit().comparisons();
       exports.fetch_add(1, std::memory_order_relaxed);

@@ -2,12 +2,13 @@
 // tools, run as real processes.
 //
 // `ss_cli run` is the one instrumented pipeline command: this suite runs
-// it with every export flag and reads each file back with the repo's own
-// JSON reader, asserting the fields the export schemas promise
-// (docs/formats.md).  It also pins the failover dump and the exit-2
-// contract for flags that would otherwise silently do nothing.  Whether
-// the watchdog fires depends on wall-clock polls, so that stays out of
-// this suite.
+// it with --out and --trace-out and reads each file back with the repo's
+// own JSON reader, asserting the fields every section of the run document
+// promises (docs/formats.md), then renders the document with `ss_cli
+// report`.  It also pins the failover dump, the default run document and
+// the exit-2 contract for flags that would otherwise silently do nothing.
+// Whether the watchdog fires depends on wall-clock polls, so that stays
+// out of this suite.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -88,16 +89,19 @@ class CliSurface : public ::testing::Test {
 TEST_F(CliSurface, RunWritesEveryExport) {
   ASSERT_EQ(run_in(dir_, std::string(SS_CLI_BINARY) +
                              " run 8 4000 --watchdog --overload"
-                             " --metrics-json metrics.json"
-                             " --trace-out trace.json --audit-out audit.json"
-                             " --profile-out profile.json"
-                             " --timeseries-out timeseries.json"),
+                             " --out run.json --trace-out trace.json"),
             0);
+  // The watchdog reports on stdout whether or not a rule fired.
+  EXPECT_NE(read_text(dir_ + "/stdout.txt").find("watchdog: "),
+            std::string::npos);
 
-  // ss-metrics-v1: every pipeline layer counted, frames completed.
-  const JsonValue metrics = load(dir_ + "/metrics.json");
-  EXPECT_EQ(metrics.str_at("schema"), "ss-metrics-v1");
-  const JsonValue* counters = metrics.find("counters");
+  const JsonValue run = load(dir_ + "/run.json");
+  EXPECT_EQ(run.str_at("schema"), "ss-run-v1");
+  EXPECT_FALSE(run.str_at("cause").empty());
+
+  // metrics: every pipeline layer counted, frames completed.
+  ASSERT_NE(run.find("metrics"), nullptr);
+  const JsonValue* counters = run.find("metrics")->find("counters");
   ASSERT_NE(counters, nullptr);
   for (const char* prefix : {"chip.", "qm.", "pci.", "te.", "es."}) {
     bool found = false;
@@ -127,9 +131,9 @@ TEST_F(CliSurface, RunWritesEveryExport) {
   }
   EXPECT_TRUE(begins && ends);
 
-  // ss-audit-v2: provenance totals, sampling block, profiles and ring.
-  const JsonValue audit = load(dir_ + "/audit.json");
-  EXPECT_EQ(audit.str_at("schema"), "ss-audit-v2");
+  // audit: provenance totals, sampling block, profiles and ring.
+  ASSERT_NE(run.find("audit"), nullptr);
+  const JsonValue& audit = *run.find("audit");
   EXPECT_GT(audit.num_at("decisions"), 0.0);
   EXPECT_GT(audit.num_at("comparisons"), 0.0);
   ASSERT_NE(audit.find("sampling"), nullptr);
@@ -150,15 +154,15 @@ TEST_F(CliSurface, RunWritesEveryExport) {
                             "streams"}));
   }
 
-  // ss-profile-v1: wall time attributed to stages.
-  const JsonValue profile = load(dir_ + "/profile.json");
-  EXPECT_EQ(profile.str_at("schema"), "ss-profile-v1");
+  // profile: wall time attributed to stages.
+  ASSERT_NE(run.find("profile"), nullptr);
+  const JsonValue& profile = *run.find("profile");
   EXPECT_GT(profile.num_at("total_ns"), 0.0);
   EXPECT_GT(length(profile.find("stages")), 0u);
 
-  // ss-timeseries-v1: every series in lockstep with the t_ns axis.
-  const JsonValue ts = load(dir_ + "/timeseries.json");
-  EXPECT_EQ(ts.str_at("schema"), "ss-timeseries-v1");
+  // timeseries: every series in lockstep with the t_ns axis.
+  ASSERT_NE(run.find("timeseries"), nullptr);
+  const JsonValue& ts = *run.find("timeseries");
   EXPECT_EQ(ts.num_at("interval_ns"), 5e6);
   EXPECT_GE(ts.num_at("capacity"), 2.0);
   const double retained = ts.num_at("retained");
@@ -177,37 +181,59 @@ TEST_F(CliSurface, RunWritesEveryExport) {
     EXPECT_EQ(length(h.find("p99")), length(h.find("count"))) << name;
   }
 
-  // The watchdog reports on stdout whether or not a rule fired.
-  EXPECT_NE(read_text(dir_ + "/stdout.txt").find("watchdog: "),
-            std::string::npos);
+  // `ss_cli report` renders the document's every block: rates, latency,
+  // burn (the overload guarantees violations), profiler and watchdog.
+  ASSERT_EQ(run_in(dir_, std::string(SS_CLI_BINARY) + " report run.json"), 0);
+  const std::string page = read_text(dir_ + "/stdout.txt");
+  for (const char* block :
+       {"sections: metrics yes  audit yes  profile yes  timeseries yes",
+        "\nrates (per second", "\nlatency histograms:", "\ntop burn causes",
+        "\nprofiler (", "\nwatchdog: ", "\naudit: cause="}) {
+    EXPECT_NE(page.find(block), std::string::npos) << block << "\n" << page;
+  }
 }
 
 TEST_F(CliSurface, OnDemandAuditDumpWithoutAnomaly) {
   ASSERT_EQ(run_in(dir_, std::string(SS_CLI_BINARY) +
-                             " run 4 500 --audit-out audit.json"
-                             " --sample-every 16"),
+                             " run 4 500 --out run.json --sample-every 16"),
             0);
-  const JsonValue audit = load(dir_ + "/audit.json");
-  EXPECT_EQ(audit.str_at("cause"), "on_demand");
-  ASSERT_NE(audit.find("sampling"), nullptr);
-  EXPECT_EQ(audit.find("sampling")->num_at("every"), 16.0);
+  const JsonValue run = load(dir_ + "/run.json");
+  EXPECT_EQ(run.str_at("cause"), "on_demand");
+  ASSERT_NE(run.find("audit"), nullptr);
+  ASSERT_NE(run.find("audit")->find("sampling"), nullptr);
+  EXPECT_EQ(run.find("audit")->find("sampling")->num_at("every"), 16.0);
 }
 
 TEST_F(CliSurface, InjectedChipDeathDumpsWithCauseFailover) {
   ASSERT_EQ(run_in(dir_, std::string(SS_CLI_BINARY) +
                              " run 4 1000 --inject-fault 200"
-                             " --audit-out failover.json"),
+                             " --out failover.json"),
             0);
   EXPECT_NE(read_text(dir_ + "/stdout.txt")
                 .find("FAILED OVER to the software scheduler"),
             std::string::npos);
-  const JsonValue audit = load(dir_ + "/failover.json");
-  EXPECT_EQ(audit.str_at("schema"), "ss-audit-v2");
-  EXPECT_EQ(audit.str_at("cause"), "failover");
+  const JsonValue run = load(dir_ + "/failover.json");
+  EXPECT_EQ(run.str_at("schema"), "ss-run-v1");
+  EXPECT_EQ(run.str_at("cause"), "failover");
+  ASSERT_NE(run.find("audit"), nullptr);
+  const JsonValue& audit = *run.find("audit");
   ASSERT_NE(audit.find("faults"), nullptr);
   EXPECT_GE(audit.find("faults")->num_at("chip"), 1.0);
   EXPECT_GE(audit.find("faults")->num_at("total"), 1.0);
   EXPECT_GT(length(audit.find("ring")), 0u);
+}
+
+// Without --out, a watchdog run still leaves its run document in the cwd,
+// with the sections of the planes the watchdog attached.
+TEST_F(CliSurface, WatchdogWithoutOutWritesDefaultRunDocument) {
+  ASSERT_EQ(run_in(dir_, std::string(SS_CLI_BINARY) + " run 4 200 --watchdog"),
+            0);
+  const JsonValue run = load(dir_ + "/ss_run.json");
+  EXPECT_EQ(run.str_at("schema"), "ss-run-v1");
+  for (const char* section : {"metrics", "audit", "timeseries"}) {
+    EXPECT_NE(run.find(section), nullptr) << section;
+  }
+  EXPECT_EQ(run.find("profile"), nullptr) << "no --out, no profiler";
 }
 
 // Flags whose value would silently do nothing are refused with exit 2.
@@ -215,15 +241,15 @@ TEST_F(CliSurface, FlagsThatWouldDoNothingExitTwo) {
   const std::string cli = std::string(SS_CLI_BINARY) + " run 4 200";
   EXPECT_EQ(run_in(dir_, cli + " --fault-seed 0"), 2);
   EXPECT_EQ(run_in(dir_, cli + " --inject-fault 0"), 2);
-  EXPECT_EQ(run_in(dir_, cli + " --sample-every abc --audit-out a.json"), 2);
-  EXPECT_EQ(run_in(dir_, cli + " --metrics-json"), 2);
+  EXPECT_EQ(run_in(dir_, cli + " --sample-every abc --out a.json"), 2);
+  EXPECT_EQ(run_in(dir_, cli + " --out"), 2);
   EXPECT_EQ(run_in(dir_, cli + " --no-such-flag"), 2);
   EXPECT_EQ(run_in(dir_, std::string(SS_CLI_BINARY) + " run 3 200"), 2);
 
   const std::string fuzz = std::string(FUZZ_SS_BINARY) + " --scenarios 1";
   EXPECT_EQ(run_in(dir_, fuzz + " --fault-seed 0"), 2);
   EXPECT_EQ(run_in(dir_, fuzz + " --sample-every abc"), 2);
-  EXPECT_EQ(run_in(dir_, fuzz + " --profile-out p.json"), 2);
+  EXPECT_EQ(run_in(dir_, fuzz + " --out"), 2);
   EXPECT_EQ(run_in(dir_, fuzz + " --watchdog"), 2);
 
   EXPECT_EQ(run_in(dir_, std::string(QUICKSTART_BINARY) + " --watchdog"), 2);

@@ -48,15 +48,6 @@ TEST(SramBank, OutOfRangeThrows) {
   EXPECT_THROW(b.write(BankOwner::kHost, 8, 1), std::out_of_range);
 }
 
-TEST(BankedSram, IndependentBanks) {
-  BankedSram mem(4, 16, Nanos{1000});
-  EXPECT_EQ(count(mem.bank(0).acquire(BankOwner::kFpga)), 1000u);
-  EXPECT_EQ(mem.bank(0).owner(), BankOwner::kFpga);
-  EXPECT_EQ(mem.bank(1).owner(), BankOwner::kHost);  // untouched
-  EXPECT_EQ(mem.total_switches(), 1u);
-  EXPECT_EQ(mem.bank_count(), 4u);
-}
-
 TEST(DualPortedSram, ConcurrentPartitions) {
   DualPortedSram mem(128);
   EXPECT_EQ(mem.arrival_base(), 0u);

@@ -4,8 +4,9 @@
 // wall-time to exactly one stage (count exact, total positive), a null
 // profiler costs a null test and nothing else, the scope-exit path
 // decimates only the histogram observe (1-in-8) while count/total_ns stay
-// exact, the ss-profile-v1 export carries the flamegraph nesting (shuffle
-// passes inside the chip decision, self_ns = total - children), and
+// exact, the run document's profile section carries the flamegraph
+// nesting (shuffle passes inside the chip decision, self_ns = total -
+// children), and
 // bind_registry re-homes the per-stage histograms as prof.<stage>.ns.
 // The ProfilerThreads suite (TSan job) exercises the documented
 // concurrency contract: distinct stages may record from distinct threads.
@@ -20,6 +21,7 @@
 #include <thread>
 
 #include "telemetry/metrics.hpp"
+#include "telemetry/observability.hpp"
 #include "telemetry/profiler.hpp"
 
 namespace ss {
@@ -104,7 +106,8 @@ TEST(ProfilerJson, SchemaNestingAndSelfTime) {
   p.record(ProfStage::kPci, 2000);
   const std::string doc = p.to_json();
 
-  EXPECT_NE(doc.find("\"schema\":\"ss-profile-v1\""), std::string::npos);
+  EXPECT_EQ(doc.rfind("{\"clock\":", 0), 0u)
+      << "the section opens with the clock; the schema is the run document's";
   EXPECT_NE(doc.find(std::string("\"clock\":\"") + Profiler::clock_name() +
                      "\""),
             std::string::npos);
@@ -124,23 +127,35 @@ TEST(ProfilerJson, SchemaNestingAndSelfTime) {
 TEST(ProfilerJson, EmptyProfilerExportsZeroTotals) {
   const Profiler p;
   const std::string doc = p.to_json();
-  EXPECT_NE(doc.find("\"schema\":\"ss-profile-v1\""), std::string::npos);
   EXPECT_NE(doc.find("\"total_ns\":0"), std::string::npos);
   EXPECT_NE(doc.find("\"name\":\"reload_commit\""), std::string::npos)
       << "every stage appears even when unvisited";
 }
 
+// The profile reaches disk as the run document's profile section, on one
+// line ending in a newline.
 TEST(ProfilerJson, WritesFileWithTrailingNewline) {
-  const std::string path = ::testing::TempDir() + "profile.json";
+  const std::string path = ::testing::TempDir() + "profile_run.json";
   std::remove(path.c_str());
-  Profiler p;
-  p.record(ProfStage::kQueueDrain, 777);
-  ASSERT_TRUE(p.write_json(path));
+  telemetry::ObservabilityOptions opts;
+  opts.out = path;
+  telemetry::Observability obs(opts, 4, /*profiled=*/true);
+  ASSERT_NE(obs.profiler(), nullptr);
+  obs.profiler()->record(ProfStage::kQueueDrain, 777);
+  ASSERT_TRUE(obs.finish("profiler_test"));
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream buf;
   buf << in.rdbuf();
-  EXPECT_NE(buf.str().find("\"ss-profile-v1\""), std::string::npos);
+  const std::string text = buf.str();
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(text.find('\n'), text.size() - 1) << "one line, newline-ended";
+  EXPECT_NE(text.find("\"schema\":\"ss-run-v1\""), std::string::npos);
+  EXPECT_NE(text.find("\"profile\":{\"clock\":"), std::string::npos);
+  EXPECT_NE(text.find("\"name\":\"queue_drain\",\"parent\":\"\","
+                      "\"count\":1,\"total_ns\":777"),
+            std::string::npos)
+      << text;
   std::remove(path.c_str());
 }
 
@@ -182,7 +197,7 @@ TEST(ProfilerThreads, DistinctStagesRecordConcurrently) {
   tx.join();
   EXPECT_EQ(p.count(ProfStage::kQueueDrain), static_cast<std::uint64_t>(kEach));
   EXPECT_EQ(p.count(ProfStage::kTransmit), static_cast<std::uint64_t>(kEach));
-  EXPECT_NE(p.to_json().find("\"ss-profile-v1\""), std::string::npos);
+  EXPECT_NE(p.to_json().find("\"stages\":["), std::string::npos);
 }
 
 }  // namespace

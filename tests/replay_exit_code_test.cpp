@@ -45,7 +45,7 @@ TEST(BlockBatchReplayExitCodes, CleanStaleIoErrorAndDivergence) {
   // records, exiting 0 (no divergence).
   ASSERT_EQ(run_in(dir, bin +
                         " --seed 11 --scenarios 4 --events 200"
-                        " --explore-batch --out cap.sst"),
+                        " --explore-batch --capture cap.sst"),
             0);
 
   // Clean replay of the first captured scenario: 0.

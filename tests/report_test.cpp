@@ -3,27 +3,25 @@
 // The JsonValue suite pins the reader's contract (full value grammar,
 // insertion-order objects, default-on-absence accessors, rejection of
 // trailing garbage).  The Report suite renders pages from hand-written
-// export docs — every merge rule is observable in the text: rate rows
+// run documents — every merge rule is observable in the text: rate rows
 // with cumulative totals from the time-series counters, watchdog firings
 // localized via watchdog.fired deltas, burn attribution summed across
 // stream profiles, the audit watchdog context — plus one round-trip over
-// documents real producers wrote.
+// a document the real producers wrote.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <string>
 
-#include "telemetry/metrics.hpp"
+#include "telemetry/observability.hpp"
 #include "telemetry/report.hpp"
-#include "telemetry/timeseries.hpp"
 #include "util/json.hpp"
 
 namespace ss {
 namespace {
 
 using telemetry::Report;
-using telemetry::ReportInputs;
 using util::JsonValue;
 
 std::string tmp_path(const char* name) {
@@ -96,34 +94,31 @@ TEST(JsonReader, ParseFileHandlesMissingFile) {
 // build_report
 // ---------------------------------------------------------------------------
 
+// One run document carrying all four sections, as `ss_cli run --out`
+// writes it.
 struct ReportFixture {
-  std::string metrics = tmp_path("rep_metrics.json");
-  std::string audit = tmp_path("rep_audit.json");
-  std::string profile = tmp_path("rep_profile.json");
-  std::string ts = tmp_path("rep_timeseries.json");
+  std::string path = tmp_path("rep_run.json");
 
   ReportFixture() {
-    write_file(metrics, R"({"schema":"ss-metrics-v1","counters":{)"
-                        R"("chip.grants":120,"watchdog.polls":4,)"
-                        R"("watchdog.fired":1},"gauges":{},"histograms":{)"
-                        R"("es.frame_delay_us":{"count":500,"sum":9000,)"
-                        R"("p50":10,"p90":20,"p99":30}}})");
-    write_file(audit,
-               R"({"schema":"ss-audit-v2","cause":"watchdog:burn_rate_spike",)"
-               R"("decisions":1000,"comparisons":5000,"health":1,)"
+    write_file(path,
+               R"({"schema":"ss-run-v1","cause":"watchdog:burn_rate_spike",)"
+               R"("metrics":{"counters":{)"
+               R"("chip.grants":120,"watchdog.polls":4,)"
+               R"("watchdog.fired":1},"gauges":{},"histograms":{)"
+               R"("es.frame_delay_us":{"count":500,"sum":9000,)"
+               R"("p50":10,"p90":20,"p99":30}}},)"
+               R"("audit":{"decisions":1000,"comparisons":5000,"health":1,)"
                R"("watchdog":{"rule":"burn_rate_spike","detail":)"
                R"("lost_tiebreak","value":60,"threshold":50,)"
                R"("window_polls":2},"stream_profiles":[)"
                R"({"burn":{"lost_tiebreak":40}},)"
-               R"({"burn":{"lost_tiebreak":20,"queue_overflow":5}}]})");
-    write_file(profile,
-               R"({"schema":"ss-profile-v1","total_ns":1000000,"stages":[)"
+               R"({"burn":{"lost_tiebreak":20,"queue_overflow":5}}]},)"
+               R"("profile":{"total_ns":1000000,"stages":[)"
                R"({"name":"decision","parent":"","share_pct":60,)"
                R"("self_ns":600000,"count":100},)"
                R"({"name":"tx","parent":"","share_pct":40,)"
-               R"("self_ns":400000,"count":100}]})");
-    write_file(ts,
-               R"({"schema":"ss-timeseries-v1","interval_ns":5000000,)"
+               R"("self_ns":400000,"count":100}]},)"
+               R"("timeseries":{"interval_ns":5000000,)"
                R"("capacity":256,"intervals":4,"retained":4,"dropped":0,)"
                R"("t_ns":[5000000,10000000,15000000,20000000],)"
                R"("counters":{"chip.grants":{"cum":[30,60,90,120],)"
@@ -133,29 +128,23 @@ struct ReportFixture {
                R"("rate_per_s":[0,0,200,0]}},"gauges":{},)"
                R"("histograms":{"es.frame_delay_us":{)"
                R"("count":[100,200,300,500],"p50":[5,5,5,25],)"
-               R"("p99":[10,10,10,30],"cum_p99":[10,10,10,30]}}})");
+               R"("p99":[10,10,10,30],"cum_p99":[10,10,10,30]}}}})");
   }
 
-  ~ReportFixture() {
-    std::remove(metrics.c_str());
-    std::remove(audit.c_str());
-    std::remove(profile.c_str());
-    std::remove(ts.c_str());
-  }
+  ~ReportFixture() { std::remove(path.c_str()); }
 };
 
 TEST(RunReport, MergesAllFourDocuments) {
   ReportFixture fx;
-  const Report rep =
-      telemetry::build_report({fx.metrics, fx.audit, fx.profile, fx.ts});
-  ASSERT_TRUE(rep.any_input);
+  const Report rep = telemetry::build_report(fx.path);
+  ASSERT_TRUE(rep.loaded);
 
   const std::string& t = rep.text;
   const auto has = [&](const std::string& s) {
     return t.find(s) != std::string::npos;
   };
   EXPECT_TRUE(has("ShareStreams run report"));
-  EXPECT_TRUE(has("inputs: metrics yes  audit yes  profile yes  "
+  EXPECT_TRUE(has("sections: metrics yes  audit yes  profile yes  "
                   "timeseries yes"));
   EXPECT_TRUE(has("run: 20.000 ms wall, 4 interval(s) sampled "
                   "(5.0 ms cadence)"));
@@ -179,41 +168,49 @@ TEST(RunReport, MergesAllFourDocuments) {
                   "threshold=50 window_polls=2"));
   EXPECT_TRUE(has("watchdog: 4 poll(s), 1 fired"));
   EXPECT_TRUE(has("decision            60.0%  self 600000 ns"));
+  // The document's cause heads the audit line.
   EXPECT_TRUE(has("audit: cause=watchdog:burn_rate_spike decisions=1000 "
                   "comparisons=5000 health=1"));
   EXPECT_TRUE(has("█")) << "no sparkline rendered";
 }
 
 TEST(RunReport, NoInputsYieldsEmptyReport) {
-  const Report rep = telemetry::build_report({});
-  EXPECT_FALSE(rep.any_input);
-  const Report rep2 = telemetry::build_report(
-      {"/nonexistent/a.json", "", "", "/nonexistent/b.json"});
-  EXPECT_FALSE(rep2.any_input);
+  const Report rep = telemetry::build_report("");
+  EXPECT_FALSE(rep.loaded);
+  EXPECT_TRUE(rep.text.empty());
+  const Report rep2 = telemetry::build_report("/nonexistent/a.json");
+  EXPECT_FALSE(rep2.loaded);
 }
 
-// A document parseable as JSON but carrying the wrong schema is treated
-// as absent, not mis-merged.
+// A document parseable as JSON but carrying another schema is refused,
+// not mis-rendered.
 TEST(RunReport, WrongSchemaInputIgnored) {
-  ReportFixture fx;
-  const Report rep = telemetry::build_report({fx.audit, "", "", ""});
-  EXPECT_FALSE(rep.any_input)
-      << "an ss-audit-v2 doc offered as metrics must not load";
-  EXPECT_NE(rep.text.find("inputs: metrics -"), std::string::npos);
+  const std::string path = tmp_path("rep_other_schema.json");
+  write_file(path, R"({"schema":"ss-run-v0","cause":"failover",)"
+                   R"("audit":{"decisions":7}})");
+  const Report rep = telemetry::build_report(path);
+  EXPECT_FALSE(rep.loaded) << "only ss-run-v1 documents load";
   EXPECT_EQ(rep.text.find("audit: cause="), std::string::npos);
+  std::remove(path.c_str());
 }
 
 // Burn attribution falls back to the registry's audit.burn.* counters
-// when no audit document (and hence no stream profiles) is present.
+// when the document has no audit section (and hence no stream profiles);
+// absent sections are marked, not fatal.
 TEST(RunReport, BurnFallsBackToMetricsCounters) {
   const std::string path = tmp_path("rep_burn_metrics.json");
-  write_file(path, R"({"schema":"ss-metrics-v1","counters":{)"
+  write_file(path, R"({"schema":"ss-run-v1","cause":"on_demand",)"
+                   R"("metrics":{"counters":{)"
                    R"("audit.burn.queue_overflow":7,)"
                    R"("audit.burn.lost_tiebreak":0},"gauges":{},)"
-                   R"("histograms":{}})");
-  const Report rep = telemetry::build_report({path, "", "", ""});
-  ASSERT_TRUE(rep.any_input);
+                   R"("histograms":{}}})");
+  const Report rep = telemetry::build_report(path);
+  ASSERT_TRUE(rep.loaded);
   const std::string& t = rep.text;
+  EXPECT_NE(t.find("sections: metrics yes  audit -  profile -  "
+                   "timeseries -"),
+            std::string::npos)
+      << t;
   EXPECT_NE(t.find("top burn causes (7 violations attributed):\n"
                    "  queue_overflow           7\n"),
             std::string::npos)
@@ -223,28 +220,30 @@ TEST(RunReport, BurnFallsBackToMetricsCounters) {
   std::remove(path.c_str());
 }
 
-// Round trip over documents the real producers wrote: a live registry +
-// TimeSeries export feeding build_report directly.
+// Round trip over a document the real producers wrote: Observability's
+// registry and hand-sampled time series, written by finish().
 TEST(RunReport, RoundTripsRealProducerDocuments) {
-  const std::string mpath = tmp_path("rep_real_metrics.json");
-  const std::string tpath = tmp_path("rep_real_ts.json");
-
-  telemetry::MetricsRegistry reg;
-  telemetry::Counter& grants = reg.counter("chip.grants");
-  telemetry::TimeSeries ts(reg);
+  const std::string path = tmp_path("rep_real_run.json");
+  telemetry::ObservabilityOptions opts;
+  opts.out = path;
+  telemetry::Observability obs(opts, 4, /*profiled=*/false);
+  telemetry::Counter& grants = obs.registry().counter("chip.grants");
   grants.add(100);
-  ts.sample_once();
+  obs.timeseries().sample_once();
   grants.add(50);
-  ts.sample_once();
-  ASSERT_TRUE(ts.write_json(tpath));
-  write_file(mpath, reg.to_json());
+  obs.timeseries().sample_once();
+  ASSERT_TRUE(obs.finish("report_test"));
 
-  const Report rep = telemetry::build_report({mpath, "", "", tpath});
-  ASSERT_TRUE(rep.any_input);
+  const Report rep = telemetry::build_report(path);
+  ASSERT_TRUE(rep.loaded);
+  EXPECT_NE(rep.text.find("sections: metrics yes  audit yes  profile -  "
+                          "timeseries yes"),
+            std::string::npos)
+      << rep.text;
   EXPECT_NE(rep.text.find("cum 150"), std::string::npos) << rep.text;
   EXPECT_NE(rep.text.find("2 interval(s) sampled"), std::string::npos);
-  std::remove(mpath.c_str());
-  std::remove(tpath.c_str());
+  EXPECT_NE(rep.text.find("audit: cause=on_demand"), std::string::npos);
+  std::remove(path.c_str());
 }
 
 }  // namespace

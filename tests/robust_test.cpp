@@ -42,8 +42,7 @@ TEST(FaultPlan, SameSeedSameFaultSequence) {
   const hw::FaultSite sites[] = {hw::FaultSite::kPciWrite,
                                  hw::FaultSite::kSramAcquire,
                                  hw::FaultSite::kChipDecision,
-                                 hw::FaultSite::kSramData,
-                                 hw::FaultSite::kPciDma};
+                                 hw::FaultSite::kSramData};
   for (int i = 0; i < 5000; ++i) {
     const auto site = sites[i % std::size(sites)];
     const hw::FaultDecision da = a.on_transaction(site);

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,7 +25,9 @@
 #include "telemetry/frame_trace.hpp"
 #include "telemetry/instruments.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/observability.hpp"
 #include "util/histogram.hpp"
+#include "util/json.hpp"
 
 namespace ss {
 namespace {
@@ -129,7 +132,11 @@ TEST(TelemetryRegistry, InstrumentBundlesAliasAcrossCreates) {
 }
 
 TEST(TelemetryRegistry, SnapshotSortedAndJsonCarriesSchema) {
-  MetricsRegistry reg;
+  const std::string path = ::testing::TempDir() + "registry_run.json";
+  telemetry::ObservabilityOptions opts;
+  opts.out = path;
+  telemetry::Observability obs(opts, 4, /*profiled=*/false);
+  MetricsRegistry& reg = obs.registry();
   reg.counter("b.count").add(2);
   reg.counter("a.count").add(1);
   reg.gauge("c.depth").set(-3);
@@ -142,11 +149,24 @@ TEST(TelemetryRegistry, SnapshotSortedAndJsonCarriesSchema) {
       [](const auto& x, const auto& y) { return x.name < y.name; }));
 
   const std::string json = snap.to_json();
-  EXPECT_NE(json.find("\"schema\":\"ss-metrics-v1\""), std::string::npos);
+  EXPECT_EQ(json.find("\"schema\""), std::string::npos)
+      << "the schema key belongs to the run document, not its sections";
   EXPECT_NE(json.find("\"a.count\":1"), std::string::npos);
   EXPECT_NE(json.find("\"c.depth\":-3"), std::string::npos);
   EXPECT_NE(json.find("\"d.delay\""), std::string::npos);
   EXPECT_EQ(json.find('\n'), std::string::npos) << "export is one line";
+
+  // The run document carries the schema, and the snapshot as its metrics
+  // section.
+  ASSERT_TRUE(obs.finish("telemetry_test"));
+  const auto doc = util::parse_json_file(path);
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->str_at("schema"), "ss-run-v1");
+  const util::JsonValue* metrics = doc->find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  EXPECT_EQ(metrics->find("counters")->num_at("a.count"), 1.0);
+  EXPECT_EQ(metrics->find("gauges")->num_at("c.depth"), -3.0);
+  std::remove(path.c_str());
 
   reg.reset();
   EXPECT_EQ(reg.counter("a.count").value(), 0u);
@@ -346,7 +366,7 @@ TEST(TelemetryStress, SnapshotRacesThreadedEndsystemRun) {
         }
       }
       // Exercise the render path too — it shares the snapshot lock.
-      ASSERT_NE(reg.to_json().find("ss-metrics-v1"), std::string::npos);
+      ASSERT_NE(reg.to_json().find("\"counters\":{"), std::string::npos);
       snapshots.fetch_add(1, std::memory_order_relaxed);
     }
   });

@@ -6,7 +6,8 @@
 //  * TimeSeries unit behavior — counter deltas/rates, gauge last/max,
 //    zero-backfill for late-registered series, ring trim accounting,
 //    window() semantics (including the absent-instrumentation contract),
-//    the ss-timeseries-v1 document shape, and the closing-window sweep.
+//    the run document's timeseries section shape, and the closing-window
+//    sweep.
 //  * Interval percentiles — the bin-delta p50/p99 must track the exact
 //    order statistics of *only that interval's* observations, even when
 //    the lifetime mix says something completely different.
@@ -24,9 +25,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,13 +46,6 @@ using telemetry::TimeSeriesConfig;
 using telemetry::TsPoint;
 using telemetry::Watchdog;
 using telemetry::WatchdogConfig;
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 TEST(TimeSeriesBasics, CounterDeltaAndCumulative) {
   MetricsRegistry reg;
@@ -184,7 +176,8 @@ TEST(TimeSeriesBasics, JsonDocumentShape) {
 
   const std::string doc = ts.to_json();
   EXPECT_EQ(doc.find('\n'), std::string::npos) << "single-line contract";
-  EXPECT_NE(doc.find("\"schema\":\"ss-timeseries-v1\""), std::string::npos);
+  EXPECT_EQ(doc.find("\"schema\""), std::string::npos)
+      << "the schema key belongs to the run document, not its sections";
   EXPECT_NE(doc.find("\"t_ns\":["), std::string::npos);
   EXPECT_NE(doc.find("\"retained\":2"), std::string::npos);
   EXPECT_NE(doc.find("\"intervals\":2"), std::string::npos);
@@ -576,17 +569,14 @@ TEST(WatchdogParity, RandomCampaignsFireIdentically) {
   EXPECT_GE(total_firings, 10u) << "campaign too tame to exercise parity";
 }
 
-// Context parity through the real dump path: the ss-audit-v2 "watchdog"
-// object the shared-backend Watchdog writes must be byte-identical to
-// the reference evaluator's context for the same deterministic scenario.
+// Context parity through the real dump path: the audit section's
+// "watchdog" object the shared-backend Watchdog dumps must be
+// byte-identical to the reference evaluator's context for the same
+// deterministic scenario.
 TEST(WatchdogParity, DumpContextMatchesReferenceByteForByte) {
-  const std::string path = ::testing::TempDir() + "parity_dump.json";
-  std::remove(path.c_str());
-
   MetricsRegistry reg_ref, reg_ts;
   ReferenceWatchdog ref(reg_ref);
   telemetry::AuditSession session(8);
-  session.set_dump_path(path);
   Watchdog wd(reg_ts, &session);
 
   (void)ref.evaluate_once();
@@ -597,12 +587,11 @@ TEST(WatchdogParity, DumpContextMatchesReferenceByteForByte) {
   ASSERT_TRUE(wd.evaluate_once().has_value());
 
   ASSERT_EQ(ref.firings().size(), 1u);
-  const std::string doc = slurp(path);
-  ASSERT_FALSE(doc.empty());
-  EXPECT_NE(doc.find("\"watchdog\":" + ref.firings()[0].context),
+  const std::optional<telemetry::AuditSession::Dump> dump = session.last_dump();
+  ASSERT_TRUE(dump.has_value());
+  EXPECT_NE(dump->section.find("\"watchdog\":" + ref.firings()[0].context),
             std::string::npos)
       << "dump context diverged from reference: " << ref.firings()[0].context;
-  std::remove(path.c_str());
 }
 
 // A Watchdog sharing an externally owned TimeSeries must see samples the

@@ -4,8 +4,8 @@
 // Every rule is driven deterministically through a manually fed
 // MetricsRegistry and evaluate_once(): the registry carries exactly the
 // counters/histograms the rule reads, the test advances them across polls,
-// and the returned rule name plus the ss-audit-v2 dump's "watchdog"
-// context pin the contract: which rule, on what value, against what
+// and the returned rule name plus the audit dump's "watchdog" context
+// pin the contract: which rule, on what value, against what
 // threshold, over how many polls.  A rolling-window test checks that slow
 // growth spread across evictions never accumulates into a spike, and the
 // WatchdogThread suite (TSan job) exercises start()/stop() plus a firing
@@ -13,10 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -32,12 +29,6 @@ using telemetry::MetricsRegistry;
 using telemetry::Watchdog;
 using telemetry::WatchdogConfig;
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 TEST(WatchdogRules, QuietRegistryNeverFires) {
   MetricsRegistry reg;
@@ -208,25 +199,19 @@ TEST(WatchdogRules, EvaluationOrderPrefersBurnSpike) {
 }
 
 TEST(WatchdogDump, FiringWritesAuditV2WithWindowContext) {
-  const std::string path = ::testing::TempDir() + "watchdog_dump.json";
-  std::remove(path.c_str());
-
   MetricsRegistry reg;
   telemetry::Counter& burn = reg.counter("audit.burn.lost_tiebreak");
   AuditSession session(8);
-  session.set_dump_path(path);
   Watchdog wd(reg, &session);
   (void)wd.evaluate_once();
   burn.add(60);
   ASSERT_TRUE(wd.evaluate_once().has_value());
 
-  EXPECT_TRUE(session.dumped());
-  EXPECT_EQ(session.last_cause(), "watchdog:burn_rate_spike");
-  const std::string doc = slurp(path);
-  ASSERT_FALSE(doc.empty()) << "watchdog left no dump at " << path;
-  EXPECT_NE(doc.find("\"schema\":\"ss-audit-v2\""), std::string::npos);
-  EXPECT_NE(doc.find("\"cause\":\"watchdog:burn_rate_spike\""),
-            std::string::npos);
+  const std::optional<AuditSession::Dump> dump = session.last_dump();
+  ASSERT_TRUE(dump.has_value()) << "the firing left no dump";
+  EXPECT_EQ(dump->cause, "watchdog:burn_rate_spike");
+  const std::string& doc = dump->section;
+  EXPECT_NE(doc.find("\"ring\":["), std::string::npos);
   // The context object: rule, per-cause detail, the observed value, the
   // threshold it crossed, and the window size it was judged over.
   EXPECT_NE(doc.find("\"watchdog\":"), std::string::npos);
@@ -235,7 +220,6 @@ TEST(WatchdogDump, FiringWritesAuditV2WithWindowContext) {
   EXPECT_NE(doc.find("\"value\":60"), std::string::npos);
   EXPECT_NE(doc.find("\"threshold\":50"), std::string::npos);
   EXPECT_NE(doc.find("\"window_polls\":2"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(WatchdogThread, StartStopIsIdempotentAndPolls) {
