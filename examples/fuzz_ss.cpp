@@ -286,7 +286,10 @@ int fuzz_mode(const Args& args) {
                 << r.decision_cycle << "): " << r.detail << '\n';
       print_divergence_context(r, obs.timeseries());
       std::cout << "shrinking...\n";
-      const ShrinkResult s = shrink(sc, ex);
+      // The shrinker's candidate runs stay off the campaign's registry
+      // and audit session, so the run document keeps the counters and the
+      // black box of the scenario that diverged.
+      const ShrinkResult s = shrink(sc, DifferentialExecutor{});
       const std::string repro = "fuzz_failure_seed" +
                                 std::to_string(args.seed) + "_scenario" +
                                 std::to_string(k) + ".sst";

@@ -42,9 +42,9 @@ void QosMonitor::record(const queueing::TxRecord& r) {
     if (!ps.delay_hist) {
       // 0.01 us .. 10 s, 1024 log bins: < 2.3% relative bin width, so the
       // percentile estimate stays within that of the exact series value.
-      ps.delay_hist.emplace(Histogram::logspace(0.01, 1e7, 1024));
+      ps.delay_hist.emplace(0.01, 1e7, 1024, /*log_scale=*/true);
     }
-    ps.delay_hist->add(delay_us);
+    ps.delay_hist->observe(delay_us);
   }
 }
 
@@ -85,7 +85,7 @@ double QosMonitor::delay_percentile_us(std::uint32_t s, double p) const {
 double QosMonitor::delay_percentile_est_us(std::uint32_t s, double p) const {
   const auto& hist = per_stream_[s].delay_hist;
   if (!hist) return 0.0;
-  return hist->percentile(p);
+  return hist->quantile(p);
 }
 
 }  // namespace ss::core

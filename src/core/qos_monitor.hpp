@@ -4,7 +4,9 @@
 // delay-jitter) as time series and aggregates: Figure 8 is the bandwidth
 // series, Figure 9 the delay series, Figure 10 the per-streamlet bandwidth
 // aggregates.  Bandwidth is windowed (bytes departed per window); delay is
-// per-frame departure-minus-arrival.
+// per-frame departure-minus-arrival.  Delay percentiles come exact from the
+// kept series, or streaming from per-stream log-binned telemetry::Histograms
+// — the same histogram type and interpolation the metrics registry uses.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +14,7 @@
 #include <vector>
 
 #include "queueing/transmission_engine.hpp"
-#include "util/histogram.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/stats.hpp"
 
 namespace ss::core {
@@ -61,9 +63,10 @@ class QosMonitor {
   [[nodiscard]] double delay_percentile_us(std::uint32_t s, double p) const;
 
   /// Streaming delay percentile from the per-stream log-binned histogram
-  /// (requires set_delay_histogram(true); 0 otherwise).  O(1) memory per
-  /// stream regardless of run length; the estimate is within one bin
-  /// width (< 2.3% relative) of the exact series percentile.
+  /// (requires set_delay_histogram(true); 0 otherwise): a
+  /// telemetry::Histogram of 1024 log bins over [0.01, 1e7] us, so O(1)
+  /// memory per stream regardless of run length and an estimate within
+  /// one bin width (< 2.3% relative) of the exact series percentile.
   [[nodiscard]] double delay_percentile_est_us(std::uint32_t s,
                                                double p) const;
   [[nodiscard]] std::uint64_t frames(std::uint32_t s) const {
@@ -79,6 +82,8 @@ class QosMonitor {
   /// Maintain per-stream log-binned delay histograms for streaming
   /// percentile estimates — the aggregate-only replacement for keep_series
   /// when only tail latencies are needed.  Call before the first record().
+  /// record() is each histogram's one writer (telemetry::Histogram's
+  /// contract): feed a monitor from one thread.
   void set_delay_histogram(bool v) { delay_histogram_ = v; }
 
  private:
@@ -93,7 +98,7 @@ class QosMonitor {
     std::uint64_t last_ns = 0;
     RunningStats delay;
     JitterTracker jitter;
-    std::optional<Histogram> delay_hist;  ///< log-binned delays (us)
+    std::optional<telemetry::Histogram> delay_hist;  ///< log-binned (us)
   };
   void roll_window(PerStream& ps, std::uint64_t now_ns);
 

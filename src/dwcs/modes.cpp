@@ -121,4 +121,13 @@ StreamSpec to_stream_spec(const StreamRequirement& r,
   return spec;
 }
 
+ReferenceScheduler::Options reference_options(const hw::ChipConfig& cc) {
+  ReferenceScheduler::Options o;
+  o.block_mode = cc.block_mode;
+  o.min_first = cc.min_first;
+  o.edf_comparison = cc.cmp_mode == hw::ComparisonMode::kTagOnly;
+  o.batch_depth = cc.batch_depth;
+  return o;
+}
+
 }  // namespace ss::dwcs

@@ -22,6 +22,7 @@
 
 #include "dwcs/reference_scheduler.hpp"
 #include "hw/register_block.hpp"
+#include "hw/scheduler_chip.hpp"
 
 namespace ss::dwcs {
 
@@ -58,5 +59,12 @@ struct StreamRequirement {
 /// Translate a requirement into the software reference-scheduler spec.
 [[nodiscard]] StreamSpec to_stream_spec(const StreamRequirement& r,
                                         std::uint32_t fair_period);
+
+/// The reference-scheduler options that decide exactly as a chip with
+/// configuration `cc` does: block/winner mode, emission end and batch
+/// depth carry over, and the tag-only comparator is the EDF comparison.
+/// The guard's lockstep shadow and the differential oracle both use it.
+[[nodiscard]] ReferenceScheduler::Options reference_options(
+    const hw::ChipConfig& cc);
 
 }  // namespace ss::dwcs

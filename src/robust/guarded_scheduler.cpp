@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "dwcs/modes.hpp"
 #include "telemetry/audit.hpp"
 
 namespace ss::robust {
@@ -24,19 +25,6 @@ static_assert(static_cast<int>(dwcs::OrderRule::kFcfsArrival) ==
 static_assert(static_cast<int>(dwcs::OrderRule::kIdTieBreak) ==
               static_cast<int>(hw::Rule::kIdTieBreak));
 
-namespace {
-
-dwcs::ReferenceScheduler::Options shadow_options(const hw::ChipConfig& cc) {
-  dwcs::ReferenceScheduler::Options o;
-  o.block_mode = cc.block_mode;
-  o.min_first = cc.min_first;
-  o.edf_comparison = cc.cmp_mode == hw::ComparisonMode::kTagOnly;
-  o.batch_depth = cc.batch_depth;
-  return o;
-}
-
-}  // namespace
-
 GuardedScheduler::GuardedScheduler(hw::SchedulerChip& chip, FaultPlan* plan)
     : GuardedScheduler(chip, plan, Options{}) {}
 
@@ -48,7 +36,7 @@ GuardedScheduler::GuardedScheduler(hw::SchedulerChip& chip, FaultPlan* plan,
       sram_(opt.sram_words, Nanos{opt.sram_switch_ns}),
       health_(opt.health) {
   if (!plan_) return;
-  shadow_.emplace(shadow_options(chip_.config()));
+  shadow_.emplace(dwcs::reference_options(chip_.config()));
   for (unsigned i = 0; i < chip_.config().slots; ++i) {
     shadow_->add_stream({});
   }

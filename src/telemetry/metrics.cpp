@@ -1,7 +1,6 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -15,61 +14,53 @@ namespace {
 using util::append_double;
 using util::json_escape_into;
 
-// Lock-free double accumulation: the sum lives as raw bits and additions
-// go through a CAS loop (contention is rare — observe() is called from at
-// most a couple of threads and the loop retries only on collision).
-void add_double_bits(std::atomic<std::uint64_t>& bits, double d) noexcept {
-  std::uint64_t old = bits.load(std::memory_order_relaxed);
-  for (;;) {
-    const double cur = std::bit_cast<double>(old);
-    if (bits.compare_exchange_weak(old, std::bit_cast<std::uint64_t>(cur + d),
-                                   std::memory_order_relaxed)) {
-      return;
-    }
-  }
-}
-
 }  // namespace
 
 Histogram::Histogram(double lo, double hi, std::size_t bins, bool log_scale)
-    : lo_(lo), hi_(hi), log_(log_scale), counts_(bins == 0 ? 1 : bins) {
-  assert(hi > lo && bins > 0);
-  if (log_) {
-    assert(lo > 0.0);
-    log_lo_ = std::log(lo_);
-    inv_width_ = static_cast<double>(counts_.size()) /
-                 (std::log(hi_) - log_lo_);
-  } else {
-    inv_width_ = static_cast<double>(counts_.size()) / (hi_ - lo_);
-  }
+    : lo_(lo),
+      hi_(hi),
+      log_(log_scale),
+      origin_(log_scale ? std::log(lo) : lo),
+      counts_(bins == 0 ? 1 : bins) {
+  assert(hi > lo && bins > 0 && (!log_scale || lo > 0.0));
+  width_ = ((log_ ? std::log(hi_) : hi_) - origin_) /
+           static_cast<double>(counts_.size());
 }
 
-std::size_t Histogram::index_of(double x) const noexcept {
-  double pos;
+std::size_t Histogram::index_of(double x) noexcept {
+  if (!(x > lo_)) return 0;  // at or below lo (or NaN): the first bin
+  const std::size_t last = counts_.size() - 1;
+  if (x >= hi_) return last;
+  const double t = log_ ? std::log(x) : x;
+  // min: a value just under hi_ can round onto the edge.
+  const std::size_t b =
+      std::min(static_cast<std::size_t>((t - origin_) / width_), last);
   if (log_) {
-    if (x <= lo_) return 0;
-    pos = (std::log(x) - log_lo_) * inv_width_;
-  } else {
-    if (x <= lo_) return 0;
-    pos = (x - lo_) * inv_width_;
+    constexpr double kMargin = 1e-9;
+    cache_bin_ = b;
+    cache_lo_ = bin_lo(b) * (1.0 + kMargin);
+    cache_hi_ = bin_lo(b + 1) * (1.0 - kMargin);
   }
-  const auto b = static_cast<std::size_t>(pos);
-  return b >= counts_.size() ? counts_.size() - 1 : b;
+  return b;
 }
 
 void Histogram::observe(double x) noexcept {
-  counts_[index_of(x)].v.fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  add_double_bits(sum_bits_, x);
-}
-
-double Histogram::sum() const noexcept {
-  return std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
+  // Same-bin fast path (log bins): consecutive latency samples usually
+  // differ by far less than one bin, so test the cached bin's value range
+  // before paying std::log.  The margins keep that range strictly inside
+  // the bin, so a hit agrees with index_of's floor division; samples in
+  // the margin slivers take the exact slow path.
+  const std::size_t b =
+      x >= cache_lo_ && x < cache_hi_ ? cache_bin_ : index_of(x);
+  single_writer_add(counts_[b].v);
+  single_writer_add(count_);
+  sum_.store(sum_.load(std::memory_order_relaxed) + x,
+             std::memory_order_relaxed);
 }
 
 double Histogram::bin_lo(std::size_t b) const noexcept {
-  const double t = static_cast<double>(b) / inv_width_;
-  return log_ ? std::exp(log_lo_ + t) : lo_ + t;
+  const double t = origin_ + static_cast<double>(b) * width_;
+  return log_ ? std::exp(t) : t;
 }
 
 double Histogram::quantile_from_bins(const std::vector<double>& edges,
@@ -118,7 +109,7 @@ void Histogram::reset() noexcept {
     cell.v.store(0, std::memory_order_relaxed);
   }
   count_.store(0, std::memory_order_relaxed);
-  sum_bits_.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {

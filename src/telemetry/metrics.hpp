@@ -3,11 +3,12 @@
 // The paper's evaluation lives on seeing inside the host/FPGA pipeline
 // while it runs: decision cycles, PCI round-trips, ring occupancy,
 // per-stream grants.  This registry is the live-counter layer under every
-// realization: named counters, gauges and histograms whose hot-path
-// operations are single relaxed atomic RMWs on per-thread cache-line
-// cells, so a TSan-stressed data path (producer + scheduler threads) can
-// be sampled by a monitor thread calling snapshot() at any moment without
-// locks, stalls or races.
+// realization: named counters, gauges and histograms whose hot paths take
+// no lock — a counter increment is one relaxed RMW on a per-thread
+// cache-line cell, a histogram observe relaxed load+store pairs by its
+// one writer — so a TSan-stressed data path (producer + scheduler threads)
+// can be sampled by a monitor thread calling snapshot() at any moment
+// without locks, stalls or races.
 //
 // Consistency contract: snapshot() is per-metric atomic and monotonic
 // (a counter never appears to decrease across snapshots), not globally
@@ -97,15 +98,31 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
-/// Fixed-bin histogram with atomic bin counts: observe() is one relaxed
-/// fetch_add on a bin plus count/sum bookkeeping, safe from any thread.
-/// Linear or logarithmic bin spacing; quantile() interpolates inside the
-/// bin that crosses the rank (log-space interpolation for log bins), so
-/// the estimate error is bounded by one bin's width.
+/// Relaxed single-writer add: a plain load+store, no lock-prefixed RMW.
+/// Only for a cell one thread writes; readers on any thread still see
+/// untorn values through the atomic.
+inline void single_writer_add(std::atomic<std::uint64_t>& c,
+                              std::uint64_t d = 1) noexcept {
+  c.store(c.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
+}
+
+/// Fixed-bin histogram over [lo, hi), linear or logarithmic bins (a log
+/// histogram with B bins makes each bin a factor (hi/lo)^(1/B) wide, so
+/// the percentile error is relative).  Out-of-range samples clamp to the
+/// edge bins, so no observation is lost.  quantile() interpolates inside
+/// the bin that crosses the rank (in log space for log bins), so the
+/// estimate error is bounded by one bin's width.
+///
+/// Concurrency: one writer, any readers.  observe() and reset() belong to
+/// the one thread that feeds the histogram (the thread driving the chip
+/// or TE, the drain loop, the threaded scheduler thread, a profiler
+/// stage's owner), and advance the bins, count and sum with relaxed
+/// load+store pairs — no lock-prefixed RMW.  Readers (snapshot(), the
+/// time series, the watchdog, quantile()) may run on any thread at any
+/// moment and see untorn per-field values.  Two threads must never
+/// observe into one histogram; Counter is the multi-writer metric.
 class Histogram {
  public:
-  /// Linear bins over [lo, hi); out-of-range samples clamp to the edge
-  /// bins so no observation is lost.
   Histogram(double lo, double hi, std::size_t bins, bool log_scale = false);
 
   void observe(double x) noexcept;
@@ -113,7 +130,9 @@ class Histogram {
   [[nodiscard]] std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] double sum() const noexcept;
+  [[nodiscard]] double sum() const noexcept {
+    return sum_.load(std::memory_order_relaxed);
+  }
   [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
   [[nodiscard]] std::uint64_t bin_count(std::size_t b) const noexcept {
     return counts_[b].v.load(std::memory_order_relaxed);
@@ -143,14 +162,21 @@ class Histogram {
   struct AtomicCell {
     std::atomic<std::uint64_t> v{0};
   };
-  std::size_t index_of(double x) const noexcept;
+  std::size_t index_of(double x) noexcept;
 
   double lo_, hi_;
   bool log_;
-  double log_lo_ = 0.0, inv_width_;
+  /// Bin b spans [origin_ + b*width_, origin_ + (b+1)*width_) on the
+  /// binning axis: x itself for linear bins, log(x) for log bins.
+  double origin_, width_;
+  /// The writer's same-bin cache for log bins: a value range shrunk
+  /// strictly inside bin cache_bin_ (empty until the first in-range
+  /// observe), refreshed by index_of.  See observe.
+  double cache_lo_ = 1.0, cache_hi_ = 0.0;
+  std::size_t cache_bin_ = 0;
   std::vector<AtomicCell> counts_;
   std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_bits_{0};  ///< double stored as bits (CAS add)
+  std::atomic<double> sum_{0.0};
 };
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
@@ -204,6 +230,8 @@ class MetricsRegistry {
 
   /// Zero every metric (counters, gauges, histogram bins).  Snapshots
   /// taken concurrently see each metric either before or after its reset.
+  /// A histogram's reset is one of its writes: call this while no
+  /// histogram is being observed.
   void reset();
 
   [[nodiscard]] std::size_t size() const;

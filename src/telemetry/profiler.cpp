@@ -80,24 +80,19 @@ Profiler::Profiler() {
 void Profiler::record(ProfStage stage, std::uint64_t ns) noexcept {
   const auto s = static_cast<std::size_t>(stage);
   if (s >= kProfStages) return;
-  stages_[s].count.fetch_add(1, kRel);
-  stages_[s].total_ns.fetch_add(ns, kRel);
-  hist_[s]->observe(static_cast<double>(ns));
-}
-
-void Profiler::record_ticks(ProfStage stage, std::uint64_t ticks) noexcept {
-  const auto s = static_cast<std::size_t>(stage);
-  if (s >= kProfStages) return;
-  const auto ns = static_cast<std::uint64_t>(static_cast<double>(ticks) *
-                                             ns_per_tick_);
-  // The count doubles as the decimation counter: every 8th scope
+  // The count doubles as the decimation counter: every 8th record
   // (including the first) pays the logspace histogram observe, so
   // quantiles stay live while the steady-state exit is two single-writer
   // stores.
   const std::uint64_t n = stages_[s].count.load(kRel);
   stages_[s].count.store(n + 1, kRel);
-  bump_add(stages_[s].total_ns, ns);
+  single_writer_add(stages_[s].total_ns, ns);
   if ((n & 7u) == 0) hist_[s]->observe(static_cast<double>(ns));
+}
+
+void Profiler::record_ticks(ProfStage stage, std::uint64_t ticks) noexcept {
+  record(stage, static_cast<std::uint64_t>(static_cast<double>(ticks) *
+                                           ns_per_tick_));
 }
 
 void Profiler::bind_registry(MetricsRegistry& reg) {

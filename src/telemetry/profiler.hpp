@@ -14,9 +14,10 @@
 // attached at production rates; a detached site pays one null test.
 //
 // Durations feed fixed logspace histograms (16 ns .. 1 s), per stage.
-// Scope exits decimate the histogram observe 1-in-8 (the per-stage
-// count/total_ns stay exact) — quantiles are unbiased estimates from
-// every 8th scope, totals and counts are not sampled.
+// Every record (scope exit or record()) decimates the histogram observe
+// 1-in-8 (the per-stage count/total_ns stay exact) — quantiles are
+// unbiased estimates from every 8th record, totals and counts are not
+// sampled.
 // bind_registry() re-homes them in a MetricsRegistry under the prof.*
 // namespace (prof.<stage>.ns) so they ride in metrics snapshots;
 // to_json() emits the flamegraph-style `profile` section of the run
@@ -25,7 +26,8 @@
 //
 // Concurrency: each stage has a single writer (the thread that owns that
 // pipeline stage — in the threaded endsystem the scheduler thread owns
-// every profiled stage), so scope exits advance the per-stage totals with
+// every profiled stage), so a record advances the per-stage totals and
+// the stage's histogram (one writer per Histogram, metrics.hpp) with
 // relaxed load+store pairs; distinct stages may record from distinct
 // threads concurrently, and exports snapshot per-stage totals the usual
 // relaxed way from any thread.
@@ -67,12 +69,12 @@ class Profiler {
  public:
   Profiler();
 
-  /// Attribute `ns` of wall-time to `stage`.  Any thread.
+  /// Attribute `ns` of wall-time to `stage`: bumps the exact count/total
+  /// and feeds the histogram 1-in-8.  The stage's owning thread only.
   void record(ProfStage stage, std::uint64_t ns) noexcept;
 
-  /// Scope-exit path: `ticks` of raw clock delta for `stage`.  Converts
-  /// once, bumps the exact count/total and feeds the histogram 1-in-8.
-  /// Any thread.
+  /// Scope-exit path: `ticks` of raw clock delta for `stage`, converted
+  /// once and recorded.  The stage's owning thread only.
   void record_ticks(ProfStage stage, std::uint64_t ticks) noexcept;
 
   /// Re-home the per-stage histograms in `reg` as prof.<stage>.ns so they
@@ -105,15 +107,6 @@ class Profiler {
     std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> total_ns{0};
   };
-  // Scope exits are single-writer per stage (the thread that owns the
-  // pipeline stage), so count/total advance with relaxed load+store
-  // pairs — no lock-prefixed RMWs on the hot path; readers still see
-  // untorn values through the atomics.
-  static void bump_add(std::atomic<std::uint64_t>& c,
-                       std::uint64_t d) noexcept {
-    c.store(c.load(std::memory_order_relaxed) + d,
-            std::memory_order_relaxed);
-  }
   std::array<Stage, kProfStages> stages_{};
   double ns_per_tick_ = 1.0;  ///< cached at construction; 1.0 for ns clocks
   std::array<std::unique_ptr<Histogram>, kProfStages> own_;

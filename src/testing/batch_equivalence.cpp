@@ -10,31 +10,6 @@
 namespace ss::testing {
 namespace {
 
-hw::ChipConfig chip_config(const FabricPoint& f, unsigned batch_depth) {
-  hw::ChipConfig hc;
-  hc.slots = f.slots;
-  hc.block_mode = f.block_mode;
-  hc.min_first = f.min_first;
-  hc.schedule = f.schedule;
-  hc.batch_depth = batch_depth;
-  switch (f.discipline) {
-    case Discipline::kDwcs:
-      hc.cmp_mode = hw::ComparisonMode::kDwcsFull;
-      break;
-    case Discipline::kEdf:
-      hc.cmp_mode = hw::ComparisonMode::kTagOnly;
-      break;
-    case Discipline::kStaticPrio:
-      hc.cmp_mode = hw::ComparisonMode::kStatic;
-      break;
-    case Discipline::kFairTag:
-      hc.cmp_mode = hw::ComparisonMode::kTagOnly;
-      hc.timing.bypass_update = true;
-      break;
-  }
-  return hc;
-}
-
 std::string stream_tag(unsigned i) {
   return "stream " + std::to_string(i) + ": ";
 }
@@ -58,7 +33,9 @@ PipelineRun run_block_pipeline(const Scenario& sc, unsigned batch_depth) {
   run.drop_seq.assign(n, {});
   run.leftover.assign(n, 0);
 
-  hw::SchedulerChip chip(chip_config(sc.fabric, batch_depth));
+  hw::ChipConfig hc = to_chip_config(sc.fabric);
+  hc.batch_depth = batch_depth;
+  hw::SchedulerChip chip(hc);
   queueing::QueueManager qm(1000);
   queueing::LinkModel link(1.0);
   queueing::TransmissionEngine te(qm, link);

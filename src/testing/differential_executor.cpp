@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "dwcs/modes.hpp"
 #include "hwpq/factory.hpp"
 #include "robust/guarded_scheduler.hpp"
 #include "testing/rank_equivalence.hpp"
@@ -55,27 +56,7 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
   Fnv1a64 hash;
 
   // --- construct the implementations ------------------------------------
-  hw::ChipConfig hc;
-  hc.slots = sc.fabric.slots;
-  hc.block_mode = sc.fabric.block_mode;
-  hc.min_first = sc.fabric.min_first;
-  hc.schedule = sc.fabric.schedule;
-  hc.batch_depth = sc.fabric.batch_depth;
-  switch (sc.fabric.discipline) {
-    case Discipline::kDwcs:
-      hc.cmp_mode = hw::ComparisonMode::kDwcsFull;
-      break;
-    case Discipline::kEdf:
-      hc.cmp_mode = hw::ComparisonMode::kTagOnly;
-      break;
-    case Discipline::kStaticPrio:
-      hc.cmp_mode = hw::ComparisonMode::kStatic;
-      break;
-    case Discipline::kFairTag:
-      hc.cmp_mode = hw::ComparisonMode::kTagOnly;
-      hc.timing.bypass_update = true;  // Section-2 bypass (timing only)
-      break;
-  }
+  const hw::ChipConfig hc = to_chip_config(sc.fabric);
   hw::SchedulerChip chip(hc);
 
   // The chip is driven through its scheduler front.  Under the scenario's
@@ -114,13 +95,7 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
     opt_.audit->begin_run();
   }
 
-  dwcs::ReferenceScheduler::Options so;
-  so.block_mode = sc.fabric.block_mode;
-  so.min_first = sc.fabric.min_first;
-  so.batch_depth = sc.fabric.batch_depth;
-  so.edf_comparison = sc.fabric.discipline == Discipline::kEdf ||
-                      sc.fabric.discipline == Discipline::kFairTag;
-  dwcs::ReferenceScheduler oracle(so);
+  dwcs::ReferenceScheduler oracle(dwcs::reference_options(hc));
 
   const unsigned n = sc.fabric.slots;
   for (unsigned i = 0; i < n; ++i) {

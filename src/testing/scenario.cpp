@@ -2,6 +2,31 @@
 
 namespace ss::testing {
 
+hw::ChipConfig to_chip_config(const FabricPoint& f) {
+  hw::ChipConfig hc;
+  hc.slots = f.slots;
+  hc.block_mode = f.block_mode;
+  hc.min_first = f.min_first;
+  hc.schedule = f.schedule;
+  hc.batch_depth = f.batch_depth;
+  switch (f.discipline) {
+    case Discipline::kDwcs:
+      hc.cmp_mode = hw::ComparisonMode::kDwcsFull;
+      break;
+    case Discipline::kEdf:
+      hc.cmp_mode = hw::ComparisonMode::kTagOnly;
+      break;
+    case Discipline::kStaticPrio:
+      hc.cmp_mode = hw::ComparisonMode::kStatic;
+      break;
+    case Discipline::kFairTag:
+      hc.cmp_mode = hw::ComparisonMode::kTagOnly;
+      hc.timing.bypass_update = true;  // Section-2 bypass (timing only)
+      break;
+  }
+  return hc;
+}
+
 hw::SlotConfig to_slot_config(Discipline d, const StreamSetup& s) {
   hw::SlotConfig c;
   c.period = s.period;

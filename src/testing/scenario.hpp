@@ -157,6 +157,11 @@ struct Scenario {
   friend bool operator==(const Scenario&, const Scenario&) = default;
 };
 
+/// The chip configuration of a fabric point: its slots, block mode,
+/// emission end, schedule and batch depth, and the comparator its
+/// discipline runs (fair tags bypass the PRIORITY_UPDATE rewrite).
+[[nodiscard]] hw::ChipConfig to_chip_config(const FabricPoint& f);
+
 /// Map a discipline-neutral setup onto the hardware slot configuration.
 [[nodiscard]] hw::SlotConfig to_slot_config(Discipline d,
                                             const StreamSetup& s);

@@ -2,9 +2,8 @@
 //
 // The repo's observability surfaces all *write* JSON (single-line
 // documents CI checks with jq), but the post-run tooling — `ss_cli
-// report` merging four export documents, the test that pins the
-// committed BENCH_pifo.json — has to *read* them back without shelling
-// out to jq.  This is the smallest parser that round-trips the
+// report` rendering a run document, the test that pins the committed
+// BENCH_pifo.json — has to *read* them back without shelling out to jq.  This is the smallest parser that round-trips the
 // documents we emit: the full JSON value grammar (null/bool/number/
 // string/array/object), doubles for every number, no streaming, no
 // document writer (producers keep their hand-rolled emitters so the

@@ -5,8 +5,9 @@
 // it with --out and --trace-out and reads each file back with the repo's
 // own JSON reader, asserting the fields every section of the run document
 // promises (docs/formats.md), then renders the document with `ss_cli
-// report`.  It also pins the failover dump, the default run document and
-// the exit-2 contract for flags that would otherwise silently do nothing.
+// report`.  It also pins the failover dump, the default run document, a
+// diverging fuzz campaign's run document and the exit-2 contract for
+// flags that would otherwise silently do nothing.
 // Whether the watchdog fires depends on wall-clock polls, so that stays
 // out of this suite.
 #include <gtest/gtest.h>
@@ -234,6 +235,42 @@ TEST_F(CliSurface, WatchdogWithoutOutWritesDefaultRunDocument) {
     EXPECT_NE(run.find(section), nullptr) << section;
   }
   EXPECT_EQ(run.find("profile"), nullptr) << "no --out, no profiler";
+}
+
+// A diverging fuzz campaign's run document describes the campaign up to
+// the divergence: the registry's decision count, the audit's sampled
+// decisions and its flight-recorder ring all match the decisions the
+// campaign printed, untouched by the shrinker's candidate runs.
+TEST_F(CliSurface, FuzzDivergenceDocumentStopsAtTheDivergence) {
+  ASSERT_EQ(run_in(dir_, std::string(FUZZ_SS_BINARY) +
+                             " --seed 7 --scenarios 5 --events 300"
+                             " --inject-fault 3 --out div.json"),
+            1);
+  std::istringstream out(read_text(dir_ + "/stdout.txt"));
+  double printed = 0.0;
+  bool shrunk = false;
+  for (std::string line; std::getline(out, line);) {
+    const std::size_t at = line.find(" decisions=");
+    if (line.rfind("scenario ", 0) == 0 && at != std::string::npos) {
+      printed += std::stod(line.substr(at + 11));
+    }
+    shrunk |= line.rfind("minimized ", 0) == 0;
+  }
+  ASSERT_TRUE(shrunk) << "the divergence must reach the shrinker";
+  ASSERT_GT(printed, 0.0);
+
+  const JsonValue run = load(dir_ + "/div.json");
+  EXPECT_EQ(run.str_at("cause"), "divergence");
+  ASSERT_NE(run.find("metrics"), nullptr);
+  ASSERT_NE(run.find("metrics")->find("counters"), nullptr);
+  EXPECT_EQ(run.find("metrics")->find("counters")->num_at(
+                "chip.decision_cycles"),
+            printed);
+  ASSERT_NE(run.find("audit"), nullptr);
+  const JsonValue& audit = *run.find("audit");
+  ASSERT_NE(audit.find("sampling"), nullptr);
+  EXPECT_EQ(audit.find("sampling")->num_at("decisions"), printed);
+  EXPECT_EQ(static_cast<double>(length(audit.find("ring"))), printed);
 }
 
 // Flags whose value would silently do nothing are refused with exit 2.

@@ -3,7 +3,8 @@
 //
 // The unit half pins down the primitives' contracts: counters sum their
 // per-thread cells exactly, gauges' update_max is a true high-water mark,
-// histogram quantiles stay within one bin width of truth, registration is
+// histogram quantiles stay within one bin width of truth and the log
+// bins' same-bin fast path never moves a sample, registration is
 // idempotent per name, and the exports carry the schema CI jq-checks.
 // The TelemetryStress half is the reason the registry exists at all: a
 // monitor thread hammering snapshot()/to_json() while the threaded
@@ -26,7 +27,7 @@
 #include "telemetry/instruments.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/observability.hpp"
-#include "util/histogram.hpp"
+#include "util/rng.hpp"
 #include "util/json.hpp"
 
 namespace ss {
@@ -174,70 +175,123 @@ TEST(TelemetryRegistry, SnapshotSortedAndJsonCarriesSchema) {
   EXPECT_EQ(reg.size(), 4u) << "reset zeroes values, not registrations";
 }
 
-// ss::Histogram::logspace percentile estimates against exact order
-// statistics: with 1024 bins over [0.01, 1e7] every bin is under 2.1%
-// wide, so the relative error bound is one bin's width.
+TEST(Histogram, BinsAndRanges) {
+  telemetry::Histogram h(0, 100, 10);
+  h.observe(5);
+  h.observe(15);
+  h.observe(15.5);
+  h.observe(99.999);
+  EXPECT_EQ(h.bin_count(0), 1u);
+  EXPECT_EQ(h.bin_count(1), 2u);
+  EXPECT_EQ(h.bin_count(9), 1u);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_DOUBLE_EQ(h.bin_lo(1), 10.0);
+  EXPECT_DOUBLE_EQ(h.bin_hi(1), 20.0);
+}
+
+// Log-binned quantile estimates against exact order statistics: with 1024
+// bins over [0.01, 1e7] (the QoS monitor's delay layout) every bin is
+// under 2.1% wide, so the relative error bound is one bin's width.
 TEST(TelemetryHistogram, LogspacePercentileTracksExactOrderStatistics) {
-  Histogram h = Histogram::logspace(0.01, 1e7, 1024);
+  telemetry::Histogram h(0.01, 1e7, 1024, /*log_scale=*/true);
   std::vector<double> xs;
   // A deterministic heavy-tailed-ish spread over several decades.
   for (int i = 1; i <= 5000; ++i) {
     xs.push_back(0.5 * std::pow(1.002, i));  // 0.5 .. ~11k
   }
-  for (const double x : xs) h.add(x);
+  for (const double x : xs) h.observe(x);
   std::sort(xs.begin(), xs.end());
   for (const double p : {10.0, 50.0, 90.0, 99.0}) {
     const double exact =
         xs[static_cast<std::size_t>(p / 100.0 * (xs.size() - 1))];
-    const double est = h.percentile(p);
+    const double est = h.quantile(p);
     EXPECT_NEAR(est / exact, 1.0, 0.022)
         << "p" << p << ": est=" << est << " exact=" << exact;
   }
 }
 
-// Extreme tails of ss::Histogram::percentile.  p0 must resolve to the
-// first *occupied* bin's low edge, not the histogram's lower bound: with
-// no underflow mass the old `cum >= rank` short-circuit fired at rank 0
-// and reported lo_ no matter where the samples sat.
+// Extreme tails of quantile().  p0 must resolve to the first *occupied*
+// bin's low edge, not the histogram's lower bound, and p100 to the last
+// occupied bin's high edge.
 TEST(TelemetryHistogram, PercentileExtremeTails) {
   {
-    Histogram h(0.0, 100.0, 10);  // 10-wide bins
-    h.add(55.0);                  // single sample, bin [50, 60)
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 50.0) << "p0 = occupied bin low edge";
-    EXPECT_DOUBLE_EQ(h.percentile(100.0), 60.0)
+    telemetry::Histogram h(0.0, 100.0, 10);  // 10-wide bins
+    h.observe(55.0);                         // single sample, bin [50, 60)
+    EXPECT_DOUBLE_EQ(h.quantile(0.0), 50.0) << "p0 = occupied bin low edge";
+    EXPECT_DOUBLE_EQ(h.quantile(100.0), 60.0)
         << "p100 = occupied bin high edge";
-    EXPECT_NEAR(h.percentile(50.0), 55.0, 1e-9) << "midpoint interpolation";
+    EXPECT_NEAR(h.quantile(50.0), 55.0, 1e-9) << "midpoint interpolation";
   }
   {
-    Histogram h(0.0, 100.0, 10);
-    for (int i = 0; i < 1000; ++i) h.add(72.0);  // all mass in one bin
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 70.0);
-    EXPECT_DOUBLE_EQ(h.percentile(100.0), 80.0);
-    const double p50 = h.percentile(50.0);
+    telemetry::Histogram h(0.0, 100.0, 10);
+    for (int i = 0; i < 1000; ++i) h.observe(72.0);  // all mass in one bin
+    EXPECT_DOUBLE_EQ(h.quantile(0.0), 70.0);
+    EXPECT_DOUBLE_EQ(h.quantile(100.0), 80.0);
+    const double p50 = h.quantile(50.0);
     EXPECT_GE(p50, 70.0);
     EXPECT_LE(p50, 80.0);
   }
   {
-    // Underflow mass still resolves to lo_ (conservative), and overflow
-    // mass to hi_.
-    Histogram h(10.0, 20.0, 10);
-    h.add(-5.0);
-    h.add(100.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 10.0);
-    EXPECT_DOUBLE_EQ(h.percentile(100.0), 20.0);
-  }
-  {
-    Histogram h(0.0, 10.0, 10);
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 0.0) << "empty histogram";
-    EXPECT_DOUBLE_EQ(h.percentile(100.0), 0.0);
+    telemetry::Histogram h(0.0, 10.0, 10);
+    EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0) << "empty histogram";
+    EXPECT_DOUBLE_EQ(h.quantile(100.0), 0.0);
   }
   {
     // Log-scale single sample: the same edge contract on the log bins.
-    Histogram h = Histogram::logspace(1.0, 1024.0, 10);  // bins x2 wide
-    h.add(48.0);  // bin [32, 64)
-    EXPECT_NEAR(h.percentile(0.0), 32.0, 1e-9);
-    EXPECT_NEAR(h.percentile(100.0), 64.0, 1e-9);
+    telemetry::Histogram h(1.0, 1024.0, 10, /*log_scale=*/true);  // x2 bins
+    h.observe(48.0);  // bin [32, 64)
+    EXPECT_NEAR(h.quantile(0.0), 32.0, 1e-9);
+    EXPECT_NEAR(h.quantile(100.0), 64.0, 1e-9);
   }
+}
+
+// The log bins' same-bin fast path answers from a cached bin range
+// instead of taking the logarithm; it must never place a sample in a bin
+// other than the one the exact slow path picks.  A long-lived histogram
+// (cache warm, hit or refreshed on every sample) and a fresh histogram per
+// sample (cache always empty) must agree bin for bin, on a seeded sweep
+// that repeats values, walks up and down inside a bin, and lands within
+// 1e-9 (relative) of both edges of the bin the cache holds.
+TEST(TelemetryHistogram, SameBinFastPathNeverChangesABin) {
+  constexpr double kLo = 0.01, kHi = 1e7;
+  constexpr std::size_t kBins = 1024;
+  telemetry::Histogram warm(kLo, kHi, kBins, /*log_scale=*/true);
+  Rng rng(20030422);
+  std::vector<double> xs;
+  for (std::size_t b = 0; b < kBins; b += 1 + rng.below(3)) {
+    const double lo = warm.bin_lo(b), hi = warm.bin_hi(b);
+    const double mid = std::sqrt(lo * hi);
+    // Warm the cache on bin b, repeat it, then probe both edges.
+    for (std::uint64_t r = 1 + rng.below(4); r > 0; --r) xs.push_back(mid);
+    for (const double edge : {lo, hi}) {
+      for (const double rel : {-1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12,
+                               1e-9}) {
+        xs.push_back(edge * (1.0 + rel));
+        xs.push_back(mid);  // back into bin b: the cache holds b again
+      }
+      xs.push_back(std::nextafter(edge, 0.0));
+      xs.push_back(mid);
+      xs.push_back(std::nextafter(edge, kHi));
+      xs.push_back(mid);
+    }
+    xs.push_back(lo + (hi - lo) * rng.uniform());
+  }
+  std::size_t checked = 0;
+  for (const double x : xs) {
+    telemetry::Histogram fresh(kLo, kHi, kBins, /*log_scale=*/true);
+    fresh.observe(x);
+    std::size_t want = kBins;
+    for (std::size_t b = 0; b < kBins && want == kBins; ++b) {
+      if (fresh.bin_count(b) == 1) want = b;
+    }
+    ASSERT_LT(want, kBins);
+    const std::uint64_t before = warm.bin_count(want);
+    warm.observe(x);
+    ASSERT_EQ(warm.bin_count(want), before + 1)
+        << "x=" << x << " left bin " << want;
+    ++checked;
+  }
+  EXPECT_EQ(warm.count(), checked);
 }
 
 TEST(FrameTraceTest, RingBoundsRetentionButCountsEverything) {

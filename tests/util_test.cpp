@@ -8,7 +8,6 @@
 #include "util/ascii_chart.hpp"
 #include "util/bitops.hpp"
 #include "util/csv.hpp"
-#include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/serial.hpp"
 #include "util/sim_time.hpp"
@@ -359,41 +358,6 @@ TEST(JitterTracker, SingleSampleHasZeroJitter) {
   JitterTracker j;
   j.add(99.0);
   EXPECT_EQ(j.mean_jitter(), 0.0);
-}
-
-// ------------------------------------------------------------- histogram
-
-TEST(Histogram, BinsAndRanges) {
-  Histogram h(0, 100, 10);
-  h.add(5);
-  h.add(15);
-  h.add(15.5);
-  h.add(99.999);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(1), 2u);
-  EXPECT_EQ(h.count(9), 1u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 10.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 20.0);
-}
-
-TEST(Histogram, UnderOverflow) {
-  Histogram h(0, 10, 5);
-  h.add(-1);
-  h.add(10);  // hi is exclusive
-  h.add(1e9);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, RenderShowsBars) {
-  Histogram h(0, 10, 2);
-  for (int i = 0; i < 8; ++i) h.add(2);
-  h.add(7);
-  const std::string r = h.render(20);
-  EXPECT_NE(r.find('#'), std::string::npos);
-  EXPECT_NE(r.find("8"), std::string::npos);
 }
 
 // ------------------------------------------------------------------- csv
