@@ -1,7 +1,6 @@
 // block_policy.hpp — when may a sorted block be reused across packet-times?
 //
-// Section 5.1's evaluation summary states the reuse conditions this module
-// encodes:
+// Section 5.1's evaluation summary states the reuse conditions:
 //
 //   * deadline-constrained real-time streams: the block can always be
 //     scheduled in one transaction, because queued packets' deadlines do
@@ -17,54 +16,15 @@
 //     ordered block on one link "can skew bandwidth allocations
 //     considerably"), which is why the max-finding configuration is
 //     "critical for bandwidth allocation".
+//
+// Only the fair-queuing case needs a runtime answer; BlockReuseChecker
+// gives it.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 namespace ss::core {
-
-enum class DisciplineClass : std::uint8_t {
-  kDeadlineRealTime,
-  kPriorityClass,
-  kFairQueuingTags,
-  kFairShareBandwidth,
-};
-
-/// Static answer where the paper gives one unconditionally.
-[[nodiscard]] constexpr bool block_reusable(DisciplineClass d) {
-  switch (d) {
-    case DisciplineClass::kDeadlineRealTime:
-    case DisciplineClass::kPriorityClass:
-      return true;
-    case DisciplineClass::kFairQueuingTags:   // conditional — see checker
-    case DisciplineClass::kFairShareBandwidth:
-      return false;
-  }
-  return false;
-}
-
-/// How deep may the endsystem drain one sorted block before it must ask
-/// the fabric for a fresh sort?  This is the paper's reuse table restated
-/// as a transmission-pipeline knob (hw::ChipConfig::batch_depth):
-///   * deadline/priority disciplines — the whole block stays valid, so the
-///     drain may take all `block_size` entries in one pass;
-///   * fair-queuing tags — the whole block, but only alongside a
-///     BlockReuseChecker that invalidates on a non-monotonic tag;
-///   * fair-share bandwidth — 1 (winner-only): draining a whole ordered
-///     block on one link "can skew bandwidth allocations considerably".
-[[nodiscard]] constexpr unsigned recommended_batch_depth(DisciplineClass d,
-                                                         unsigned block_size) {
-  switch (d) {
-    case DisciplineClass::kDeadlineRealTime:
-    case DisciplineClass::kPriorityClass:
-    case DisciplineClass::kFairQueuingTags:
-      return block_size;
-    case DisciplineClass::kFairShareBandwidth:
-      return 1;
-  }
-  return 1;
-}
 
 /// Runtime monotonic-tag check for fair-queuing disciplines: tracks the
 /// maximum tag inside the current block; a new packet whose finish-tag is

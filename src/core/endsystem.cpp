@@ -121,7 +121,7 @@ EndsystemReport Endsystem::run(
     }
     if (guard_.failed_over()) return std::uint64_t{0};
     const robust::RetryResult r = robust::with_retry(
-        cfg_.recovery, pci_rstats, nullptr,
+        robust::kRecoveryPolicy, pci_rstats, nullptr,
         cfg_.metrics ? &robust_metrics_ : nullptr, [&] {
           return read ? pci_.try_pio_read(bytes) : pci_.try_pio_write(bytes);
         });
@@ -244,12 +244,20 @@ EndsystemReport Endsystem::run(
               static_cast<std::uint32_t>(out.grants.size()));
     }
 
-    // Drain the whole grant burst in one Transmission Engine pass.
+    // Drain the whole grant burst in one Transmission Engine pass, then
+    // walk its records once: each sent frame frees a ring slot, reaches
+    // the QoS monitor and, when tracing, closes its frame span.
     transmitted += transmit_grants(out, burst_records);
-    if (ft) {
-      const std::uint64_t dcycle = guard_.decision_cycles();
-      for (std::size_t bi = 0; bi < burst_records.size(); ++bi) {
-        const queueing::TxRecord& rec = burst_records[bi];
+    const std::uint64_t dcycle = ft ? guard_.decision_cycles() : 0;
+    for (std::size_t bi = 0; bi < burst_records.size(); ++bi) {
+      const queueing::TxRecord& rec = burst_records[bi];
+      drainable |= std::uint64_t{1} << rec.stream;
+      monitor_->record(rec);
+      if (em) {
+        em->frame_delay_us->observe(static_cast<double>(rec.delay_ns()) /
+                                    1000.0);
+      }
+      if (ft) {
         const std::uint64_t seq = consumed_seq[rec.stream]++;
         ft->grant(rec.stream, seq, now_ns, dcycle,
                   static_cast<std::uint32_t>(bi));
@@ -259,14 +267,6 @@ EndsystemReport Endsystem::run(
                                         ? rec.departure_ns - ser_ns
                                         : rec.departure_ns;
         ft->transmit(rec.stream, seq, start, ser_ns, rec.bytes);
-      }
-    }
-    for (const queueing::TxRecord& rec : burst_records) {
-      drainable |= std::uint64_t{1} << rec.stream;
-      monitor_->record(rec);
-      if (em) {
-        em->frame_delay_us->observe(static_cast<double>(rec.delay_ns()) /
-                                    1000.0);
       }
     }
   }

@@ -4,10 +4,17 @@
 
 namespace ss::core {
 
+namespace {
+
+// Words of dual-ported SRAM: half arrival partition, half winner IDs.
+constexpr std::size_t kSramWords = 1 << 16;
+
+}  // namespace
+
 Linecard::Linecard(const LinecardConfig& cfg)
     : cfg_(cfg),
       chip_(std::make_unique<hw::SchedulerChip>(cfg.chip)),
-      sram_(cfg.sram_words),
+      sram_(kSramWords),
       clock_mhz_(cfg.clock_mhz) {
   if (clock_mhz_ <= 0.0) {
     const hw::AreaModel area;

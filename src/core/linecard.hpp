@@ -26,7 +26,6 @@ namespace ss::core {
 struct LinecardConfig {
   hw::ChipConfig chip{};
   double clock_mhz = 0.0;  ///< 0 = take it from the area model
-  std::size_t sram_words = 1 << 16;
 };
 
 struct LinecardReport {

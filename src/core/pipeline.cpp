@@ -13,7 +13,7 @@ Pipeline::Pipeline(const PipelineConfig& cfg, std::uint32_t ref_frame_bytes)
       fault_plan_(cfg.faults.enabled()
                       ? std::make_unique<robust::FaultPlan>(cfg.faults)
                       : nullptr),
-      guard_(chip_, fault_plan_.get(), {.recovery = cfg.recovery}),
+      guard_(chip_, fault_plan_.get()),
       qm_(static_cast<std::uint64_t>(packet_time_ns_)),
       link_(cfg.link_gbps),
       te_(qm_, link_),

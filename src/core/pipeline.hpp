@@ -45,11 +45,10 @@ struct PipelineConfig {
   telemetry::Profiler* profiler = nullptr;
   /// Fault plane (seed == 0 = disabled, the default: the scheduler front
   /// is then the plain chip).  When enabled, every chip decision cycle
-  /// becomes fallible and is driven through the recovery policy below;
+  /// becomes fallible and is driven through robust::kRecoveryPolicy;
   /// exhaustion fails the run over to the software reference scheduler
   /// mid-flight.
   robust::FaultProfile faults{};
-  robust::RecoveryConfig recovery{};
 };
 
 /// Fault-plane outcome of a run (all zero when the plane is off).

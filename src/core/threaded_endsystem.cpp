@@ -153,9 +153,8 @@ ThreadedReport ThreadedEndsystem::run(std::uint64_t frames_per_stream) {
       std::this_thread::yield();
       continue;
     }
-    // Drain the whole grant burst in one Transmission Engine pass: one
-    // bulk ring pop per scheduled stream, bookkeeping amortized over the
-    // block instead of paid per packet.
+    // Drain the whole grant burst in one Transmission Engine pass, one
+    // ring pop per grant.
     transmitted += transmit_grants(out, burst_records);
     for (const queueing::TxRecord& rec : burst_records) {
       ++consumed[rec.stream];

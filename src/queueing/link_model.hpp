@@ -6,7 +6,8 @@
 // The paper's Figure-8 measurements exclude socket system calls ("we
 // report the output bandwidth of streams without making any network stack
 // system calls"), which is exactly what this pure serialization model
-// captures.
+// captures.  The link keeps only when it frees; transmit volume is counted
+// by the Transmission Engine's attached metrics (te.tx_frames, te.tx_bytes).
 #pragma once
 
 #include <algorithm>
@@ -27,21 +28,15 @@ class LinkModel {
         static_cast<std::uint64_t>(packet_time_ns(bytes, gbps_) + 0.5);
     const std::uint64_t start = std::max(ready_ns, busy_until_);
     busy_until_ = start + (ser == 0 ? 1 : ser);
-    bytes_sent_ += bytes;
-    ++frames_sent_;
     return busy_until_;
   }
 
   [[nodiscard]] double gbps() const { return gbps_; }
   [[nodiscard]] std::uint64_t busy_until_ns() const { return busy_until_; }
-  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
-  [[nodiscard]] std::uint64_t frames_sent() const { return frames_sent_; }
 
  private:
   double gbps_;
   std::uint64_t busy_until_ = 0;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t frames_sent_ = 0;
 };
 
 }  // namespace ss::queueing

@@ -9,7 +9,7 @@ QueueManager::QueueManager(std::uint64_t quantum_ns)
 
 std::uint32_t QueueManager::add_stream(std::size_t ring_capacity) {
   rings_.push_back(std::make_unique<SpscRing<Frame>>(ring_capacity));
-  stats_.emplace_back();
+  dequeued_.push_back(0);
   batched_.push_back(0);
   return static_cast<std::uint32_t>(rings_.size() - 1);
 }
@@ -17,11 +17,9 @@ std::uint32_t QueueManager::add_stream(std::size_t ring_capacity) {
 bool QueueManager::produce(std::uint32_t stream, const Frame& f) {
   assert(stream < rings_.size());
   if (!rings_[stream]->try_push(f)) {
-    ++stats_[stream].dropped_full;
     if (metrics_) metrics_->ring_full->add(1);
     return false;
   }
-  ++stats_[stream].enqueued;
   if (metrics_) {
     metrics_->enqueued->add(1);
     metrics_->occupancy_hwm->update_max(
@@ -34,27 +32,8 @@ std::optional<Frame> QueueManager::consume(std::uint32_t stream) {
   assert(stream < rings_.size());
   Frame f;
   if (!rings_[stream]->try_pop(f)) return std::nullopt;
-  ++stats_[stream].dequeued;
+  ++dequeued_[stream];
   if (metrics_) metrics_->dequeued->add(1);
-  return f;
-}
-
-std::size_t QueueManager::consume_batch(std::uint32_t stream, std::size_t max,
-                                        std::vector<Frame>& out) {
-  assert(stream < rings_.size());
-  const std::size_t base = out.size();
-  out.resize(base + max);
-  const std::size_t n = rings_[stream]->try_pop_n(out.data() + base, max);
-  out.resize(base + n);
-  stats_[stream].dequeued += n;
-  if (metrics_ && n) metrics_->dequeued->add(n);
-  return n;
-}
-
-std::optional<Frame> QueueManager::peek(std::uint32_t stream) const {
-  assert(stream < rings_.size());
-  Frame f;
-  if (!rings_[stream]->try_peek(f)) return std::nullopt;
   return f;
 }
 
@@ -68,7 +47,7 @@ std::vector<std::uint16_t> QueueManager::batch_arrivals(std::uint32_t stream,
   assert(stream < rings_.size());
   // The ring's head is frame number `dequeued`, so the first frame not yet
   // batched sits `batched - dequeued` slots behind it.
-  const std::uint64_t dequeued = stats_[stream].dequeued;
+  const std::uint64_t dequeued = dequeued_[stream];
   std::uint64_t& batched = batched_[stream];
   if (batched < dequeued) batched = dequeued;
   std::vector<std::uint16_t> out;

@@ -5,8 +5,11 @@
 // arrive, their service attributes or constraints are transferred to the
 // FPGA PCI card."  (Section 4.2.)  The QM owns one SPSC ring per stream,
 // admits producers, batches 16-bit arrival-time offsets for transfer to
-// the card, and hands frames to the Transmission Engine when their stream
-// ID comes back scheduled.
+// the card, and hands frames to the Transmission Engine, one per grant,
+// when their stream ID comes back scheduled.  Enqueue, full-ring and
+// occupancy counts go to the attached metrics; the QM itself keeps only
+// each stream's dequeued count, which batch_arrivals needs to find the
+// first frame not yet batched.
 #pragma once
 
 #include <cstdint>
@@ -19,12 +22,6 @@
 #include "telemetry/instruments.hpp"
 
 namespace ss::queueing {
-
-struct QueueStats {
-  std::uint64_t enqueued = 0;
-  std::uint64_t dropped_full = 0;  ///< producer pushes that found the ring full
-  std::uint64_t dequeued = 0;
-};
 
 class QueueManager {
  public:
@@ -39,18 +36,12 @@ class QueueManager {
     return static_cast<std::uint32_t>(rings_.size());
   }
 
-  /// Producer API (one producer per stream).
+  /// Producer API (one producer per stream).  Returns false, and counts
+  /// a full-ring push, when the ring has no free slot.
   bool produce(std::uint32_t stream, const Frame& f);
 
-  /// Consumer API (Transmission Engine side).
+  /// Consumer API (Transmission Engine side): pop the head frame.
   std::optional<Frame> consume(std::uint32_t stream);
-
-  /// Bulk consumer: pop up to `max` head frames of `stream` into `out`
-  /// (appended) in FIFO order, with one ring synchronization round trip
-  /// and one stats update for the whole run.  Returns the count popped.
-  std::size_t consume_batch(std::uint32_t stream, std::size_t max,
-                            std::vector<Frame>& out);
-  [[nodiscard]] std::optional<Frame> peek(std::uint32_t stream) const;
   [[nodiscard]] std::size_t depth(std::uint32_t stream) const;
 
   /// Batch the next `max` arrival offsets of `stream` for transfer to the
@@ -62,9 +53,6 @@ class QueueManager {
   std::vector<std::uint16_t> batch_arrivals(std::uint32_t stream,
                                             std::size_t max);
 
-  [[nodiscard]] const QueueStats& stats(std::uint32_t stream) const {
-    return stats_[stream];
-  }
   [[nodiscard]] std::uint64_t quantum_ns() const { return quantum_ns_; }
 
   /// Attach live metrics (nullptr detaches): enqueue/dequeue counts,
@@ -75,8 +63,8 @@ class QueueManager {
  private:
   std::uint64_t quantum_ns_;
   std::vector<std::unique_ptr<SpscRing<Frame>>> rings_;
-  std::vector<QueueStats> stats_;
-  std::vector<std::uint64_t> batched_;  ///< frames batched to the card
+  std::vector<std::uint64_t> dequeued_;  ///< frames popped, per stream
+  std::vector<std::uint64_t> batched_;   ///< frames batched to the card
   telemetry::QueueMetrics* metrics_ = nullptr;
 };
 

@@ -17,6 +17,10 @@
 // The buffer is raw storage that no slot is written to before try_push
 // fills it, so a ring commits memory page by page as it first fills: a
 // 2^17-slot ring costs address space up front, not 3 MB of zeroed pages.
+//
+// The consumer pops one item per call.  The Transmission Engine pops once
+// per grant, and a decision grants each stream at most once, so a
+// multi-item pop would never move more than one frame.
 #pragma once
 
 #include <atomic>
@@ -70,23 +74,6 @@ class SpscRing {
     out = buf_[r];
     read_.store((r + 1) & mask_, std::memory_order_release);
     return true;
-  }
-
-  /// Consumer side, bulk: pop up to `max` items into `out` with ONE
-  /// acquire load of the write index and ONE release store of the read
-  /// index, however many items move.  This is the ring half of the block
-  /// drain — a K-frame grant burst costs the same index synchronization
-  /// as a single winner grant.  Returns the number of items popped.
-  std::size_t try_pop_n(T* out, std::size_t max) {
-    const std::size_t r = read_.load(std::memory_order_relaxed);
-    const std::size_t w = write_.load(std::memory_order_acquire);
-    std::size_t n = (w - r) & mask_;
-    if (n > max) n = max;
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = buf_[(r + i) & mask_];
-    }
-    if (n > 0) read_.store((r + n) & mask_, std::memory_order_release);
-    return n;
   }
 
   /// Consumer-side peek without consuming (the scheduler reads head

@@ -2,10 +2,15 @@
 //
 // "Transmission Engine (TE) threads are responsible for enabling transfer
 // of packets in scheduled streams to the network (set DMA registers on NI
-// to enable DMA pulls)."  Given a scheduled Stream ID from the card, the
-// TE pops the head frame of that stream's queue and hands it to the link
-// model, recording per-frame queuing delay (departure - arrival), the
-// series Figures 8 and 9 are built from.
+// to enable DMA pulls)."  Given a decision's scheduled Stream IDs from the
+// card, the TE pops the head frame of each granted stream's queue and
+// hands it to the link model, recording per-frame queuing delay
+// (departure - arrival), the series Figures 8 and 9 are built from.
+//
+// A decision grants each slot at most once (a prefix of one sorted block,
+// or the single winner), so a burst is served one pop per grant: there is
+// no run of grants to one stream to merge.  A burst that does repeat a
+// stream is still served correctly, one head frame per grant.
 #pragma once
 
 #include <cstdint>
@@ -40,24 +45,18 @@ class TransmissionEngine {
   TransmissionEngine(QueueManager& qm, LinkModel& link)
       : qm_(qm), link_(link) {}
 
-  /// Transmit the head frame of `stream` at host time `now_ns`.
-  /// Returns the record, or nullopt if the queue was empty (a spurious
-  /// schedule — counted, since it indicates the card ran ahead of the QM).
-  std::optional<TxRecord> transmit(std::uint32_t stream, std::uint64_t now_ns);
-
-  /// Transmit a whole grant burst (one block decision's winners) in a
-  /// single pass: per-stream runs collapse into one bulk ring pop, the
-  /// per-stream counters are sized once, and the records store is reserved
-  /// for the burst — the per-packet bookkeeping of `transmit` amortized
-  /// over the block.  Grants whose ring is exhausted count as spurious,
-  /// exactly as in the one-at-a-time path.  Returns the number of frames
-  /// transmitted; per-frame records are appended to `out` when non-null.
+  /// Transmit a decision's grant burst, in grant order: each grant pops
+  /// its stream's head frame and hands it to the link no earlier than the
+  /// grant's emit time or the frame's arrival.  A grant whose queue is
+  /// empty is a spurious schedule (the card ran ahead of the QM) and is
+  /// counted.  Returns the number of frames transmitted; per-frame records
+  /// are appended to `out` when non-null.
   std::size_t transmit_block(std::span<const BlockGrant> grants,
                              std::vector<TxRecord>* out = nullptr);
 
   /// Keep every frame's record in records() (off by default: the log
-  /// grows by one record per frame for the whole run).  The per-stream
-  /// counters and transmit_block's `out` records do not depend on it.
+  /// grows by one record per frame for the whole run).  transmit_block's
+  /// `out` records do not depend on it.
   void set_record_frames(bool v) { record_ = v; }
 
   /// Attach live metrics (nullptr detaches): transmit volume, grant-burst
@@ -68,22 +67,12 @@ class TransmissionEngine {
     return records_;
   }
   [[nodiscard]] std::uint64_t spurious_schedules() const { return spurious_; }
-  [[nodiscard]] std::uint64_t bytes_sent(std::uint32_t stream) const {
-    return stream < bytes_per_stream_.size() ? bytes_per_stream_[stream] : 0;
-  }
-  [[nodiscard]] std::uint64_t frames_sent(std::uint32_t stream) const {
-    return stream < frames_per_stream_.size() ? frames_per_stream_[stream]
-                                              : 0;
-  }
 
  private:
   QueueManager& qm_;
   LinkModel& link_;
   bool record_ = false;
-  std::vector<Frame> scratch_;  ///< bulk-pop staging, reused across bursts
   std::vector<TxRecord> records_;
-  std::vector<std::uint64_t> bytes_per_stream_;
-  std::vector<std::uint64_t> frames_per_stream_;
   std::uint64_t spurious_ = 0;
   telemetry::TxMetrics* metrics_ = nullptr;
 };

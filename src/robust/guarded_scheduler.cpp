@@ -25,16 +25,20 @@ static_assert(static_cast<int>(dwcs::OrderRule::kFcfsArrival) ==
 static_assert(static_cast<int>(dwcs::OrderRule::kIdTieBreak) ==
               static_cast<int>(hw::Rule::kIdTieBreak));
 
-GuardedScheduler::GuardedScheduler(hw::SchedulerChip& chip, FaultPlan* plan)
-    : GuardedScheduler(chip, plan, Options{}) {}
+namespace {
+
+// The modeled SRAM bank the transport hands between FPGA and host.
+constexpr std::size_t kSramWords = 64;
+constexpr std::uint64_t kSramSwitchNs = 2000;
+
+}  // namespace
 
 GuardedScheduler::GuardedScheduler(hw::SchedulerChip& chip, FaultPlan* plan,
-                                   Options opt)
+                                   bool model_transport)
     : chip_(chip),
       plan_(plan),
-      opt_(opt),
-      sram_(opt.sram_words, Nanos{opt.sram_switch_ns}),
-      health_(opt.health) {
+      model_transport_(model_transport),
+      sram_(kSramWords, Nanos{kSramSwitchNs}) {
   if (!plan_) return;
   shadow_.emplace(dwcs::reference_options(chip_.config()));
   for (unsigned i = 0; i < chip_.config().slots; ++i) {
@@ -146,9 +150,9 @@ void GuardedScheduler::run_decision_cycle(hw::DecisionOutcome& out) {
 
   // 1. Hand the SRAM bank to the FPGA so it can read this cycle's
   //    arrival records.
-  if (opt_.model_transport) {
+  if (model_transport_) {
     const RetryResult hand =
-        with_retry(opt_.recovery, stats_, &health_, metrics_,
+        with_retry(kRecoveryPolicy, stats_, &health_, metrics_,
                    [&] { return sram_.try_acquire(hw::BankOwner::kFpga); });
     overhead_ += hand.elapsed;
     if (!hand.ok) {
@@ -161,7 +165,7 @@ void GuardedScheduler::run_decision_cycle(hw::DecisionOutcome& out) {
   //    state, so retrying is safe; exhaustion here means the shadow can
   //    serve this very cycle (it has not stepped yet).
   const RetryResult dec =
-      with_retry(opt_.recovery, stats_, &health_, metrics_, [&] {
+      with_retry(kRecoveryPolicy, stats_, &health_, metrics_, [&] {
         return hw::FallibleNanos{chip_.try_run_decision_cycle(out), Nanos{0}};
       });
   overhead_ += dec.elapsed;
@@ -178,9 +182,9 @@ void GuardedScheduler::run_decision_cycle(hw::DecisionOutcome& out) {
   //    decision already happened on both paths, so exhaustion here only
   //    affects *future* cycles: return the chip's outcome, fail over for
   //    the next one.
-  if (opt_.model_transport) {
+  if (model_transport_) {
     const RetryResult back =
-        with_retry(opt_.recovery, stats_, &health_, metrics_,
+        with_retry(kRecoveryPolicy, stats_, &health_, metrics_,
                    [&] { return sram_.try_acquire(hw::BankOwner::kHost); });
     overhead_ += back.elapsed;
     if (!back.ok) {
@@ -189,7 +193,7 @@ void GuardedScheduler::run_decision_cycle(hw::DecisionOutcome& out) {
     }
     for (std::size_t g = 0; g < out.grants.size(); ++g) {
       const RetryResult rd =
-          with_retry(opt_.recovery, stats_, &health_, metrics_, [&] {
+          with_retry(kRecoveryPolicy, stats_, &health_, metrics_, [&] {
             const hw::SramBank::CheckedRead cr = sram_.read_checked(
                 hw::BankOwner::kHost, g % sram_.size_words());
             return hw::FallibleNanos{cr.ok, Nanos{0}};

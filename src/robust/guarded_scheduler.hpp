@@ -16,7 +16,8 @@
 // dropped, and the grant sequence continues exactly where the hardware
 // would have taken it.
 //
-// Decision path with a plan, per cycle:
+// Every fallible step runs under robust::kRecoveryPolicy.  Decision path
+// with a plan, per cycle:
 //   1. (optional transport model) FPGA acquires the SRAM bank — retried
 //      across arbitration stalls.
 //   2. Chip decision cycle — retried across injected stalls; the fallible
@@ -46,24 +47,16 @@ namespace ss::robust {
 
 class GuardedScheduler {
  public:
-  struct Options {
-    RecoveryConfig recovery{};
-    HealthMonitor::Options health{};
-    /// Model the decision's SRAM transport (ownership handoffs + parity
-    /// reads) so the kSramAcquire/kSramData fault sites are exercised.
-    /// Only a guard with a fault plan models it.
-    bool model_transport = false;
-    std::size_t sram_words = 64;
-    std::uint64_t sram_switch_ns = 2000;
-  };
-
   /// The chip is held by reference (the caller owns it); `plan` may be
   /// null for a guard with the fault plane disabled, which is then the
-  /// plain chip.  Construct the guard before loading any slots: with a
-  /// plan it pre-populates one shadow stream per chip slot so load_slot
-  /// maps onto reload_stream.
-  GuardedScheduler(hw::SchedulerChip& chip, FaultPlan* plan);
-  GuardedScheduler(hw::SchedulerChip& chip, FaultPlan* plan, Options opt);
+  /// plain chip.  `model_transport` models the decision's SRAM transport
+  /// (ownership handoffs + parity reads) so the kSramAcquire/kSramData
+  /// fault sites are exercised; only a guard with a fault plan models it.
+  /// Construct the guard before loading any slots: with a plan it
+  /// pre-populates one shadow stream per chip slot so load_slot maps onto
+  /// reload_stream.
+  GuardedScheduler(hw::SchedulerChip& chip, FaultPlan* plan,
+                   bool model_transport = false);
 
   void load_slot(hw::SlotId slot, const hw::SlotConfig& hw_cfg,
                  const dwcs::StreamSpec& sw_spec);
@@ -119,7 +112,7 @@ class GuardedScheduler {
 
   hw::SchedulerChip& chip_;
   FaultPlan* plan_;
-  Options opt_;
+  bool model_transport_;
   std::optional<dwcs::ReferenceScheduler> shadow_;  ///< engaged iff plan_
   hw::SramBank sram_;
   RecoveryStats stats_;

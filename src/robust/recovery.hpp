@@ -30,6 +30,11 @@ struct RecoveryConfig {
   std::uint64_t deadline_ns = 200'000;
 };
 
+/// The policy every guarded transaction of the pipeline runs under: the
+/// scheduler front's decision and SRAM transport, and the endsystem's PCI
+/// transfers.
+inline constexpr RecoveryConfig kRecoveryPolicy{};
+
 /// Backoff delay before retry number `attempt` (0-based: attempt 0 is the
 /// delay after the first failure).
 [[nodiscard]] inline std::uint64_t backoff_delay_ns(const RecoveryConfig& cfg,

@@ -69,9 +69,9 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
   if (sc.faults.enabled()) {
     fault_plan = std::make_unique<robust::FaultPlan>(sc.faults);
   }
-  robust::GuardedScheduler::Options go;
-  go.model_transport = true;  // exercise the SRAM fault sites too
-  robust::GuardedScheduler guard(chip, fault_plan.get(), go);
+  // Model the SRAM transport to exercise its fault sites too.
+  robust::GuardedScheduler guard(chip, fault_plan.get(),
+                                 /*model_transport=*/true);
 
   // Diagnosis context: the waveform window divergence reports render, and
   // (when the driver passed a registry) the chip's metric stream.
@@ -113,8 +113,7 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
       std::count_if(sc.events.begin(), sc.events.end(), [](const Event& e) {
         return e.kind != EventKind::kDecide && e.kind != EventKind::kReconfig;
       }));
-  bool hwpq_active = opt_.check_hwpq &&
-                     sc.fabric.discipline == Discipline::kFairTag &&
+  bool hwpq_active = sc.fabric.discipline == Discipline::kFairTag &&
                      !sc.fabric.block_mode && sc.global_tags;
   std::vector<std::unique_ptr<hwpq::HwPriorityQueue>> pqs;
   if (hwpq_active) {
@@ -125,7 +124,7 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
 
   // Host-side aggregation: grants fan out to streamlets after scheduling.
   AggState agg;
-  const bool agg_active = opt_.check_aggregation && !sc.aggregation.empty();
+  const bool agg_active = !sc.aggregation.empty();
   if (agg_active) {
     agg.handle.assign(n, -1);
     agg.slot_grants.assign(n, 0);
@@ -243,10 +242,21 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
                           " oracle=" + std::to_string(s.grants.size()));
           break;
         }
+        // A decision grants each slot at most once: the Transmission
+        // Engine pops one frame per grant and never merges repeats.
         bool grant_diff = false;
+        std::uint64_t granted = 0;
         for (std::size_t g = 0; g < h.grants.size(); ++g) {
           const hw::Grant& hg = h.grants[g];
           const dwcs::SwGrant& sg = s.grants[g];
+          const std::uint64_t bit = std::uint64_t{1} << hg.slot;
+          if (granted & bit) {
+            diverge(ei, "grant " + std::to_string(g) + " repeats slot " +
+                            std::to_string(hg.slot) + " in one decision");
+            grant_diff = true;
+            break;
+          }
+          granted |= bit;
           if (hg.slot != sg.stream || hg.emit_vtime != sg.emit_vtime ||
               hg.met_deadline != sg.met_deadline) {
             diverge(ei, "grant " + std::to_string(g) + ": " +

@@ -8,17 +8,19 @@
 // through the same admission/arrival/decide/reconfig events and diffs
 // idle flags, grant sequences (slot, emission vtime, deadline verdict),
 // circulated IDs, drop sets, per-stream counters, backlogs and virtual
-// time.  A batch-drained block decision (fabric.batch_depth = K) is
-// compared grant-by-grant with per-grant emission vtimes, i.e. exactly as
-// K sequential winner grants — the digest of a batched decision stream is
+// time, and it checks that no decision grants a slot twice.  A
+// batch-drained block decision (fabric.batch_depth = K) is compared
+// grant-by-grant with per-grant emission vtimes, i.e. exactly as K
+// sequential winner grants — the digest of a batched decision stream is
 // therefore directly comparable to the same stream granted one winner per
-// pass.  In fair-queuing scenarios it additionally drives all four
+// pass.  In fair-queuing WR scenarios it additionally drives all four
 // related-work hardware priority queues (hwpq::*) through the same tagged
 // stream — with unique keys every structure realizes the same total order,
-// so their pop sequence must match the fabric's grant sequence.  When the
-// scenario carries an aggregation plan, host-side streamlet picks are fed
-// from the grant stream and the round-robin/weighted-share invariants are
-// checked at the end.
+// so their pop sequence must match the fabric's grant sequence (until a
+// reconfig event leaves their contents stale).  When the scenario carries
+// an aggregation plan, host-side streamlet picks are fed from the grant
+// stream and the round-robin/weighted-share invariants are checked at the
+// end.
 //
 // The executor is deterministic and side-effect free: the same scenario
 // always produces the same RunResult (including the FNV-1a digest of the
@@ -85,13 +87,6 @@ struct RunResult {
 class DifferentialExecutor {
  public:
   struct Options {
-    /// Cross-check the hwpq variants in fair-tag scenarios (WR mode only;
-    /// disabled automatically once a reconfig event invalidates the queue
-    /// contents).
-    bool check_hwpq = true;
-    /// Validate aggregation round-robin/weighted-share invariants when the
-    /// scenario carries a plan.
-    bool check_aggregation = true;
     /// Retain the chip tracer's most recent decision cycles so divergence
     /// reports carry the waveform leading up to the failure.
     std::size_t trace_depth = 8;

@@ -24,12 +24,10 @@
 #include <memory>
 #include <vector>
 
-#include "core/block_policy.hpp"
 #include "core/endsystem.hpp"
 #include "hw/scheduler_chip.hpp"
 #include "queueing/link_model.hpp"
 #include "queueing/queue_manager.hpp"
-#include "queueing/spsc_ring.hpp"
 #include "queueing/transmission_engine.hpp"
 #include "testing/batch_equivalence.hpp"
 #include "testing/differential_executor.hpp"
@@ -118,22 +116,8 @@ TEST(BlockBatchChip, BatchDepthCapsGrantsAndExportsWholeBlock) {
 }
 
 // ---------------------------------------------------------------------------
-// Queueing level: the bulk drain primitives the pipeline rides on.
-
-TEST(BlockBatchRing, TryPopNDrainsInFifoOrder) {
-  queueing::SpscRing<queueing::Frame> ring(16);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    queueing::Frame f;
-    f.seq = i;
-    ASSERT_TRUE(ring.try_push(f));
-  }
-  queueing::Frame out[16];
-  EXPECT_EQ(ring.try_pop_n(out, 4), 4u);
-  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(out[i].seq, i);
-  EXPECT_EQ(ring.try_pop_n(out, 16), 6u);  // clamps to occupancy
-  for (std::uint64_t i = 0; i < 6; ++i) EXPECT_EQ(out[i].seq, 4 + i);
-  EXPECT_EQ(ring.try_pop_n(out, 4), 0u);   // empty
-}
+// Queueing level: the TE serves one pop per grant, even for a burst that
+// repeats a stream (no decision hands it one).
 
 TEST(BlockBatchEngine, TransmitBlockCountsSpuriousPerUnfilledGrant) {
   queueing::QueueManager qm(1000);
@@ -151,24 +135,6 @@ TEST(BlockBatchEngine, TransmitBlockCountsSpuriousPerUnfilledGrant) {
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].stream, 0u);
   EXPECT_EQ(te.spurious_schedules(), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Policy level: the paper's block-reuse table as a batch-depth knob.
-
-TEST(BlockBatchPolicy, RecommendedDepthFollowsReuseTable) {
-  using core::DisciplineClass;
-  EXPECT_EQ(core::recommended_batch_depth(DisciplineClass::kDeadlineRealTime,
-                                          16),
-            16u);
-  EXPECT_EQ(core::recommended_batch_depth(DisciplineClass::kPriorityClass, 8),
-            8u);
-  EXPECT_EQ(core::recommended_batch_depth(DisciplineClass::kFairQueuingTags,
-                                          32),
-            32u);
-  EXPECT_EQ(core::recommended_batch_depth(
-                DisciplineClass::kFairShareBandwidth, 32),
-            1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@
 #include "queueing/spsc_ring.hpp"
 #include "queueing/traffic_gen.hpp"
 #include "queueing/transmission_engine.hpp"
+#include "telemetry/instruments.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace ss::queueing {
@@ -166,9 +168,9 @@ TEST(Frame, ArrivalOffsetTruncatesTo16Bits) {
 
 TEST(LinkModel, SerializationTime) {
   LinkModel link(1.0);  // 1 Gbps: 1500 B = 12 us
+  EXPECT_EQ(link.busy_until_ns(), 0u);
   EXPECT_EQ(link.transmit(1500, 0), 12000u);
-  EXPECT_EQ(link.frames_sent(), 1u);
-  EXPECT_EQ(link.bytes_sent(), 1500u);
+  EXPECT_EQ(link.busy_until_ns(), 12000u);
 }
 
 TEST(LinkModel, BackToBackFramesQueueOnTheWire) {
@@ -191,23 +193,28 @@ TEST(QueueManager, ProduceConsumeRoundTrip) {
   Frame f;
   f.stream = s;
   f.arrival_ns = 5000;
+  EXPECT_EQ(qm.depth(s), 0u);
   EXPECT_TRUE(qm.produce(s, f));
   EXPECT_EQ(qm.depth(s), 1u);
   const auto got = qm.consume(s);
   ASSERT_TRUE(got);
   EXPECT_EQ(got->arrival_ns, 5000u);
+  EXPECT_EQ(qm.depth(s), 0u);
   EXPECT_FALSE(qm.consume(s).has_value());
-  EXPECT_EQ(qm.stats(s).enqueued, 1u);
-  EXPECT_EQ(qm.stats(s).dequeued, 1u);
 }
 
 TEST(QueueManager, DropsCountedWhenRingFull) {
+  telemetry::MetricsRegistry reg;
+  telemetry::QueueMetrics m = telemetry::QueueMetrics::create(reg);
   QueueManager qm;
+  qm.attach_metrics(&m);
   const auto s = qm.add_stream(2);  // capacity rounds to 2 -> 1 usable slot
   Frame f;
   EXPECT_TRUE(qm.produce(s, f));
   EXPECT_FALSE(qm.produce(s, f));
-  EXPECT_EQ(qm.stats(s).dropped_full, 1u);
+  EXPECT_EQ(qm.depth(s), 1u);
+  EXPECT_EQ(reg.counter("qm.enqueued").value(), 1u);
+  EXPECT_EQ(reg.counter("qm.ring_full_pushes").value(), 1u);
 }
 
 TEST(QueueManager, BatchArrivalsQuantizesAndDrains) {
@@ -307,35 +314,35 @@ TEST(QueueManager, RingsCommitMemoryOnFirstTouch) {
   EXPECT_FALSE(qm.consume(s));
 }
 
-TEST(QueueManager, PeekLeavesFrame) {
-  QueueManager qm;
-  const auto s = qm.add_stream(8);
-  Frame f;
-  f.seq = 9;
-  qm.produce(s, f);
-  EXPECT_EQ(qm.peek(s)->seq, 9u);
-  EXPECT_EQ(qm.depth(s), 1u);
-}
-
 // --------------------------------------------------- TransmissionEngine
 
+// Each test sends one-grant bursts, the shape every winner-only decision
+// hands the TE.
+
 TEST(TransmissionEngine, TransmitsAndRecordsDelay) {
+  telemetry::MetricsRegistry reg;
   QueueManager qm;
   LinkModel link(1.0);
   TransmissionEngine te(qm, link);
   const auto s = qm.add_stream(8);
+  telemetry::TxMetrics m = telemetry::TxMetrics::create(reg, 1);
+  te.attach_metrics(&m);
   Frame f;
   f.stream = s;
   f.bytes = 1500;
   f.arrival_ns = 1000;
   qm.produce(s, f);
   te.set_record_frames(true);
-  const auto rec = te.transmit(s, /*now=*/5000);
-  ASSERT_TRUE(rec);
-  EXPECT_EQ(rec->departure_ns, 5000u + 12000u);
-  EXPECT_EQ(rec->delay_ns(), 16000u);
-  EXPECT_EQ(te.bytes_sent(s), 1500u);
-  EXPECT_EQ(te.frames_sent(s), 1u);
+  const BlockGrant grant[] = {{s, /*emit_ns=*/5000}};
+  std::vector<TxRecord> recs;
+  EXPECT_EQ(te.transmit_block(grant, &recs), 1u);
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].bytes, 1500u);
+  EXPECT_EQ(recs[0].departure_ns, 5000u + 12000u);
+  EXPECT_EQ(recs[0].delay_ns(), 16000u);
+  EXPECT_EQ(reg.counter("te.tx_frames").value(), 1u);
+  EXPECT_EQ(reg.counter("te.tx_bytes").value(), 1500u);
+  EXPECT_EQ(reg.counter("stream.0.tx_frames").value(), 1u);
   EXPECT_EQ(te.records().size(), 1u);
 }
 
@@ -349,9 +356,10 @@ TEST(TransmissionEngine, FrameCannotLeaveBeforeArrival) {
   f.bytes = 1500;
   f.arrival_ns = 50000;
   qm.produce(s, f);
-  const auto rec = te.transmit(s, /*now=*/0);  // scheduled "early"
-  ASSERT_TRUE(rec);
-  EXPECT_EQ(rec->departure_ns, 50000u + 12000u);
+  const BlockGrant grant[] = {{s, /*emit_ns=*/0}};  // scheduled "early"
+  std::vector<TxRecord> recs;
+  ASSERT_EQ(te.transmit_block(grant, &recs), 1u);
+  EXPECT_EQ(recs[0].departure_ns, 50000u + 12000u);
 }
 
 TEST(TransmissionEngine, SpuriousScheduleCounted) {
@@ -359,7 +367,10 @@ TEST(TransmissionEngine, SpuriousScheduleCounted) {
   LinkModel link(1.0);
   TransmissionEngine te(qm, link);
   const auto s = qm.add_stream(8);
-  EXPECT_FALSE(te.transmit(s, 0));
+  const BlockGrant grant[] = {{s, 0}};
+  std::vector<TxRecord> recs;
+  EXPECT_EQ(te.transmit_block(grant, &recs), 0u);
+  EXPECT_TRUE(recs.empty());
   EXPECT_EQ(te.spurious_schedules(), 1u);
 }
 
@@ -372,9 +383,11 @@ TEST(TransmissionEngine, RecordingCanBeDisabled) {
   Frame f;
   f.stream = s;
   qm.produce(s, f);
-  EXPECT_TRUE(te.transmit(s, 0));
+  const BlockGrant grant[] = {{s, 0}};
+  std::vector<TxRecord> recs;
+  EXPECT_EQ(te.transmit_block(grant, &recs), 1u);
+  EXPECT_EQ(recs.size(), 1u);
   EXPECT_TRUE(te.records().empty());
-  EXPECT_EQ(te.frames_sent(s), 1u);
 }
 
 }  // namespace
