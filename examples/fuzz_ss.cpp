@@ -171,8 +171,8 @@ int replay_mode(const Args& args) {
     std::cerr << "fuzz_ss: " << e.what() << '\n';
     return 2;
   }
-  // The audit session is sized for the widest fabric; the executor resets
-  // the violation baselines per run (begin_run).
+  // The audit session is sized for the widest fabric; the executor clears
+  // its per-cycle context per run (begin_run).
   ss::telemetry::Observability obs(args.obs, ss::telemetry::kAuditMaxStreams,
                                    /*profiled=*/false);
   const DifferentialExecutor ex(exec_options(args, obs));

@@ -20,8 +20,10 @@
 // note_overflow() on a full ring); the scheduler thread owns the chip, the
 // TE, the fault plane and every profiled stage (decisions, transmit
 // bursts, reload commits), so a failover is invisible to the producer.
-// Metric counter cells are per-thread, so the threads never contend on a
-// cache line while a monitor thread snapshots the registry.
+// Every metric keeps one writer (metrics.hpp): the producer thread writes
+// only qm.enqueued, qm.ring_full_pushes and qm.occupancy_high_water, the
+// scheduler thread every other pipeline metric, each on its own cache
+// line, while a monitor thread snapshots the registry.
 #pragma once
 
 #include <atomic>

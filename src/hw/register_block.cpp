@@ -56,20 +56,21 @@ void RegisterBlock::winner_window_adjust() {
   reset_window_if_complete();
 }
 
-void RegisterBlock::loser_window_adjust() {
-  if (cfg_.mode != SlotMode::kDwcs) return;
+bool RegisterBlock::loser_window_adjust() {
+  if (cfg_.mode != SlotMode::kDwcs) return false;
   if (xp_ > 0) {
     // Tolerable loss: consume one of the x' allowed misses.
     --xp_;
     --yp_;
     reset_window_if_complete();
-  } else {
-    // Violation: the stream can tolerate no more losses.  Raising y'
-    // raises its priority among zero-constraint streams (Table-2 rule 3),
-    // so the scheduler compensates it in subsequent cycles.
-    ++counters_.violations;
-    if (yp_ < 0xFF) ++yp_;  // saturate at the 8-bit field limit
+    return false;
   }
+  // Violation: the stream can tolerate no more losses.  Raising y' raises
+  // its priority among zero-constraint streams (Table-2 rule 3), so the
+  // scheduler compensates it in subsequent cycles.
+  ++counters_.violations;
+  if (yp_ < 0xFF) ++yp_;  // saturate at the 8-bit field limit
+  return true;
 }
 
 void RegisterBlock::reset_window_if_complete() {
@@ -115,7 +116,7 @@ RegisterBlock::MissResult RegisterBlock::miss_update(std::uint64_t now) {
     return {};
   }
   ++counters_.missed_deadlines;
-  loser_window_adjust();
+  const bool violated = loser_window_adjust();
   if (cfg_.droppable) {
     // The late head-of-line packet is dropped; the next request's deadline
     // is one period later.  Non-droppable streams keep waiting with the
@@ -126,9 +127,9 @@ RegisterBlock::MissResult RegisterBlock::miss_update(std::uint64_t now) {
     deadline_ += cfg_.period;
     expired_latch_ = false;
     if (pending_ > 0) (void)latch_expired(now);
-    return {true, true};
+    return {true, violated, true};
   }
-  return {true, false};
+  return {true, violated, false};
 }
 
 }  // namespace ss::hw

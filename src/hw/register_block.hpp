@@ -94,12 +94,14 @@ class RegisterBlock {
   /// frame met its deadline.
   bool service_update(std::uint64_t now, bool circulated);
 
-  /// Outcome of the miss path: whether a miss was registered and whether
-  /// the late head request was dropped (droppable streams only).  The
-  /// systems software needs `dropped` to discard the corresponding frame
-  /// from the host-side queue.
+  /// Outcome of the miss path: whether a miss was registered, whether it
+  /// violated the window constraint (counters().violations advanced), and
+  /// whether the late head request was dropped (droppable streams only).
+  /// The systems software needs `dropped` to discard the corresponding
+  /// frame from the host-side queue.
   struct MissResult {
     bool missed = false;
+    bool violated = false;
     bool dropped = false;
   };
 
@@ -148,7 +150,8 @@ class RegisterBlock {
   /// deadline_expired() that also sets the latch when the head is late.
   bool latch_expired(std::uint64_t now);
   void winner_window_adjust();
-  void loser_window_adjust();
+  /// Returns true when the loss was a window-constraint violation.
+  bool loser_window_adjust();
   void reset_window_if_complete();
 
   SlotId id_ = 0;

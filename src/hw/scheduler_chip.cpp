@@ -1,7 +1,6 @@
 #include "hw/scheduler_chip.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -217,7 +216,9 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
   // misses iff its head is late at the cycle end (the serial compare, run
   // over the bus copy's deadline row — an ungranted slot's deadline has
   // not moved since LOAD) or its expired flip-flop already holds.
-  // Only those slots run the loser path, in ascending slot order.
+  // Only those slots run the loser path, in ascending slot order, and
+  // each window violation the loser path commits is reported to the
+  // audit as it happens.
   const std::uint64_t cycle_end = vtime_ + out.grants.size();
   const std::uint32_t live = deadline_slots_ & pend & ~granted;
   std::uint32_t late = latched;
@@ -228,12 +229,19 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
               << s;
     }
   }
+  // An unsampled decision runs no comparison callback, so the audit gets
+  // its lost-tiebreak context at mask granularity: contended and not
+  // served.
+  if (audit_ != nullptr && !audit_sampled) {
+    audit_->audit().note_cycle_losers(pending0 & ~granted);
+  }
   for (std::uint32_t m = live & late; m != 0; m &= m - 1) {
     const auto s = static_cast<unsigned>(std::countr_zero(m));
     const std::uint32_t bit = 1u << s;
     RegisterBlock& rb = slots_[s];
     const RegisterBlock::MissResult mr = rb.miss_update(cycle_end);
     assert(mr.missed);
+    if (mr.violated && audit_ != nullptr) audit_->on_violation(s);
     // The loser adjustment touched the published loss window (and a drop
     // may have emptied the backlog).
     dirty |= bit;
@@ -267,23 +275,11 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
 
   // Flight recorder: a sampled decision snapshots the committed state
   // (post-update registers, grant block, losing pending slots) into the
-  // black box; an unsampled one hands the session just the per-slot
-  // violation counters so the exact burn attribution keeps flowing.
+  // black box; an unsampled one hands the session just its comparison
+  // count.
   if (audit_ != nullptr && !audit_sampled) {
-    std::array<std::uint64_t, telemetry::kAuditMaxStreams> vio{};
-    std::uint64_t losers = 0;
-    for (std::uint32_t s = 0; s < n; ++s) {
-      vio[s] = slots_[s].counters().violations;
-      // Contended and not served: the lost-tiebreak context the sampled
-      // path gets per-comparison, at mask granularity.
-      if (((pending0 >> s) & 1u) && !((granted >> s) & 1u)) {
-        losers |= std::uint64_t{1} << s;
-      }
-    }
-    audit_->on_decision_lite(n, vio.data(),
-                             network_.total_pending_comparisons() -
-                                 pend_before,
-                             losers);
+    audit_->on_decision_lite(network_.total_pending_comparisons() -
+                             pend_before);
   }
   if (audit_ != nullptr && audit_sampled) {
     telemetry::DecisionRecord rec;

@@ -76,10 +76,6 @@ class SpscRing {
     return true;
   }
 
-  /// Consumer-side peek without consuming (the scheduler reads head
-  /// attributes before committing to a grant).
-  bool try_peek(T& out) const { return try_peek_at(0, out); }
-
   /// Consumer side: copy the `k`-th queued item (0 = the head) without
   /// consuming anything.  Returns false when `k` items or fewer are queued.
   bool try_peek_at(std::size_t k, T& out) const {

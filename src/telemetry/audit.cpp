@@ -39,23 +39,23 @@ void DecisionAudit::on_comparison_sampled(std::uint32_t winner,
   // unsampled cycles get the same exact total via add_comparisons.
   ++cycle_comparisons_;
   ++cycle_rules_[rule];
-  per_stream_[winner].wins[rule].fetch_add(1, kRel);
-  per_stream_[loser].losses[rule].fetch_add(1, kRel);
-  rule_total_[rule].fetch_add(1, kRel);
-  comparisons_sampled_.fetch_add(1, kRel);
+  single_writer_add(per_stream_[winner].wins[rule]);
+  single_writer_add(per_stream_[loser].losses[rule]);
+  single_writer_add(rule_total_[rule]);
+  single_writer_add(comparisons_sampled_);
   if (rule_counters_[rule] != nullptr) rule_counters_[rule]->add(1);
 }
 
 void DecisionAudit::add_comparisons(std::uint64_t n) noexcept {
   if (n == 0) return;
-  comparisons_.fetch_add(n, kRel);
+  single_writer_add(comparisons_, n);
   if (comparison_counter_ != nullptr) comparison_counter_->add(n);
 }
 
 void DecisionAudit::on_violation(std::uint32_t stream) noexcept {
   if (stream >= kAuditMaxStreams) return;
   PerStream& ps = per_stream_[stream];
-  ps.violations.fetch_add(1, kRel);
+  single_writer_add(ps.violations);
 
   // Attribution precedence: a fault episode explains every violation in
   // its decision; overflow is a per-stream one-shot flag; otherwise the
@@ -68,14 +68,14 @@ void DecisionAudit::on_violation(std::uint32_t stream) noexcept {
     cause = BurnCause::kQueueOverflow;
   } else if (cycle_lost_rule_[stream] != kNoLoss) {
     cause = BurnCause::kLostTiebreak;
-    ps.burn_rule[cycle_lost_rule_[stream]].fetch_add(1, kRel);
+    single_writer_add(ps.burn_rule[cycle_lost_rule_[stream]]);
   } else if ((cycle_losers_ >> stream) & 1u) {
     // Unsampled cycle: the comparison callback did not run, but the chip
     // reported the stream contended and lost — the cause stays exact,
     // only the per-rule detail is missing.
     cause = BurnCause::kLostTiebreak;
   }
-  ps.burn[static_cast<std::size_t>(cause)].fetch_add(1, kRel);
+  single_writer_add(ps.burn[static_cast<std::size_t>(cause)]);
   if (violation_counter_ != nullptr) {
     violation_counter_->add(1);
     burn_counters_[static_cast<std::size_t>(cause)]->add(1);
@@ -87,7 +87,7 @@ void DecisionAudit::end_decision() noexcept {
   // the commit-and-clear is skipped entirely on the (dominant) unsampled
   // path; the last-lost bytes are written at every rate and always clear.
   if (cycle_comparisons_ != 0) {
-    comparisons_.fetch_add(cycle_comparisons_, kRel);
+    single_writer_add(comparisons_, cycle_comparisons_);
     if (comparison_counter_ != nullptr) {
       comparison_counter_->add(cycle_comparisons_);
     }
@@ -196,49 +196,26 @@ std::uint64_t AuditSession::faults(FaultSite site) const noexcept {
       std::memory_order_relaxed);
 }
 
-void AuditSession::begin_run() noexcept {
-  prev_violations_.fill(0);
-  audit_.end_decision();
-}
+void AuditSession::begin_run() noexcept { audit_.end_decision(); }
 
-void AuditSession::classify_fresh_violations(
-    std::uint32_t n_streams, const std::uint64_t* violations) {
-  const std::uint32_t n =
-      n_streams < audit_.streams() ? n_streams : audit_.streams();
-  bool fresh = false;
-  for (std::uint32_t s = 0; s < n; ++s) {
-    const std::uint64_t v = violations[s];
-    for (std::uint64_t k = prev_violations_[s]; k < v; ++k) {
-      audit_.on_violation(s);
-      fresh = true;
-    }
-    prev_violations_[s] = v;
-  }
+void AuditSession::on_violation(std::uint32_t stream) noexcept {
+  if (stream >= audit_.streams()) return;
+  audit_.on_violation(stream);
   // Always-sample override: a decision that burned budget makes the next
   // one land in the flight recorder with full provenance.
-  if (fresh) sampler_.force_next();
+  sampler_.force_next();
 }
 
 void AuditSession::on_decision(DecisionRecord& rec) {
   rec.health = health_.load(std::memory_order_relaxed);
   rec.faults = faults_total();
   audit_.cycle_rules(rec.rules);
-  std::array<std::uint64_t, kAuditMaxStreams> v{};
-  const std::uint32_t n =
-      rec.n_streams < audit_.streams() ? rec.n_streams : audit_.streams();
-  for (std::uint32_t s = 0; s < n; ++s) v[s] = rec.streams[s].violations;
-  classify_fresh_violations(n, v.data());
   recorder_.record(rec);
   audit_.end_decision();
 }
 
-void AuditSession::on_decision_lite(std::uint32_t n_streams,
-                                    const std::uint64_t* violations,
-                                    std::uint64_t comparisons,
-                                    std::uint64_t losers) {
+void AuditSession::on_decision_lite(std::uint64_t comparisons) {
   audit_.add_comparisons(comparisons);
-  audit_.note_cycle_losers(losers);
-  classify_fresh_violations(n_streams, violations);
   audit_.end_decision();
 }
 

@@ -6,8 +6,8 @@
 // paths of the comparator), and the DecisionAudit aggregates those rule
 // firings into a per-stream profile: how often stream S won or lost, and
 // on which rule.  The same per-cycle loss tracking attributes each
-// window-constraint violation to a cause the moment the chip's update
-// phase commits it — a lost tiebreak (with the losing rule), a
+// window-constraint violation to a cause the moment the chip's miss
+// sweep commits it — a lost tiebreak (with the losing rule), a
 // fault-induced stall, or host queue overflow — feeding the per-stream
 // burn counters of the run document's audit section and the registry's
 // audit.burn.* counters.
@@ -15,8 +15,9 @@
 // AuditSession bundles the profile with a FlightRecorder ring, a
 // DecisionSampler and the dump policy: the robust layer pushes
 // health/fault context in, the chip asks begin_decision() whether this
-// decision is sampled, then calls on_decision() (sampled: full record)
-// or on_decision_lite() (unsampled: exact counters only) once per
+// decision is sampled, reports each violation as its miss sweep commits
+// it, then calls on_decision() (sampled: full record) or
+// on_decision_lite() (unsampled: the comparison tally only) once per
 // committed decision; failover / retry exhaustion / differential
 // divergence / watchdog rules freeze the audit section under their cause
 // and hand it to the dump sink, the run-document writer (the `audit`
@@ -37,12 +38,13 @@
 // Rules and streams are plain indices whose alignment with hw::Rule /
 // dwcs::OrderRule is pinned by static_asserts in those layers.
 //
-// Concurrency: all profile counters are relaxed atomics, safe to read from
-// a monitor thread mid-run.  The per-cycle state (which rule each stream
-// last lost on, rule counts inside the current decision) is owned by the
-// scheduling thread: on_comparison / on_violation / end_decision must be
-// called from the thread driving the chip.  note_fault / note_overflow
-// are atomic and may come from any thread.
+// Concurrency: every profile tally keeps the one-writer rule
+// (metrics.hpp) and is safe to read from a monitor thread mid-run.  The
+// writer is the scheduling thread: on_comparison / on_violation /
+// end_decision must be called from the thread driving the chip, which
+// also owns the per-cycle state (which rule each stream last lost on,
+// rule counts inside the current decision).  note_fault / note_overflow
+// may come from any thread; they are the only lock-prefixed RMWs here.
 #pragma once
 
 #include <array>
@@ -110,13 +112,13 @@ class DecisionAudit {
   /// identical at every sample rate).  Scheduling thread only.
   void add_comparisons(std::uint64_t n) noexcept;
 
-  /// Lost-tiebreak context for an unsampled decision: bit s set means
-  /// stream s contended (was pending) and was not granted this cycle.
-  /// on_violation falls back to this mask when no per-comparison loss was
-  /// observed, so the lost_tiebreak burn cause stays exact at every
-  /// sample rate; the per-rule detail (burn_rule) covers only decisions
-  /// where the comparison callback ran.  Cleared at end_decision.
-  /// Scheduling thread only.
+  /// Lost-tiebreak context for an unsampled decision, set before its
+  /// violations: bit s set means stream s contended (was pending) and was
+  /// not granted this cycle.  on_violation falls back to this mask when
+  /// no per-comparison loss was observed, so the lost_tiebreak burn cause
+  /// stays exact at every sample rate; the per-rule detail (burn_rule)
+  /// covers only decisions where the comparison callback ran.  Cleared at
+  /// end_decision.  Scheduling thread only.
   void note_cycle_losers(std::uint64_t mask) noexcept {
     cycle_losers_ = mask;
   }
@@ -128,7 +130,7 @@ class DecisionAudit {
   /// Decision boundary: commits the cycle's comparison tally into the
   /// exact totals (and mirrored registry counter) and clears the
   /// per-cycle loss/fault context.  Called by AuditSession::on_decision /
-  /// on_decision_lite after violations are classified.
+  /// on_decision_lite after the decision's violations were reported.
   void end_decision() noexcept;
 
   /// Context hooks (any thread).
@@ -252,28 +254,29 @@ class AuditSession {
   [[nodiscard]] std::uint64_t faults_total() const noexcept;
   [[nodiscard]] std::uint64_t faults(FaultSite site) const noexcept;
 
-  /// Reset the per-run violation baselines (chip counters restart at zero
-  /// each differential scenario while the profile accumulates).
+  /// Clear the per-cycle context a previous run may have left behind (a
+  /// fault noted for a decision that never ran) while the profile
+  /// accumulates across runs.
   void begin_run() noexcept;
+
+  /// Chip hook, from the miss sweep that commits it: `stream` violated
+  /// its window constraint in the current decision.  Classifies it
+  /// against the cycle context and arms the force-sample override, so the
+  /// next decision lands in the flight recorder with full provenance.
+  /// Streams past streams() are ignored.  Scheduling thread only.
+  void on_violation(std::uint32_t stream) noexcept;
 
   /// Chip hook (sampled path): `rec` arrives with identity/grants/stream
   /// snapshots filled; the session stamps rule counts, health and fault
-  /// context, classifies fresh violations, records the ring entry, and
-  /// closes the decision.  Scheduling thread only.
+  /// context, records the ring entry, and closes the decision.
+  /// Scheduling thread only.
   void on_decision(DecisionRecord& rec);
 
-  /// Chip hook (unsampled path): no record is built — only the exact
-  /// counters advance.  `violations` carries the per-stream cumulative
-  /// violation counters (length >= n_streams) so fresh violations are
-  /// still classified against the cheap cycle context, `comparisons` the
-  /// decision's pending-comparison count from the network's unconditional
-  /// tally, and `losers` the contended-and-not-granted mask feeding exact
-  /// lost-tiebreak attribution; any fresh violation arms the force-sample
-  /// override for the next decision.  Scheduling thread only.
-  void on_decision_lite(std::uint32_t n_streams,
-                        const std::uint64_t* violations,
-                        std::uint64_t comparisons = 0,
-                        std::uint64_t losers = 0);
+  /// Chip hook (unsampled path): no record is built.  `comparisons` is
+  /// the decision's pending-comparison count from the network's
+  /// unconditional tally, which keeps the comparison total exact; then
+  /// the decision closes.  Scheduling thread only.
+  void on_decision_lite(std::uint64_t comparisons);
 
   /// Watchdog context: a JSON object describing the firing rule and its
   /// window stats, spliced into the next dump under "watchdog".
@@ -302,15 +305,11 @@ class AuditSession {
   [[nodiscard]] std::optional<Dump> last_dump() const;
 
  private:
-  void classify_fresh_violations(std::uint32_t n_streams,
-                                 const std::uint64_t* violations);
-
   DecisionAudit audit_;
   FlightRecorder recorder_;
   DecisionSampler sampler_;
   std::atomic<std::uint8_t> health_{0};
   std::array<std::atomic<std::uint64_t>, 3> faults_{};
-  std::array<std::uint64_t, kAuditMaxStreams> prev_violations_{};
   mutable std::mutex mu_;  ///< guards the watchdog context, the sink and
                            ///< the last dump
   std::string watchdog_context_;

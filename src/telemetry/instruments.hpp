@@ -79,12 +79,12 @@ struct PciMetrics {
 };
 
 /// queueing::QueueManager — per-ring pressure: enqueues, full-ring pushes,
-/// occupancy high-water mark across all rings.
+/// the deepest any single ring has been.
 struct QueueMetrics {
   Counter* enqueued = nullptr;        ///< qm.enqueued
   Counter* dequeued = nullptr;        ///< qm.dequeued
   Counter* ring_full = nullptr;       ///< qm.ring_full_pushes
-  /// qm.occupancy_high_water: peak occupancy summed over every ring
+  /// qm.occupancy_high_water: the deepest occupancy of any one ring
   Gauge* occupancy_hwm = nullptr;
 
   static QueueMetrics create(MetricsRegistry& reg) {
@@ -153,24 +153,6 @@ struct EndsystemMetrics {
     // delay-quantile-drift rule reads this histogram's p99.
     m.frame_delay_us =
         &reg.histogram("es.frame_delay_us", 0.1, 1e7, 128, true);
-    return m;
-  }
-};
-
-/// pifo rank layer — SP-PIFO approximation quality as canonical names the
-/// watchdog inversion-excess rule reads.  The rank substrate itself stays
-/// registry-free; whichever harness cross-checks SpPifo against the exact
-/// PIFO oracle (bench/pifo_inversions, rank-equivalence campaigns) feeds
-/// these.
-struct RankMetrics {
-  Counter* pops = nullptr;        ///< rank.pops
-  /// rank.inversions: pops where a strictly smaller rank was still queued
-  Counter* inversions = nullptr;
-
-  static RankMetrics create(MetricsRegistry& reg) {
-    RankMetrics m;
-    m.pops = &reg.counter("rank.pops");
-    m.inversions = &reg.counter("rank.inversions");
     return m;
   }
 };

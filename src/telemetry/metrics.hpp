@@ -4,11 +4,16 @@
 // while it runs: decision cycles, PCI round-trips, ring occupancy,
 // per-stream grants.  This registry is the live-counter layer under every
 // realization: named counters, gauges and histograms whose hot paths take
-// no lock — a counter increment is one relaxed RMW on a per-thread
-// cache-line cell, a histogram observe relaxed load+store pairs by its
-// one writer — so a TSan-stressed data path (producer + scheduler threads)
-// can be sampled by a monitor thread calling snapshot() at any moment
-// without locks, stalls or races.
+// no lock, so a monitor thread may call snapshot() at any moment while
+// the data path (producer + scheduler threads) runs, without locks,
+// stalls or races.
+//
+// The one-writer rule: every counter, gauge and histogram has exactly one
+// writing thread (or is written only under one lock), and its writes are
+// relaxed load+store pairs — no lock-prefixed RMW.  Readers on any thread
+// see untorn values through the atomics.  Two threads must never write
+// one metric: an add from each could lose one.  DESIGN.md §9 lists the
+// writer of every metric family.
 //
 // Consistency contract: snapshot() is per-metric atomic and monotonic
 // (a counter never appears to decrease across snapshots), not globally
@@ -20,7 +25,6 @@
 // nothing else.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -33,60 +37,36 @@ namespace ss::telemetry {
 
 inline constexpr std::size_t kMetricCacheLine = 64;
 
-/// Monotonic counter.  Increments land on one of kCells cache-line-padded
-/// atomic cells chosen by a per-thread slot, so concurrent incrementers
-/// (producer thread, scheduler thread) never contend on one line; value()
-/// sums the cells.  All ordering is relaxed — the registry publishes no
-/// cross-metric invariants, only per-metric totals.
-class Counter {
+/// Relaxed single-writer add: a plain load+store, no lock-prefixed RMW.
+/// Only for a cell one thread writes; readers on any thread still see
+/// untorn values through the atomic.
+inline void single_writer_add(std::atomic<std::uint64_t>& c,
+                              std::uint64_t d = 1) noexcept {
+  c.store(c.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
+}
+
+/// Monotonic counter: one cache-line-aligned cell, one writer.
+class alignas(kMetricCacheLine) Counter {
  public:
-  static constexpr std::size_t kCells = 8;  // power of two
-
-  void add(std::uint64_t n = 1) noexcept {
-    cells_[thread_slot()].v.fetch_add(n, std::memory_order_relaxed);
-  }
-
+  void add(std::uint64_t n = 1) noexcept { single_writer_add(v_, n); }
   [[nodiscard]] std::uint64_t value() const noexcept {
-    std::uint64_t sum = 0;
-    for (const Cell& c : cells_) sum += c.v.load(std::memory_order_relaxed);
-    return sum;
+    return v_.load(std::memory_order_relaxed);
   }
-
-  void reset() noexcept {
-    for (Cell& c : cells_) c.v.store(0, std::memory_order_relaxed);
-  }
+  void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
 
  private:
-  struct alignas(kMetricCacheLine) Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-  // Inline (header-defined) so the hot path is a TLS read + fetch_add with
-  // no call: slots are dealt round-robin at first use per thread, shared
-  // across every Counter instance.
-  static std::size_t thread_slot() noexcept {
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t slot =
-        next.fetch_add(1, std::memory_order_relaxed) & (kCells - 1);
-    return slot;
-  }
-  std::array<Cell, kCells> cells_{};
+  std::atomic<std::uint64_t> v_{0};
 };
 
-/// Point-in-time signed value (queue depth, high-water mark).  set/add are
-/// single relaxed RMWs; update_max is a CAS loop (rarely retried — the
-/// high-water mark only moves up).
+/// Point-in-time signed value (queue depth, high-water mark), one writer.
 class Gauge {
  public:
   void set(std::int64_t v) noexcept {
     v_.store(v, std::memory_order_relaxed);
   }
-  void add(std::int64_t d) noexcept {
-    v_.fetch_add(d, std::memory_order_relaxed);
-  }
   void update_max(std::int64_t v) noexcept {
-    std::int64_t cur = v_.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    if (v > v_.load(std::memory_order_relaxed)) {
+      v_.store(v, std::memory_order_relaxed);
     }
   }
   [[nodiscard]] std::int64_t value() const noexcept {
@@ -98,14 +78,6 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
-/// Relaxed single-writer add: a plain load+store, no lock-prefixed RMW.
-/// Only for a cell one thread writes; readers on any thread still see
-/// untorn values through the atomic.
-inline void single_writer_add(std::atomic<std::uint64_t>& c,
-                              std::uint64_t d = 1) noexcept {
-  c.store(c.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
-}
-
 /// Fixed-bin histogram over [lo, hi), linear or logarithmic bins (a log
 /// histogram with B bins makes each bin a factor (hi/lo)^(1/B) wide, so
 /// the percentile error is relative).  Out-of-range samples clamp to the
@@ -113,14 +85,12 @@ inline void single_writer_add(std::atomic<std::uint64_t>& c,
 /// the bin that crosses the rank (in log space for log bins), so the
 /// estimate error is bounded by one bin's width.
 ///
-/// Concurrency: one writer, any readers.  observe() and reset() belong to
-/// the one thread that feeds the histogram (the thread driving the chip
-/// or TE, the drain loop, the threaded scheduler thread, a profiler
-/// stage's owner), and advance the bins, count and sum with relaxed
-/// load+store pairs — no lock-prefixed RMW.  Readers (snapshot(), the
-/// time series, the watchdog, quantile()) may run on any thread at any
-/// moment and see untorn per-field values.  Two threads must never
-/// observe into one histogram; Counter is the multi-writer metric.
+/// Concurrency: the one-writer rule.  observe() and reset() belong to the
+/// one thread that feeds the histogram (the thread driving the chip or
+/// TE, the drain loop, the threaded scheduler thread, a profiler stage's
+/// owner).  Readers (snapshot(), the time series, the watchdog,
+/// quantile()) may run on any thread at any moment and see untorn
+/// per-field values.
 class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins, bool log_scale = false);

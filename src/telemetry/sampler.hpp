@@ -23,12 +23,15 @@
 // sampling thins the steady state, never the interesting tail.
 //
 // Concurrency: tick() is scheduling-thread-only (it is the per-decision
-// gate).  force_next() and all accessors are relaxed-atomic and safe from
-// any thread (fault hooks and the watchdog arm/inspect it mid-run).
+// gate and the tallies' one writer, metrics.hpp).  force_next() and all
+// accessors are relaxed-atomic and safe from any thread (fault hooks and
+// the watchdog arm/inspect it mid-run).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+
+#include "telemetry/metrics.hpp"
 
 namespace ss::telemetry {
 
@@ -54,7 +57,7 @@ class DecisionSampler {
   /// Decision boundary: advance the grid and answer "is this decision
   /// sampled?".  Scheduling thread only.
   [[nodiscard]] bool tick() noexcept {
-    bump(decisions_);
+    single_writer_add(decisions_);
     // Steady state pays a relaxed load; the lock-prefixed exchange runs
     // only when some thread actually armed the override.
     const bool forced =
@@ -67,8 +70,8 @@ class DecisionSampler {
       hit = hit || pos_ == phase_;
       if (++pos_ == every_) pos_ = 0;
     }
-    if (forced) bump(forced_);
-    if (hit) bump(sampled_);
+    if (forced) single_writer_add(forced_);
+    if (hit) single_writer_add(sampled_);
     return hit;
   }
 
@@ -101,13 +104,6 @@ class DecisionSampler {
   }
 
  private:
-  // Single-writer counters: plain load+store keeps the scheduling thread's
-  // hot path free of lock-prefixed RMWs while readers stay race-free.
-  static void bump(std::atomic<std::uint64_t>& c) noexcept {
-    c.store(c.load(std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
-  }
-
   static std::uint64_t splitmix64(std::uint64_t x) noexcept {
     x += 0x9e3779b97f4a7c15ull;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;

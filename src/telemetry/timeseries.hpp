@@ -21,7 +21,7 @@
 // The interval percentiles reuse Histogram::quantile_from_bins, so a
 // "windowed p99" is computed by exactly one piece of code tree-wide.
 //
-// The Watchdog evaluates its five rules over this backend (it owns a
+// The Watchdog evaluates its four rules over this backend (it owns a
 // private TimeSeries when constructed from a bare registry, or shares
 // yours), and the CLIs export the rings as the run document's
 // `timeseries` section (docs/formats.md).

@@ -14,8 +14,6 @@ constexpr double kDelayFloorUs = 50.0;     ///< ignore drift below this p99
 constexpr std::uint64_t kBurnSpike = 50;   ///< per-cause burn growth/window
 constexpr std::uint64_t kStallMinDecisions = 64;  ///< decisions w/o a grant
 constexpr std::uint64_t kRetrySurge = 32;         ///< retry growth/window
-constexpr double kInversionExcessPct = 25.0;      ///< inversions / 100 pops
-constexpr std::uint64_t kInversionMinPops = 200;  ///< pops before arming
 
 std::string fmt_ctx(const char* rule, const char* detail, double value,
                     double threshold, std::size_t window_polls) {
@@ -82,7 +80,9 @@ void Watchdog::observe() {
   // The snapshot just appended was taken before this increment, so the
   // ring's latest poll carries the pre-increment count (the historical
   // deque implementation read, then counted — parity-pinned in tests).
-  polls_.fetch_add(1, std::memory_order_relaxed);
+  // Observers run under the TimeSeries sample lock, so polls_ and fired_
+  // (written here and in fire()) have one writer at a time.
+  single_writer_add(polls_);
   polls_counter_->add(1);
   const std::lock_guard<std::mutex> lock(mu_);
   last_result_ = evaluate_locked();
@@ -176,32 +176,13 @@ std::optional<std::string> Watchdog::evaluate_locked() {
     }
   }
 
-  // inversion_excess: the SP-PIFO approximation degrading under load.
-  if (!suppressed("inversion_excess")) {
-    std::uint64_t pops_first = 0, pops_last = 0, inv_first = 0, inv_last = 0;
-    span("rank.pops", pops_first, pops_last);
-    span("rank.inversions", inv_first, inv_last);
-    const std::uint64_t pops = pops_last - pops_first;
-    const std::uint64_t inv = inv_last - inv_first;
-    if (pops >= kInversionMinPops) {
-      const double pct =
-          100.0 * static_cast<double>(inv) / static_cast<double>(pops);
-      if (pct >= kInversionExcessPct) {
-        fire("inversion_excess",
-             fmt_ctx("inversion_excess", "inversions_per_100_pops", pct,
-                     kInversionExcessPct, n));
-        return "inversion_excess";
-      }
-    }
-  }
-
   return std::nullopt;
 }
 
 void Watchdog::fire(const std::string& rule, const std::string& context) {
   fired_rules_.push_back(rule);
   last_rule_ = rule;
-  fired_.fetch_add(1, std::memory_order_relaxed);
+  single_writer_add(fired_);
   fired_counter_->add(1);
   if (session_ != nullptr) {
     session_->force_sample();

@@ -2,7 +2,7 @@
 // time-series backend that fire the flight recorder.
 //
 // PR 5 made the black box dump on failover; this layer makes it dump on
-// *anomaly*.  A Watchdog evaluates five rules over the last `window`
+// *anomaly*.  A Watchdog evaluates four rules over the last `window`
 // intervals of a TimeSeries (the tree's one definition of windowed
 // signals — it owns a private sampler when constructed from a bare
 // registry, or shares one you already run for the run document):
@@ -17,8 +17,6 @@
 //                         across the window
 //   delay_quantile_drift  es.frame_delay_us p99 exceeds a factor of the
 //                         window's median p99 (and an absolute floor)
-//   inversion_excess      rank.inversions per 100 rank.pops exceeded a
-//                         bound (the SP-PIFO approximation degrading)
 //
 // A firing rule triggers AuditSession::dump with cause
 // "watchdog:<rule>", after force-sampling the next decision and

@@ -187,6 +187,12 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
       }
 
       case EventKind::kReconfig: {
+        if (!guard.failed_over()) {
+          res.chip_violations[e.stream] +=
+              chip.slot(static_cast<hw::SlotId>(e.stream))
+                  .counters()
+                  .violations;
+        }
         guard.load_slot(static_cast<hw::SlotId>(e.stream),
                         to_slot_config(sc.fabric.discipline, e.setup),
                         to_stream_spec(sc.fabric.discipline, e.setup));
@@ -352,6 +358,11 @@ RunResult DifferentialExecutor::run(const Scenario& sc) const {
         break;
       }
     }
+  }
+
+  for (unsigned i = 0; i < n; ++i) {
+    res.chip_violations[i] +=
+        chip.slot(static_cast<hw::SlotId>(i)).counters().violations;
   }
 
   // --- end-of-run state comparison ---------------------------------------

@@ -28,6 +28,7 @@
 // and what replay files assert against.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -73,6 +74,11 @@ struct RunResult {
   /// (up to the divergence point, when one occurs).
   std::uint64_t digest = 0;
 
+  /// Window violations the chip's Register Base blocks counted, per slot,
+  /// summed across the re-LOADs that restart a slot's counters: what an
+  /// attached audit session must have heard.
+  std::array<std::uint64_t, hw::kMaxSlots> chip_violations{};
+
   /// Diagnosis context, populated only when the run diverged: the chip
   /// tracer's last rendered decision cycles (the "waveform" leading up to
   /// the failure) and a single-line JSON snapshot of the run's metrics.
@@ -99,10 +105,11 @@ class DifferentialExecutor {
     /// divergence reports and the run document).
     telemetry::MetricsRegistry* metrics = nullptr;
     /// Decision-audit session: rule provenance + the flight-recorder ring
-    /// for the run.  The executor calls begin_run() (the chip's counters
-    /// restart each scenario while the profile accumulates) and dumps the
-    /// session with cause "divergence" when the diff fails.  Must be sized
-    /// for the largest scenario when reused across scenarios.
+    /// for the run.  The executor calls begin_run() (the profile
+    /// accumulates across scenarios; the per-cycle context restarts) and
+    /// dumps the session with cause "divergence" when the diff fails.
+    /// Must be sized for the largest scenario when reused across
+    /// scenarios.
     telemetry::AuditSession* audit = nullptr;
   };
 

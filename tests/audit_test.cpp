@@ -242,8 +242,9 @@ TEST(AuditBurn, ClassificationPrecedence) {
 // ---------------------------------------------------------------------------
 // SLO burn through the endsystem.
 
-// Whatever violations the chip commits, the audit classifies every one of
-// them: each stream's burn causes sum back to its violation count.
+// Whatever violations the chip commits, the audit hears every one of them
+// (its count equals the Register Base block's own violation counter) and
+// classifies each: each stream's burn causes sum back to that count.
 TEST(AuditSlo, EndsystemImportsBurnCounters) {
   using namespace ss;
   telemetry::AuditSession session(4);
@@ -270,6 +271,10 @@ TEST(AuditSlo, EndsystemImportsBurnCounters) {
   const DecisionAudit& da = session.audit();
   EXPECT_GT(da.comparisons(), 0u);
   for (std::uint32_t s = 0; s < 4; ++s) {
+    const std::uint64_t chip_violations =
+        es.chip().slot(static_cast<hw::SlotId>(s)).counters().violations;
+    EXPECT_GT(chip_violations, 0u) << "stream " << s << " never overloaded";
+    EXPECT_EQ(da.violations(s), chip_violations) << "stream " << s;
     std::uint64_t burn_total = 0;
     for (std::size_t c = 0; c < telemetry::kBurnCauses; ++c) {
       burn_total += da.burn(s, c);

@@ -45,11 +45,11 @@ TEST(SpscRing, PeekDoesNotConsume) {
   SpscRing<int> q(4);
   q.try_push(42);
   int v = 0;
-  EXPECT_TRUE(q.try_peek(v));
+  EXPECT_TRUE(q.try_peek_at(0, v));
   EXPECT_EQ(v, 42);
   EXPECT_EQ(q.size(), 1u);
   EXPECT_TRUE(q.try_pop(v));
-  EXPECT_FALSE(q.try_peek(v));
+  EXPECT_FALSE(q.try_peek_at(0, v));
 }
 
 TEST(SpscRing, SizeAndEmpty) {

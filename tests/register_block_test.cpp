@@ -110,6 +110,7 @@ TEST(RegisterBlock, MissConsumesToleratedLoss) {
   rb.push_request(Arrival{0});
   const auto r = rb.miss_update(/*now=*/6);
   EXPECT_TRUE(r.missed);
+  EXPECT_FALSE(r.violated);  // x' was 2: a tolerated loss
   EXPECT_TRUE(r.dropped);
   EXPECT_EQ(rb.loss_num(), 1);
   EXPECT_EQ(rb.loss_den(), 3);
@@ -124,6 +125,7 @@ TEST(RegisterBlock, ViolationRaisesPriorityDenominator) {
   rb.push_request(Arrival{0});
   const auto r = rb.miss_update(6);
   EXPECT_TRUE(r.missed);
+  EXPECT_TRUE(r.violated);
   EXPECT_FALSE(r.dropped);
   EXPECT_EQ(rb.loss_den(), 4);  // y'++ boosts rule-3 priority
   EXPECT_EQ(rb.counters().violations, 1u);

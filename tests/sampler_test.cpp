@@ -12,7 +12,8 @@
 //     every decision, or sampling 1-in-64 (the sampler gates observation,
 //     never arbitration);
 //   * the exact counters (total comparisons, violations, per-cause burns)
-//     agree to the unit at every rate;
+//     agree to the unit at every rate, and at every rate each scenario's
+//     violations equal the ones the chip's Register Base blocks counted;
 //   * the sampled per-rule profile converges to the full profile's rule
 //     shares, so the scaled estimates in the v2 export are trustworthy.
 #include <gtest/gtest.h>
@@ -145,7 +146,25 @@ TEST(SamplingSoundness, WinnersAndExactCountersAcrossRates100k) {
   sampled_opt.audit = &sampled_session;
   const DifferentialExecutor sampled(sampled_opt);
 
+  // The audit hears every violation the chip commits, at every rate: per
+  // scenario, each stream's audited violations grow by exactly the chip's
+  // own per-slot count.  `seen` holds a session's totals before the run.
+  using PerStream = std::array<std::uint64_t, telemetry::kAuditMaxStreams>;
+  PerStream full_seen{}, sampled_seen{};
+  const auto expect_chip_violations = [](const telemetry::AuditSession& ses,
+                                         PerStream& seen, const RunResult& r,
+                                         int scenario) {
+    for (std::uint32_t s = 0; s < telemetry::kAuditMaxStreams; ++s) {
+      const std::uint64_t v = ses.audit().violations(s);
+      EXPECT_EQ(v - seen[s], r.chip_violations[s])
+          << "scenario " << scenario << " stream " << s << " every "
+          << ses.sampler().every();
+      seen[s] = v;
+    }
+  };
+
   std::uint64_t decisions = 0;
+  std::uint64_t chip_violations = 0;
   int k = 0;
   while (decisions < 100000) {
     ASSERT_LT(k, 2000) << "campaign failed to reach 100k decisions";
@@ -164,9 +183,13 @@ TEST(SamplingSoundness, WinnersAndExactCountersAcrossRates100k) {
         << "full auditing changed the schedule in scenario " << k;
     ASSERT_EQ(ra.digest, rc.digest)
         << "1-in-64 sampling changed the schedule in scenario " << k;
+    expect_chip_violations(full_session, full_seen, rb, k);
+    expect_chip_violations(sampled_session, sampled_seen, rc, k);
+    for (const std::uint64_t v : rb.chip_violations) chip_violations += v;
     decisions += ra.decisions;
     ++k;
   }
+  EXPECT_GT(chip_violations, 0u) << "the campaign never violated a window";
 
   const telemetry::DecisionAudit& fa = full_session.audit();
   const telemetry::DecisionAudit& sa = sampled_session.audit();

@@ -1,16 +1,16 @@
 // telemetry_test.cpp — the lock-free metrics registry and the
 // frame-lifecycle trace.
 //
-// The unit half pins down the primitives' contracts: counters sum their
-// per-thread cells exactly, gauges' update_max is a true high-water mark,
+// The unit half pins down the primitives' contracts: counters add and
+// reset exactly, gauges' update_max is a true high-water mark,
 // histogram quantiles stay within one bin width of truth and the log
 // bins' same-bin fast path never moves a sample, registration is
 // idempotent per name, and the exports carry the schema CI jq-checks.
 // The TelemetryStress half is the reason the registry exists at all: a
 // monitor thread hammering snapshot()/to_json() while the threaded
-// endsystem's producer and scheduler threads increment the same handles —
-// under -DSS_SANITIZE=thread this is the "sample it live, no locks on the
-// hot path" claim stated as the absence of data races.
+// endsystem's producer and scheduler threads write their own handles in
+// one registry — under -DSS_SANITIZE=thread this is the "sample it live,
+// no locks on the hot path" claim stated as the absence of data races.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,28 +45,11 @@ TEST(TelemetryCounter, SumsIncrementsAndResets) {
   EXPECT_EQ(c.value(), 0u);
 }
 
-// Increments from many threads land on different cells; value() must still
-// return the exact total — cell distribution is an implementation detail.
-TEST(TelemetryCounter, ManyThreadsSumExactly) {
-  telemetry::Counter c;
-  constexpr int kThreads = 8;
-  constexpr std::uint64_t kPerThread = 50000;
-  std::vector<std::thread> ts;
-  ts.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    ts.emplace_back([&c] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) c.add();
-    });
-  }
-  for (auto& t : ts) t.join();
-  EXPECT_EQ(c.value(), kThreads * kPerThread);
-}
-
 TEST(TelemetryGauge, SetAddAndHighWaterMark) {
   telemetry::Gauge g;
   g.set(-5);
   EXPECT_EQ(g.value(), -5);
-  g.add(15);
+  g.set(10);
   EXPECT_EQ(g.value(), 10);
   g.update_max(7);  // below current: no effect
   EXPECT_EQ(g.value(), 10);
@@ -406,32 +389,47 @@ TEST(TelemetryStress, SnapshotRacesThreadedEndsystemRun) {
   core::ThreadedEndsystem es(cfg);
   for (unsigned i = 0; i < 8; ++i) es.add_stream(fair_share(1.0 + (i % 3)));
 
+  // The run starts only after the monitor's first snapshot, and a
+  // snapshot counts as mid-run when the run was in flight at both its
+  // start and its end.
   std::atomic<bool> done{false};
+  std::atomic<bool> running{false};
   std::atomic<std::uint64_t> snapshots{0};
+  std::atomic<std::uint64_t> mid_run{0};
   std::thread monitor([&] {
     std::uint64_t last_tx = 0;
     while (!done.load(std::memory_order_acquire)) {
+      const bool ran_at_start = running.load(std::memory_order_acquire);
       const telemetry::Snapshot snap = reg.snapshot();
       for (const telemetry::Sample& s : snap.samples) {
         if (s.name == "te.tx_frames") {
           // Monotonicity across snapshots: a counter never goes backward.
-          ASSERT_GE(s.count, last_tx);
+          EXPECT_GE(s.count, last_tx);
           last_tx = s.count;
         }
       }
       // Exercise the render path too — it shares the snapshot lock.
-      ASSERT_NE(reg.to_json().find("\"counters\":{"), std::string::npos);
-      snapshots.fetch_add(1, std::memory_order_relaxed);
+      // (EXPECT, not ASSERT: the run waits for this loop's first pass.)
+      EXPECT_NE(reg.to_json().find("\"counters\":{"), std::string::npos);
+      if (ran_at_start && running.load(std::memory_order_acquire)) {
+        mid_run.fetch_add(1, std::memory_order_relaxed);
+      }
+      snapshots.fetch_add(1, std::memory_order_release);
     }
   });
 
+  while (snapshots.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
+  running.store(true, std::memory_order_release);
   const auto rep = es.run(2000);
+  running.store(false, std::memory_order_release);
   done.store(true, std::memory_order_release);
   monitor.join();
 
-  EXPECT_GT(snapshots.load(), 0u) << "monitor never sampled mid-run";
+  EXPECT_GT(mid_run.load(), 0u) << "monitor never sampled mid-run";
   EXPECT_EQ(rep.frames_transmitted, 8u * 2000u);
-  // Quiesced totals must match the report exactly: the lock-free cells
+  // Quiesced totals must match the report exactly: the one-writer adds
   // dropped nothing.
   EXPECT_EQ(reg.counter("te.tx_frames").value(), rep.frames_transmitted);
   EXPECT_EQ(reg.counter("qm.enqueued").value(), rep.frames_produced);

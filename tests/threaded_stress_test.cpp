@@ -52,7 +52,9 @@ TEST(SpscRingStress, TinyRingTwoThreadOrderAndConservation) {
 }
 
 // Peek must never observe a slot the producer has not published yet: the
-// consumer alternates peek/pop and requires the two to agree.
+// consumer alternates a head peek (try_peek_at(0, ...), the read
+// QueueManager::batch_arrivals makes) with a pop and requires the two to
+// agree.
 TEST(SpscRingStress, PeekNeverRunsAheadOfPublication) {
   constexpr std::uint64_t kItems = 100000;
   queueing::SpscRing<std::uint64_t> ring(2);  // 1 usable slot: max contention
@@ -66,7 +68,7 @@ TEST(SpscRingStress, PeekNeverRunsAheadOfPublication) {
   std::uint64_t expected = 0;
   std::uint64_t head = 0, popped = 0;
   while (expected < kItems) {
-    if (!ring.try_peek(head)) {
+    if (!ring.try_peek_at(0, head)) {
       std::this_thread::yield();
       continue;
     }

@@ -319,8 +319,6 @@ class ReferenceWatchdog {
   static constexpr std::uint64_t kBurnSpike = 50;
   static constexpr std::uint64_t kStallMinDecisions = 64;
   static constexpr std::uint64_t kRetrySurge = 32;
-  static constexpr double kInversionExcessPct = 25.0;
-  static constexpr std::uint64_t kInversionMinPops = 200;
 
  public:
   explicit ReferenceWatchdog(MetricsRegistry& reg, WatchdogConfig cfg = {})
@@ -348,7 +346,7 @@ class ReferenceWatchdog {
   struct Reading {
     std::vector<std::uint64_t> burn;  // kBurnCauses causes
     std::uint64_t decisions = 0, grants = 0, enq = 0, deq = 0;
-    std::uint64_t retries = 0, pops = 0, inversions = 0;
+    std::uint64_t retries = 0;
     double delay_p99 = 0.0;
   };
 
@@ -365,8 +363,6 @@ class ReferenceWatchdog {
     r.enq = reg_.counter("qm.enqueued").value();
     r.deq = reg_.counter("qm.dequeued").value();
     r.retries = reg_.counter("robust.retries").value();
-    r.pops = reg_.counter("rank.pops").value();
-    r.inversions = reg_.counter("rank.inversions").value();
     r.delay_p99 =
         reg_.histogram("es.frame_delay_us", 1.0, 1e6, 64, true).quantile(99.0);
     window_.push_back(std::move(r));
@@ -433,18 +429,6 @@ class ReferenceWatchdog {
                     kDelayDriftFactor * median);
       }
     }
-    if (!suppressed("inversion_excess")) {
-      const std::uint64_t pops = b.pops - a.pops;
-      const std::uint64_t inv = b.inversions - a.inversions;
-      if (pops >= kInversionMinPops) {
-        const double pct =
-            100.0 * static_cast<double>(inv) / static_cast<double>(pops);
-        if (pct >= kInversionExcessPct) {
-          return fire("inversion_excess", "inversions_per_100_pops", pct,
-                      kInversionExcessPct);
-        }
-      }
-    }
     return std::nullopt;
   }
 
@@ -481,7 +465,7 @@ struct CampaignDriver {
       a.counter(name).add(n);
       b.counter(name).add(n);
     };
-    switch (rng.below(8)) {
+    switch (rng.below(7)) {
       case 0:
         both(std::string("audit.burn.") +
                  telemetry::burn_cause_name(rng.below(telemetry::kBurnCauses)),
@@ -499,11 +483,6 @@ struct CampaignDriver {
         both("robust.retries", rng.below(48));
         break;
       case 4: {
-        both("rank.pops", 150 + rng.below(200));
-        both("rank.inversions", rng.below(120));
-        break;
-      }
-      case 5: {
         const double x = 5.0 + static_cast<double>(rng.below(100));
         const std::uint64_t reps = 50 + rng.below(200);
         for (std::uint64_t i = 0; i < reps; ++i) {
@@ -512,7 +491,7 @@ struct CampaignDriver {
         }
         break;
       }
-      case 6: {
+      case 5: {
         const double x = 1000.0 + static_cast<double>(rng.below(9000));
         const std::uint64_t reps = 100 + rng.below(400);
         for (std::uint64_t i = 0; i < reps; ++i) {

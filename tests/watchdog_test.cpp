@@ -141,28 +141,6 @@ TEST(WatchdogRules, DelayDriftBelowFloorIgnored) {
   EXPECT_EQ(wd.fired(), 0u);
 }
 
-TEST(WatchdogRules, InversionExcessPerHundredPops) {
-  MetricsRegistry reg;
-  telemetry::Counter& pops = reg.counter("rank.pops");
-  telemetry::Counter& inv = reg.counter("rank.inversions");
-  Watchdog wd(reg, nullptr);
-  (void)wd.evaluate_once();
-  pops.add(300);  // >= inversion_min_pops (200)
-  inv.add(100);   // 33 per 100 pops >= 25% bound
-  const std::optional<std::string> r = wd.evaluate_once();
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(*r, "inversion_excess");
-
-  MetricsRegistry reg2;
-  telemetry::Counter& p2 = reg2.counter("rank.pops");
-  telemetry::Counter& i2 = reg2.counter("rank.inversions");
-  Watchdog wd2(reg2, nullptr);
-  (void)wd2.evaluate_once();
-  p2.add(300);
-  i2.add(30);  // 10% — the approximation degrading gracefully, no dump
-  EXPECT_FALSE(wd2.evaluate_once().has_value());
-}
-
 TEST(WatchdogRules, EachRuleFiresAtMostOncePerRun) {
   MetricsRegistry reg;
   telemetry::Counter& burn = reg.counter("audit.burn.fault_stall");
