@@ -25,6 +25,10 @@ Endsystem::Endsystem(const EndsystemConfig& cfg)
     : Pipeline(cfg, cfg.ref_frame_bytes),
       cfg_(cfg),
       pci_(cfg.pci) {
+  if (cfg.pci_batch == 0) {
+    throw std::invalid_argument(
+        "Endsystem: pci_batch must carry at least one arrival offset");
+  }
   pci_.attach_faults(fault_plan_.get());
 }
 
@@ -134,7 +138,7 @@ EndsystemReport Endsystem::run(
   hw::DecisionOutcome out;  // grant/block/drop capacity reused per cycle
   // Drainable-stream mask: bit i stays set while stream i may still
   // deliver frames — undelivered frames remain AND the ring has space.
-  // A failed produce() clears the bit (ring full) until a transmit/drop
+  // A short produce_n() clears the bit (ring full) until a transmit/drop
   // consumes a frame (the only way space reappears); delivering a
   // stream's last frame clears it for good.  The per-decision delivery
   // scan then walks only the set bits instead of all N streams — at
@@ -157,45 +161,66 @@ EndsystemReport Endsystem::run(
     const auto now_ns = static_cast<std::uint64_t>(
         static_cast<double>(guard_.vtime()) * packet_time_ns_);
 
-    // Deliver due arrivals: frame into the QM ring, arrival offset to the
-    // card in fixed-size PIO batches.
+    // Deliver due arrivals: each stream's due frames into its QM ring as
+    // one copy, their arrival offsets to the card in fixed-size PIO
+    // batches.
     {
       SS_PROF(cfg_.profiler, telemetry::ProfStage::kQueueDrain);
       for (std::uint64_t scan = drainable; scan != 0; scan &= scan - 1) {
         const auto i = static_cast<std::uint32_t>(std::countr_zero(scan));
         Feed& fd = feeds[i];
         while (fd.cursor < fd.chunk.size()) {
-          const queueing::Frame& f = fd.chunk[fd.cursor];
-          if (f.arrival_ns > now_ns) break;
-          if (!qm_.produce(i, f)) {
+          // Arrivals are non-decreasing, so the due frames are a prefix.
+          const queueing::Frame* const due = fd.chunk.data() + fd.cursor;
+          const std::size_t left = fd.chunk.size() - fd.cursor;
+          std::size_t n_due = 0;
+          while (n_due < left && due[n_due].arrival_ns <= now_ns) ++n_due;
+          if (n_due == 0) break;
+          const std::size_t n = qm_.produce_n(i, due, n_due);
+          if (em) em->arrivals_delivered->add(n);
+          // Requests go to the card in segments that end on a PIO batch
+          // boundary, so every transfer (its fault draws, the failover it
+          // may force) falls between the same two requests as it would
+          // frame by frame.  Only a request into an idle slot latches its
+          // arrival, so a segment carries its first frame's offset.
+          for (std::size_t k = 0; k < n;) {
+            const std::size_t seg =
+                std::min<std::size_t>(n - k, cfg_.pci_batch - batch_fill[i]);
+            if (ft) {
+              for (std::size_t j = k; j < k + seg; ++j) {
+                ft->arrival(i, due[j].seq, due[j].arrival_ns);
+                ft->enqueue(i, due[j].seq, now_ns);
+              }
+            }
+            const auto off = static_cast<std::uint64_t>(
+                static_cast<double>(due[k].arrival_ns) / packet_time_ns_);
+            guard_.push_requests(static_cast<hw::SlotId>(i), off,
+                                 static_cast<std::uint32_t>(seg));
+            k += seg;
+            batch_fill[i] += static_cast<unsigned>(seg);
+            if (batch_fill[i] == cfg_.pci_batch) {
+              batch_fill[i] = 0;
+              const std::size_t bytes = std::size_t{cfg_.pci_batch} * 2;
+              const std::uint64_t xfer_ns = pci_xfer_ns(bytes, false);
+              pci_ns += xfer_ns;
+              if (ft) {
+                ft->pci(telemetry::PciDir::kWrite, now_ns, xfer_ns,
+                        static_cast<std::uint32_t>(bytes));
+              }
+            }
+          }
+          undelivered -= n;
+          fd.cursor += n;
+          if (n < n_due) {
             // Ring full: retry once a frame leaves.  Note the overflow so
             // a window violation committed this cycle is attributed to it.
             if (cfg_.audit) cfg_.audit->audit().note_overflow(i);
             drainable &= ~(std::uint64_t{1} << i);
             break;
           }
-          if (em) em->arrivals_delivered->add(1);
-          if (ft) {
-            ft->arrival(i, f.seq, f.arrival_ns);
-            ft->enqueue(i, f.seq, now_ns);
-          }
-          const auto off = static_cast<std::uint64_t>(
-              static_cast<double>(f.arrival_ns) / packet_time_ns_);
-          guard_.push_request(static_cast<hw::SlotId>(i), off);
-          if (++batch_fill[i] >= cfg_.pci_batch) {
-            batch_fill[i] = 0;
-            const std::size_t bytes = std::size_t{cfg_.pci_batch} * 2;
-            const std::uint64_t xfer_ns = pci_xfer_ns(bytes, false);
-            pci_ns += xfer_ns;
-            if (ft) {
-              ft->pci(telemetry::PciDir::kWrite, now_ns, xfer_ns,
-                      static_cast<std::uint32_t>(bytes));
-            }
-          }
-          --undelivered;
-          if (++fd.cursor == fd.chunk.size() &&
-              fd.generated < frames_per_stream[i]) {
-            // `f` dangles from here: the next chunk replaces this one.
+          if (fd.cursor < fd.chunk.size()) break;  // the next one is not due
+          if (fd.generated < frames_per_stream[i]) {
+            // `due` dangles from here: the next chunk replaces this one.
             const auto r0 = std::chrono::steady_clock::now();
             generate_chunk(i);
             refill_time += std::chrono::steady_clock::now() - r0;

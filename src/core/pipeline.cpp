@@ -72,11 +72,16 @@ void Pipeline::reload(std::uint32_t stream,
 
 std::uint64_t Pipeline::transmit_grants(
     const hw::DecisionOutcome& out, std::vector<queueing::TxRecord>& records) {
-  burst_.clear();
-  for (const hw::Grant& g : out.grants) {
-    burst_.push_back({g.slot, static_cast<std::uint64_t>(
-                                  static_cast<double>(g.emit_vtime) *
-                                  packet_time_ns_)});
+  // Sized once and written by index, as the chip writes its grants.
+  const std::size_t n = out.grants.size();
+  burst_.resize(n);
+  const hw::Grant* const grants = out.grants.data();
+  queueing::BlockGrant* const burst = burst_.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    burst[i] = {grants[i].slot,
+                static_cast<std::uint64_t>(
+                    static_cast<double>(grants[i].emit_vtime) *
+                    packet_time_ns_)};
   }
   records.clear();
   std::uint64_t sent = 0;

@@ -1,6 +1,9 @@
 #include "core/qos_monitor.hpp"
 
+#include <algorithm>
 #include <cassert>
+
+#include "util/stats.hpp"
 
 namespace ss::core {
 
@@ -25,18 +28,27 @@ void QosMonitor::roll_window(PerStream& ps, std::uint64_t now_ns) {
 void QosMonitor::record(const queueing::TxRecord& r) {
   assert(r.stream < per_stream_.size());
   PerStream& ps = per_stream_[r.stream];
+  const std::uint64_t delay_ns = r.delay_ns();
   if (ps.frames == 0) {
     ps.first_ns = r.arrival_ns;
     ps.window_start_ns = 0;
+  } else {
+    ps.jitter_sum_ns += delay_ns > ps.last_delay_ns
+                            ? delay_ns - ps.last_delay_ns
+                            : ps.last_delay_ns - delay_ns;
   }
-  roll_window(ps, r.departure_ns);
+  // Most departures fall inside the open bandwidth window.
+  if (r.departure_ns >= ps.window_start_ns + window_ns_) {
+    roll_window(ps, r.departure_ns);
+  }
   ps.window_bytes += r.bytes;
   ps.bytes += r.bytes;
   ps.frames += 1;
   ps.last_ns = r.departure_ns;
-  const double delay_us = static_cast<double>(r.delay_ns()) / 1000.0;
-  ps.delay.add(delay_us);
-  ps.jitter.add(delay_us);
+  ps.delay_sum_ns += delay_ns;
+  ps.delay_max_ns = std::max(ps.delay_max_ns, delay_ns);
+  ps.last_delay_ns = delay_ns;
+  const double delay_us = static_cast<double>(delay_ns) / 1000.0;
   if (keep_series_) ps.delay_series.push_back({r.departure_ns, delay_us});
   if (delay_histogram_) {
     if (!ps.delay_hist) {
@@ -63,15 +75,21 @@ double QosMonitor::mean_mbps(std::uint32_t s) const {
 }
 
 double QosMonitor::mean_delay_us(std::uint32_t s) const {
-  return per_stream_[s].delay.mean();
+  const PerStream& ps = per_stream_[s];
+  if (ps.frames == 0) return 0.0;
+  return static_cast<double>(ps.delay_sum_ns) /
+         static_cast<double>(ps.frames) / 1000.0;
 }
 
 double QosMonitor::mean_jitter_us(std::uint32_t s) const {
-  return per_stream_[s].jitter.mean_jitter();
+  const PerStream& ps = per_stream_[s];
+  if (ps.frames < 2) return 0.0;
+  return static_cast<double>(ps.jitter_sum_ns) /
+         static_cast<double>(ps.frames - 1) / 1000.0;
 }
 
 double QosMonitor::max_delay_us(std::uint32_t s) const {
-  return per_stream_[s].delay.max();
+  return static_cast<double>(per_stream_[s].delay_max_ns) / 1000.0;
 }
 
 double QosMonitor::delay_percentile_us(std::uint32_t s, double p) const {

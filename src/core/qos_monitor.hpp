@@ -7,6 +7,11 @@
 // per-frame departure-minus-arrival.  Delay percentiles come exact from the
 // kept series, or streaming from per-stream log-binned telemetry::Histograms
 // — the same histogram type and interpolation the metrics registry uses.
+//
+// The per-stream delay aggregates are integer nanoseconds, so the mean
+// and jitter are exact integer means, divided once when queried.  The
+// sums are u64: a stream's delay_sum_ns wraps after 2^64 ns (about 584
+// years) of summed delay, e.g. 1.8e9 frames that each waited 10 s.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +20,6 @@
 
 #include "queueing/transmission_engine.hpp"
 #include "telemetry/metrics.hpp"
-#include "util/stats.hpp"
 
 namespace ss::core {
 
@@ -54,7 +58,10 @@ class QosMonitor {
 
   /// Mean bandwidth over the whole run (total bytes / span).
   [[nodiscard]] double mean_mbps(std::uint32_t s) const;
+  /// Mean delay: the exact sum of delays over the frame count (0 with no
+  /// frame).
   [[nodiscard]] double mean_delay_us(std::uint32_t s) const;
+  /// Mean absolute difference of consecutive delays (0 below two frames).
   [[nodiscard]] double mean_jitter_us(std::uint32_t s) const;
   [[nodiscard]] double max_delay_us(std::uint32_t s) const;
 
@@ -96,8 +103,10 @@ class QosMonitor {
     std::uint64_t frames = 0;
     std::uint64_t first_ns = 0;
     std::uint64_t last_ns = 0;
-    RunningStats delay;
-    JitterTracker jitter;
+    std::uint64_t delay_sum_ns = 0;
+    std::uint64_t delay_max_ns = 0;
+    std::uint64_t last_delay_ns = 0;
+    std::uint64_t jitter_sum_ns = 0;  ///< sum of |delay - previous delay|
     std::optional<telemetry::Histogram> delay_hist;  ///< log-binned (us)
   };
   void roll_window(PerStream& ps, std::uint64_t now_ns);

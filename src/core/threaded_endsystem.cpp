@@ -125,15 +125,14 @@ ThreadedReport ThreadedEndsystem::run(std::uint64_t frames_per_stream) {
     }
     for (std::uint32_t i = 0; i < n; ++i) {
       const std::uint64_t arrived = consumed[i] + qm_.depth(i);
-      if (em && announced[i] < arrived) {
-        em->arrivals_delivered->add(arrived - announced[i]);
-      }
-      while (announced[i] < arrived) {
-        // Stamped at the current virtual time, as the chip's
-        // default-arrival push does.
-        guard_.push_request(static_cast<hw::SlotId>(i), guard_.vtime());
-        ++announced[i];
-      }
+      if (announced[i] >= arrived) continue;
+      const std::uint64_t fresh = arrived - announced[i];
+      if (em) em->arrivals_delivered->add(fresh);
+      // One push for every new arrival, stamped at the current virtual
+      // time, as the chip's default-arrival push does.
+      guard_.push_requests(static_cast<hw::SlotId>(i), guard_.vtime(),
+                           static_cast<std::uint32_t>(fresh));
+      announced[i] = arrived;
     }
     guard_.run_decision_cycle(out);
     for (const hw::SlotId s : out.drops) {

@@ -41,9 +41,16 @@ void ReferenceScheduler::push_request(std::uint32_t stream) {
 
 void ReferenceScheduler::push_request(std::uint32_t stream,
                                       std::uint64_t arrival) {
+  push_requests(stream, arrival, 1);
+}
+
+void ReferenceScheduler::push_requests(std::uint32_t stream,
+                                       std::uint64_t arrival,
+                                       std::uint32_t n) {
   StreamState& s = streams_.at(stream);
+  if (n == 0) return;
   if (s.backlog == 0) s.attrs.arrival = arrival;
-  ++s.backlog;
+  s.backlog += n;
   s.attrs.pending = true;
 }
 

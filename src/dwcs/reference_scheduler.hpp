@@ -99,6 +99,11 @@ class ReferenceScheduler {
 
   void push_request(std::uint32_t stream);
   void push_request(std::uint32_t stream, std::uint64_t arrival);
+  /// `n` requests, exactly as n push_request calls with the same stamp
+  /// (only a request into an empty stream latches its arrival); n = 0
+  /// does nothing.
+  void push_requests(std::uint32_t stream, std::uint64_t arrival,
+                     std::uint32_t n);
   void push_tagged_request(std::uint32_t stream, std::uint64_t tag,
                            std::uint64_t arrival);
 

@@ -14,12 +14,12 @@ void RegisterBlock::load(SlotId id, const SlotConfig& cfg) {
   counters_ = {};
 }
 
-void RegisterBlock::push_request(Arrival arrival) {
+void RegisterBlock::push_requests(Arrival arrival, std::uint32_t n) {
   // Arrival time latches only for the head-of-line request: FCFS ordering
   // (Table-2 rule 5) compares when the *currently contending* packet
   // arrived.
   if (pending_ == 0) arrival_ = arrival;
-  ++pending_;
+  pending_ += n;
 }
 
 AttrWord RegisterBlock::attrs() const {

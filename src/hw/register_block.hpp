@@ -65,9 +65,12 @@ class RegisterBlock {
   /// LOAD state: latch configuration and initial attributes.
   void load(SlotId id, const SlotConfig& cfg);
 
-  /// A new request (packet arrival) for this slot.  `arrival` is the
-  /// 16-bit arrival-time offset the Stream processor communicated.
-  void push_request(Arrival arrival);
+  /// `n` new requests (packet arrivals) for this slot, n >= 1.  `arrival`
+  /// is the 16-bit arrival-time offset the Stream processor communicated
+  /// for the first; only a request into an empty slot latches its
+  /// arrival, so the later ones carry no stamp.
+  void push_requests(Arrival arrival, std::uint32_t n);
+  void push_request(Arrival arrival) { push_requests(arrival, 1); }
 
   /// Attribute word currently driven onto the shuffle network.
   [[nodiscard]] AttrWord attrs() const;

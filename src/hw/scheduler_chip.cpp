@@ -65,8 +65,14 @@ void SchedulerChip::push_request(SlotId slot) {
 }
 
 void SchedulerChip::push_request(SlotId slot, Arrival arrival) {
+  push_requests(slot, arrival, 1);
+}
+
+void SchedulerChip::push_requests(SlotId slot, Arrival arrival,
+                                  std::uint32_t n) {
   assert(slot < slots_.size());
-  slots_[slot].push_request(arrival);
+  if (n == 0) return;
+  slots_[slot].push_requests(arrival, n);
   pend_mask_ |= 1u << slot;
   dirty_mask_ |= 1u << slot;
 }
@@ -89,10 +95,10 @@ void SchedulerChip::push_tagged_request(SlotId slot, Deadline tag,
 }
 
 void SchedulerChip::execute_decision(DecisionOutcome& out) {
+  // The grant and block vectors are sized below (an idle cycle empties
+  // them), so only the drops start over here.
   out.idle = false;
   out.circulated.reset();
-  out.grants.clear();
-  out.block.clear();
   out.drops.clear();
   out.hw_cycles = 0;
 
@@ -112,6 +118,8 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
   const std::uint32_t pending0 = pend_mask;
   if (pending0 == 0) {
     out.idle = true;
+    out.grants.clear();
+    out.block.clear();
     if (metrics_) metrics_->idle_decisions->add(1);
     if (tracer_) {
       trace.idle = true;
@@ -165,12 +173,15 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
 
   // Grant selection (IDs read straight off the sorted lane file; the
   // AttrWord view is gathered only for the tracer / last_block() API).
+  // The grant vector is sized once and written by index.
   if (!cfg_.block_mode) {
     // WR / max-finding: the tournament leaves the winner in lane 0; the
     // pending-only rule guarantees it is backlogged when any slot is.
     const SlotId w = network_.winner_id();
     out.circulated = w;
-    out.grants.push_back({w, vtime_, false});
+    out.block.clear();
+    out.grants.resize(1);
+    out.grants[0] = {w, vtime_, false};
   } else {
     // BA / block decisions: the backlogged slots in block order — from the
     // head in max-first mode, from the tail in min-first mode.  Up to
@@ -183,8 +194,11 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
             ? out.block.size()
             : std::min<std::size_t>(cfg_.batch_depth, out.block.size());
     out.circulated = out.block.front();
+    out.grants.resize(burst);
+    Grant* const grants = out.grants.data();
+    const SlotId* const ids = out.block.data();
     for (std::size_t i = 0; i < burst; ++i) {
-      out.grants.push_back({out.block[i], vtime_ + i, false});
+      grants[i] = {ids[i], vtime_ + i, false};
     }
   }
 
@@ -196,12 +210,16 @@ void SchedulerChip::execute_decision(DecisionOutcome& out) {
   std::uint32_t dirty = dirty_mask_;
   std::uint32_t pend = pend_mask_;
   std::uint32_t latched = latched_;
-  for (Grant& g : out.grants) {
+  const std::size_t n_grants = out.grants.size();
+  Grant* const grants = out.grants.data();
+  for (std::size_t i = 0; i < n_grants; ++i) {
+    Grant& g = grants[i];
     const std::uint32_t bit = 1u << g.slot;
     RegisterBlock& rb = slots_[g.slot];
     granted |= bit;
-    const bool circulated = out.circulated && *out.circulated == g.slot;
-    g.met_deadline = rb.service_update(g.emit_vtime, circulated);
+    // The circulated ID is the first grant's (the WR winner, the block's
+    // emission head), and a decision grants each slot at most once.
+    g.met_deadline = rb.service_update(g.emit_vtime, i == 0);
     dirty |= bit;
     if (rb.backlog() == 0) pend &= ~bit;
     ++frames_granted_;

@@ -104,6 +104,11 @@ class SchedulerChip {
   void push_request(SlotId slot);
   void push_request(SlotId slot, Arrival arrival);
 
+  /// `n` new requests for a slot, exactly as n push_request calls with
+  /// the same stamp: only a request into an empty slot latches its
+  /// arrival.  n = 0 does nothing.
+  void push_requests(SlotId slot, Arrival arrival, std::uint32_t n);
+
   /// Fair-queuing mapping: per-packet service tag accompanies the request
   /// (the slot's deadline field tracks the head packet's tag).
   void push_tagged_request(SlotId slot, Deadline tag, Arrival arrival);

@@ -187,22 +187,28 @@ std::vector<AttrWord> ShuffleNetwork::lanes() const {
 }
 
 void ShuffleNetwork::block_ids(std::vector<SlotId>& out) const {
+  // Sized once and written through a pointer: per-element push_back
+  // stores a byte-typed SlotId, which may alias the vector's own
+  // pointers and so reloads them every element.
   if (sorts_ && done()) {
-    out.insert(out.end(), regs_.id, regs_.id + pending_lanes_);
+    out.resize(pending_lanes_);
+    SlotId* const dst = out.data();
+    for (unsigned i = 0; i < pending_lanes_; ++i) {
+      dst[i] = static_cast<SlotId>(regs_.id[i]);
+    }
     return;
   }
-  // Branchless compaction: append every lane's id, advance the cursor
-  // only past pending ones, then trim.  No per-push capacity check and
-  // no data-dependent branch in the loop.
-  const std::size_t base = out.size();
-  out.resize(base + slots_);
-  SlotId* const dst = out.data() + base;
+  // Branchless compaction: write every lane's id, advance the cursor
+  // only past pending ones, then trim.  No data-dependent branch in the
+  // loop.
+  out.resize(slots_);
+  SlotId* const dst = out.data();
   unsigned k = 0;
   for (unsigned i = 0; i < slots_; ++i) {
     dst[k] = static_cast<SlotId>(regs_.id[i]);
     k += static_cast<unsigned>(regs_.pend[i] != 0);
   }
-  out.resize(base + k);
+  out.resize(k);
 }
 
 unsigned ShuffleNetwork::run_reference(unsigned passes) {

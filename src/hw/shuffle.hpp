@@ -129,12 +129,13 @@ class ShuffleNetwork {
     return static_cast<SlotId>(regs_.id[0]);
   }
 
-  /// Append the IDs of the backlogged lanes in lane order (the BA grant
-  /// *block*), read straight from the lane file.  After a full decision
-  /// on a fully sorting schedule the backlogged lanes are a prefix: the
-  /// pending-only rule overrides every other rule, so projected onto the
-  /// pending bit the network sorts a 0-1 sequence.  The block is then a
-  /// copy of that prefix; the perfect-shuffle schedule compacts per lane.
+  /// Overwrite `out` with the IDs of the backlogged lanes in lane order
+  /// (the BA grant *block*), read straight from the lane file.  After a
+  /// full decision on a fully sorting schedule the backlogged lanes are a
+  /// prefix: the pending-only rule overrides every other rule, so
+  /// projected onto the pending bit the network sorts a 0-1 sequence.
+  /// The block is then a copy of that prefix; the perfect-shuffle
+  /// schedule compacts per lane.
   void block_ids(std::vector<SlotId>& out) const;
 
   /// The pairings used for a given pass (exposed for the steering-logic

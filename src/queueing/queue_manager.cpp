@@ -14,18 +14,22 @@ std::uint32_t QueueManager::add_stream(std::size_t ring_capacity) {
   return static_cast<std::uint32_t>(rings_.size() - 1);
 }
 
-bool QueueManager::produce(std::uint32_t stream, const Frame& f) {
+std::size_t QueueManager::produce_n(std::uint32_t stream, const Frame* f,
+                                    std::size_t n) {
   assert(stream < rings_.size());
-  if (!rings_[stream]->try_push(f)) {
-    if (metrics_) metrics_->ring_full->add(1);
-    return false;
-  }
+  SpscRing<Frame>& ring = *rings_[stream];
+  const std::size_t k = ring.try_push_n(f, n);
   if (metrics_) {
-    metrics_->enqueued->add(1);
-    metrics_->occupancy_hwm->update_max(
-        static_cast<std::int64_t>(rings_[stream]->size()));
+    if (k < n) metrics_->ring_full->add(1);
+    if (k > 0) {
+      // One high-water update, with the depth after the copy: without a
+      // concurrent pop, the highest the copy reached.
+      metrics_->enqueued->add(k);
+      metrics_->occupancy_hwm->update_max(
+          static_cast<std::int64_t>(ring.size()));
+    }
   }
-  return true;
+  return k;
 }
 
 std::optional<Frame> QueueManager::consume(std::uint32_t stream) {

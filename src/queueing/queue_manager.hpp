@@ -36,9 +36,17 @@ class QueueManager {
     return static_cast<std::uint32_t>(rings_.size());
   }
 
-  /// Producer API (one producer per stream).  Returns false, and counts
-  /// a full-ring push, when the ring has no free slot.
-  bool produce(std::uint32_t stream, const Frame& f);
+  /// Producer API (one producer per stream): enqueue as many of the `n`
+  /// frames at `f` as the ring has room for, in order, with one ring
+  /// copy, and return how many.  A ring short of room counts one
+  /// full-ring push: the push that found it full.
+  std::size_t produce_n(std::uint32_t stream, const Frame* f, std::size_t n);
+
+  /// One frame; returns false, and counts a full-ring push, when the ring
+  /// has no free slot.
+  bool produce(std::uint32_t stream, const Frame& f) {
+    return produce_n(stream, &f, 1) == 1;
+  }
 
   /// Consumer API (Transmission Engine side): pop the head frame.
   std::optional<Frame> consume(std::uint32_t stream);

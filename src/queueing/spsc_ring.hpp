@@ -14,7 +14,7 @@
 // from false-sharing — the modern statement of "separate read and write
 // pointers".
 //
-// The buffer is raw storage that no slot is written to before try_push
+// The buffer is raw storage that no slot is written to before a push
 // fills it, so a ring commits memory page by page as it first fills: a
 // 2^17-slot ring costs address space up front, not 3 MB of zeroed pages.
 //
@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -56,16 +57,29 @@ class SpscRing {
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  /// Producer side.  Returns false (drops) when full — the Queue Manager
-  /// counts drops rather than blocking the producer thread.
-  bool try_push(const T& v) {
+  /// Producer side: copy as many of the `n` items at `src` as there is
+  /// room for, in order, in at most two segments (the second wraps to
+  /// the buffer start), and publish them with one index store.  Returns
+  /// the number copied; fewer than `n` means the ring filled — the Queue
+  /// Manager counts that rather than blocking the producer thread.
+  std::size_t try_push_n(const T* src, std::size_t n) {
     const std::size_t w = write_.load(std::memory_order_relaxed);
-    const std::size_t next = (w + 1) & mask_;
-    if (next == read_.load(std::memory_order_acquire)) return false;
-    buf_[w] = v;
-    write_.store(next, std::memory_order_release);
-    return true;
+    const std::size_t room =
+        (read_.load(std::memory_order_acquire) - w - 1) & mask_;
+    const std::size_t k = n < room ? n : room;
+    if (k == 0) return 0;
+    const std::size_t to_end = mask_ + 1 - w;
+    const std::size_t first = k < to_end ? k : to_end;
+    std::memcpy(buf_.get() + w, src, first * sizeof(T));
+    if (k > first) {
+      std::memcpy(buf_.get(), src + first, (k - first) * sizeof(T));
+    }
+    write_.store((w + k) & mask_, std::memory_order_release);
+    return k;
   }
+
+  /// Producer side, one item.  Returns false when full.
+  bool try_push(const T& v) { return try_push_n(&v, 1) == 1; }
 
   /// Consumer side.
   bool try_pop(T& out) {

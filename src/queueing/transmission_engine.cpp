@@ -10,6 +10,14 @@ std::size_t TransmissionEngine::transmit_block(
   if (metrics_) {
     metrics_->batch_size->observe(static_cast<double>(grants.size()));
   }
+  // `out` grows once by the burst size, is written by index and is
+  // trimmed to the frames actually sent.
+  const std::size_t base = out ? out->size() : 0;
+  TxRecord* dst = nullptr;
+  if (out) {
+    out->resize(base + grants.size());
+    dst = out->data() + base;
+  }
   std::size_t sent = 0;
   for (const BlockGrant& g : grants) {
     const std::optional<Frame> f = qm_.consume(g.stream);
@@ -29,9 +37,10 @@ std::size_t TransmissionEngine::transmit_block(
     }
     const TxRecord rec{g.stream, f->bytes, f->arrival_ns, departure};
     if (record_) records_.push_back(rec);
-    if (out) out->push_back(rec);
+    if (dst) dst[sent] = rec;
     ++sent;
   }
+  if (out) out->resize(base + sent);
   return sent;
 }
 

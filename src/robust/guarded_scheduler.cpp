@@ -68,8 +68,13 @@ void GuardedScheduler::load_slot(hw::SlotId slot,
 }
 
 void GuardedScheduler::push_request(hw::SlotId slot, std::uint64_t arrival) {
-  if (!failed_over_) chip_.push_request(slot, hw::Arrival{arrival});
-  if (shadow_) shadow_->push_request(slot, arrival);
+  push_requests(slot, arrival, 1);
+}
+
+void GuardedScheduler::push_requests(hw::SlotId slot, std::uint64_t arrival,
+                                     std::uint32_t n) {
+  if (!failed_over_) chip_.push_requests(slot, hw::Arrival{arrival}, n);
+  if (shadow_) shadow_->push_requests(slot, arrival, n);
 }
 
 void GuardedScheduler::push_tagged_request(hw::SlotId slot, std::uint64_t tag,

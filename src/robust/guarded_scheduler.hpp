@@ -61,6 +61,10 @@ class GuardedScheduler {
   void load_slot(hw::SlotId slot, const hw::SlotConfig& hw_cfg,
                  const dwcs::StreamSpec& sw_spec);
   void push_request(hw::SlotId slot, std::uint64_t arrival);
+  /// `n` requests at once, to the chip and the shadow, exactly as n
+  /// push_request calls with the same stamp; n = 0 does nothing.
+  void push_requests(hw::SlotId slot, std::uint64_t arrival,
+                     std::uint32_t n);
   void push_tagged_request(hw::SlotId slot, std::uint64_t tag,
                            std::uint64_t arrival);
 

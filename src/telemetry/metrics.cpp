@@ -35,13 +35,17 @@ std::size_t Histogram::index_of(double x) noexcept {
   // min: a value just under hi_ can round onto the edge.
   const std::size_t b =
       std::min(static_cast<std::size_t>((t - origin_) / width_), last);
-  if (log_) {
-    constexpr double kMargin = 1e-9;
-    cache_bin_ = b;
-    cache_lo_ = bin_lo(b) * (1.0 + kMargin);
-    cache_hi_ = bin_lo(b + 1) * (1.0 - kMargin);
-  }
+  if (log_) cache_bin(b, bin_lo(b), bin_lo(b + 1));
   return b;
+}
+
+void Histogram::cache_bin(std::size_t b, double lo_edge,
+                          double hi_edge) noexcept {
+  constexpr double kMargin = 1e-9;
+  cache_bin_ = b;
+  cache_lo_ = lo_edge * (1.0 + kMargin);
+  cache_hi_ = hi_edge * (1.0 - kMargin);
+  cache_edge_ = hi_edge;
 }
 
 void Histogram::observe(double x) noexcept {
@@ -49,9 +53,21 @@ void Histogram::observe(double x) noexcept {
   // differ by far less than one bin, so test the cached bin's value range
   // before paying std::log.  The margins keep that range strictly inside
   // the bin, so a hit agrees with index_of's floor division; samples in
-  // the margin slivers take the exact slow path.
-  const std::size_t b =
-      x >= cache_lo_ && x < cache_hi_ ? cache_bin_ : index_of(x);
+  // the margin slivers take the exact slow path.  A sample that left the
+  // cached bin upward (a growing backlog's delays climb bin by bin) first
+  // tries the next bin, whose lower edge is the cached upper one: one
+  // std::exp for its upper edge, the same margins, instead of index_of's
+  // std::log and two std::exp.
+  std::size_t b = cache_bin_;
+  if (!(x >= cache_lo_ && x < cache_hi_)) {
+    if (log_ && x >= cache_edge_ && b + 1 < counts_.size()) {
+      cache_bin(b + 1, cache_edge_, bin_lo(b + 2));
+      ++b;
+      if (!(x >= cache_lo_ && x < cache_hi_)) b = index_of(x);
+    } else {
+      b = index_of(x);
+    }
+  }
   single_writer_add(counts_[b].v);
   single_writer_add(count_);
   sum_.store(sum_.load(std::memory_order_relaxed) + x,

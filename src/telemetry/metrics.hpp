@@ -27,6 +27,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -133,6 +134,8 @@ class Histogram {
     std::atomic<std::uint64_t> v{0};
   };
   std::size_t index_of(double x) noexcept;
+  /// Point the log-bin cache at bin b with raw edges [lo_edge, hi_edge).
+  void cache_bin(std::size_t b, double lo_edge, double hi_edge) noexcept;
 
   double lo_, hi_;
   bool log_;
@@ -141,8 +144,11 @@ class Histogram {
   double origin_, width_;
   /// The writer's same-bin cache for log bins: a value range shrunk
   /// strictly inside bin cache_bin_ (empty until the first in-range
-  /// observe), refreshed by index_of.  See observe.
+  /// observe), refreshed by index_of and the next-bin step, plus the
+  /// bin's raw upper edge, the next bin's lower one (infinite until
+  /// then, so nothing steps).  See observe.
   double cache_lo_ = 1.0, cache_hi_ = 0.0;
+  double cache_edge_ = std::numeric_limits<double>::infinity();
   std::size_t cache_bin_ = 0;
   std::vector<AtomicCell> counts_;
   std::atomic<std::uint64_t> count_{0};

@@ -1,27 +1,8 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace ss {
-
-void RunningStats::add(double x) {
-  ++n_;
-  sum_ += x;
-  const double d = x - mean_;
-  mean_ += d / static_cast<double>(n_);
-  m2_ += d * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-void RunningStats::reset() { *this = RunningStats{}; }
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 PercentileSampler::PercentileSampler(std::size_t reserve) {
   samples_.reserve(reserve);
@@ -42,12 +23,6 @@ double PercentileSampler::percentile(double p) {
   const auto hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return samples_[lo] + frac * (samples_[hi] - samples_[lo]);
-}
-
-void JitterTracker::add(double delay) {
-  if (n_ > 0) acc_ += std::abs(delay - last_);
-  last_ = delay;
-  ++n_;
 }
 
 }  // namespace ss

@@ -1,35 +1,10 @@
-// stats.hpp — streaming statistics used by the QoS monitor and benches.
+// stats.hpp — exact percentiles over a stored sample set.
 #pragma once
 
-#include <cstdint>
-#include <limits>
+#include <cstddef>
 #include <vector>
 
 namespace ss {
-
-/// Welford online mean/variance plus min/max.  O(1) per sample, numerically
-/// stable — delay series in the endsystem runs reach 10^7 samples.
-class RunningStats {
- public:
-  void add(double x);
-  void reset();
-
-  [[nodiscard]] std::uint64_t n() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;  ///< sample variance (n-1)
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return sum_; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Exact percentile over a stored sample set (used for delay/jitter
 /// reporting where sample counts are bounded by the experiment length).
@@ -52,22 +27,6 @@ class PercentileSampler {
   void ensure_sorted();
   std::vector<double> samples_;
   bool sorted_ = true;
-};
-
-/// Jitter as mean absolute difference of consecutive samples (RFC 3550
-/// style smoothing is overkill for offline series; the paper reports
-/// delay-jitter qualitatively).
-class JitterTracker {
- public:
-  void add(double delay);
-  [[nodiscard]] double mean_jitter() const {
-    return n_ > 1 ? acc_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-
- private:
-  double last_ = 0.0;
-  double acc_ = 0.0;
-  std::uint64_t n_ = 0;
 };
 
 }  // namespace ss

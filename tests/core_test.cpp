@@ -18,7 +18,11 @@
 #include "core/framework.hpp"
 #include "core/linecard.hpp"
 #include "core/qos_monitor.hpp"
+#include "telemetry/audit.hpp"
 #include "telemetry/frame_trace.hpp"
+#include "telemetry/metrics.hpp"
+#include "util/hash.hpp"
+#include "util/sim_time.hpp"
 
 namespace ss::core {
 namespace {
@@ -93,6 +97,53 @@ TEST(QosMonitor, SeriesCanBeDisabled) {
   EXPECT_TRUE(mon.bandwidth_series(0).empty());
   EXPECT_TRUE(mon.delay_series(0).empty());
   EXPECT_EQ(mon.frames(0), 100u);  // aggregates still tracked
+}
+
+// The delay aggregates are integer nanoseconds, so the mean and the
+// jitter are exact integer means: delays of 100, 200 and 300 ns average
+// to the double nearest 0.2 us, where a running double mean of 0.1, 0.2
+// and 0.3 us need not land.
+TEST(QosMonitor, DelayAggregatesAreExactIntegerMeans) {
+  QosMonitor mon(2, 1'000'000);
+  mon.record(rec(0, 10, 1'000, 1'100));
+  mon.record(rec(0, 10, 2'000, 2'200));
+  mon.record(rec(0, 10, 3'000, 3'300));
+  EXPECT_EQ(mon.mean_delay_us(0), 0.2);
+  EXPECT_EQ(mon.mean_jitter_us(0), 0.1);  // |100| + |100| over 2 gaps
+  EXPECT_EQ(mon.max_delay_us(0), 0.3);
+  // Delays 1,000, 4,000, 2,500 and 2,500 ns: mean 2,500, jitter
+  // (3,000 + 1,500 + 0) / 3 = 1,500, max 4,000.
+  for (const std::uint64_t d : {1'000u, 4'000u, 2'500u, 2'500u}) {
+    mon.record(rec(1, 10, 50'000, 50'000 + d));
+  }
+  EXPECT_EQ(mon.mean_delay_us(1), 2.5);
+  EXPECT_EQ(mon.mean_jitter_us(1), 1.5);
+  EXPECT_EQ(mon.max_delay_us(1), 4.0);
+}
+
+TEST(QosMonitor, DelayAggregatesOfNoFrameAndOneFrame) {
+  QosMonitor mon(2, 1'000'000);
+  mon.record(rec(1, 10, 500, 3'500));
+  EXPECT_EQ(mon.frames(0), 0u);
+  EXPECT_EQ(mon.mean_delay_us(0), 0.0);
+  EXPECT_EQ(mon.mean_jitter_us(0), 0.0);
+  EXPECT_EQ(mon.max_delay_us(0), 0.0);
+  EXPECT_EQ(mon.mean_delay_us(1), 3.0);
+  EXPECT_EQ(mon.mean_jitter_us(1), 0.0);  // no consecutive pair yet
+  EXPECT_EQ(mon.max_delay_us(1), 3.0);
+}
+
+// delay_sum_ns is a u64 (qos_monitor.hpp states its horizon): sums up to
+// 2^64 - 1 ns stay exact.  Three frames that each waited 6e18 ns sum to
+// 1.8e19 ns, just inside 2^64 (about 1.845e19).
+TEST(QosMonitor, DelaySumIsExactUpToTheU64Horizon) {
+  QosMonitor mon(1, std::uint64_t{1} << 63);  // one window spans the run
+  mon.set_keep_series(false);
+  constexpr std::uint64_t kDelayNs = 6'000'000'000'000'000'000u;
+  for (int i = 0; i < 3; ++i) mon.record(rec(0, 10, 0, kDelayNs));
+  EXPECT_EQ(mon.mean_delay_us(0), 6e15);
+  EXPECT_EQ(mon.max_delay_us(0), 6e15);
+  EXPECT_EQ(mon.mean_jitter_us(0), 0.0);
 }
 
 // ------------------------------------------------------------ Aggregation
@@ -429,6 +480,13 @@ TEST(Endsystem, RejectsFrameCountsOfTheWrongLength) {
                std::invalid_argument);
 }
 
+// A PIO batch carries at least one arrival offset.
+TEST(Endsystem, RejectsAnEmptyPciBatch) {
+  EndsystemConfig cfg;
+  cfg.pci_batch = 0;
+  EXPECT_THROW(Endsystem{cfg}, std::invalid_argument);
+}
+
 // 16 equal-weight fair-share streams (the run stays inside the chip's
 // 16-bit horizon), every frame queued at t=0, whole-block decisions.
 std::uint64_t run_backlog16(std::uint64_t frames_per_stream) {
@@ -568,6 +626,124 @@ TEST(Endsystem, FrameTraceSpansPairAcrossGenerationChunks) {
   EXPECT_EQ(opened.size(), 10'000u) << "frame ids repeat";
   EXPECT_TRUE(opened == span_ids(json, 'e'))
       << "span ids that open and close differ";
+}
+
+// ------------------------------------------------ drain-loop event order
+
+// A traced run whose deliveries cross PIO batches (32 offsets), the
+// 4,096-frame generation chunks and full rings: four window-constrained
+// Poisson streams each offer twice their share of the link into 64-slot
+// rings; streams 0 and 1 drop late heads, 2 and 3 queue them.
+struct TracedRun {
+  EndsystemReport rep;
+  std::string trace;    ///< FrameTrace::to_chrome_json()
+  std::string metrics;  ///< the metrics snapshot's JSON
+  std::string audit;    ///< the audit section, then the failover dump's
+};
+
+TracedRun traced_poisson_run(const robust::FaultProfile& faults) {
+  telemetry::FrameTrace ft(1 << 18);
+  telemetry::MetricsRegistry reg;
+  telemetry::AuditSession audit(4);
+  EndsystemConfig cfg;
+  cfg.chip.slots = 4;
+  cfg.ring_capacity = 64;
+  cfg.keep_series = false;
+  cfg.frame_trace = &ft;
+  cfg.metrics = &reg;
+  cfg.audit = &audit;
+  cfg.faults = faults;
+  Endsystem es(cfg);
+  const double ptime_ns = packet_time_ns(1500, cfg.link_gbps);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    dwcs::StreamRequirement r;
+    r.kind = dwcs::RequirementKind::kWindowConstrained;
+    r.period = 2;
+    r.loss_num = 1;
+    r.loss_den = 4;
+    r.droppable = i < 2;
+    r.initial_deadline = i + 1;
+    es.add_stream(r,
+                  std::make_unique<queueing::PoissonGen>(2.0 * ptime_ns,
+                                                         101 + i),
+                  1500);
+  }
+  TracedRun out;
+  out.rep = es.run(5'000);
+  EXPECT_EQ(ft.dropped(), 0u) << "the trace ring wrapped";
+  out.trace = ft.to_chrome_json();
+  out.metrics = reg.to_json();
+  out.audit = audit.to_json();
+  if (const auto dump = audit.last_dump()) out.audit += dump->section;
+  return out;
+}
+
+// The FNV-1a digests of a run's trace, metrics and audit, in hex.
+std::string digests(const TracedRun& run) {
+  std::string out;
+  for (const std::string* s : {&run.trace, &run.metrics, &run.audit}) {
+    Fnv1a64 h;
+    h.mix(*s);
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%s%016llx", out.empty() ? "" : " ",
+                  static_cast<unsigned long long>(h.digest()));
+    out += buf;
+  }
+  return out;
+}
+
+std::uint64_t counter_in(const std::string& metrics_json,
+                         const std::string& name) {
+  const std::string key = "\"" + name + "\":";
+  const std::size_t at = metrics_json.find(key);
+  if (at == std::string::npos) return 0;
+  return std::stoull(metrics_json.substr(at + key.size()));
+}
+
+// The name of the last PIO transfer that took modeled time.  After a
+// failover every transfer costs nothing (the trace draws it 1 ns long),
+// so this is the transfer whose retries ran out.
+std::string last_timed_pio(const std::string& json) {
+  const std::string key = "\"name\":\"pio_";
+  std::string last;
+  for (std::size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + 1)) {
+    const std::size_t from = at + key.size() - 4;
+    const std::string name = json.substr(from, json.find('"', from) - from);
+    const std::size_t dur = json.find("\"dur\":", at) + 6;
+    if (json.compare(dur, 6, "0.001,") != 0) last = name;
+  }
+  return last;
+}
+
+// Every event of the drain loop, in recording order: arrivals, enqueues,
+// PIO writes, grants, read-backs, transmits and drops, plus every metric
+// and the audit section the run leaves.  The digests were recorded from
+// the per-frame delivery loop; delivering a stream's due frames in bulk
+// must not move one event.
+TEST(Endsystem, DrainLoopEventOrderIsPinned) {
+  const TracedRun run = traced_poisson_run({});
+  ASSERT_EQ(run.rep.frames, 20'000u);
+  EXPECT_GT(run.rep.dropped_late, 0u);
+  EXPECT_GT(counter_in(run.metrics, "qm.ring_full_pushes"), 0u);
+  EXPECT_EQ(digests(run), "d87f30bfbc7e0bf3 5376129a9824c911 aee6404bb950645c");
+}
+
+// The same run under a fault plan whose PCI faults come in episodes
+// longer than the retry bound: the first exhaustion lands on an arrival
+// PIO write, so the guard fails over to its shadow in the middle of a
+// delivery, and the pushes after that transfer reach the shadow alone.
+TEST(Endsystem, DrainLoopEventOrderIsPinnedAcrossAFailoverInDelivery) {
+  robust::FaultProfile faults;
+  faults.seed = 17;
+  faults.pci_fault_per64k = 3000;
+  faults.max_burst = 12;
+  const TracedRun run = traced_poisson_run(faults);
+  ASSERT_EQ(run.rep.frames, 20'000u);
+  ASSERT_TRUE(run.rep.failed_over);
+  EXPECT_EQ(last_timed_pio(run.trace), "pio_write");
+  EXPECT_GT(counter_in(run.metrics, "qm.ring_full_pushes"), 0u);
+  EXPECT_EQ(digests(run), "cee02b2a3bd8e08c 4a9038bd2beac216 9bfb09e6979563bd");
 }
 
 }  // namespace

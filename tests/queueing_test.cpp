@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -71,6 +72,57 @@ TEST(SpscRing, WrapsManyTimes) {
     ASSERT_TRUE(q.try_pop(v));
     ASSERT_EQ(v, round);
   }
+}
+
+// A bulk push copies in at most two segments: a run that crosses the
+// buffer end continues at its start, in order, and a run that ends
+// exactly on the buffer end leaves the next push at slot 0.
+TEST(SpscRing, PushNWrapsAtTheBufferEnd) {
+  SpscRing<int> q(8);  // 8 slots, 7 usable
+  int v;
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.try_push(i));
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.try_pop(v));  // both at slot 5
+  const int run[7] = {10, 11, 12, 13, 14, 15, 16};
+  EXPECT_EQ(q.try_push_n(run, 6), 6u);  // slots 5..7, then 0..2
+  EXPECT_EQ(q.size(), 6u);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(q.try_pop(v));
+    EXPECT_EQ(v, run[i]);
+  }
+  EXPECT_EQ(q.try_push_n(run, 5), 5u);  // slots 3..7: ends on the edge
+  EXPECT_EQ(q.try_push_n(run + 5, 2), 2u);  // slots 0..1
+  for (const int want : run) {
+    ASSERT_TRUE(q.try_pop(v));
+    EXPECT_EQ(v, want);
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+// A ring short of room takes the head of the run and reports how much.
+TEST(SpscRing, PushNStopsPartwayWhenFull) {
+  SpscRing<int> q(8);
+  ASSERT_TRUE(q.try_push(-1));
+  const int run[10] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  EXPECT_EQ(q.try_push_n(run, 10), 6u);  // 7 usable, one taken
+  EXPECT_EQ(q.try_push_n(run + 6, 4), 0u);  // full
+  int v;
+  ASSERT_TRUE(q.try_pop(v));
+  EXPECT_EQ(v, -1);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(q.try_pop(v));
+    EXPECT_EQ(v, i);
+  }
+  EXPECT_FALSE(q.try_pop(v));
+}
+
+TEST(SpscRing, PushNOfNothingPublishesNothing) {
+  SpscRing<int> q(4);
+  const int x = 7;
+  EXPECT_EQ(q.try_push_n(&x, 0), 0u);
+  EXPECT_TRUE(q.empty());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.try_push(i));
+  EXPECT_EQ(q.try_push_n(&x, 0), 0u);  // full or not
+  EXPECT_EQ(q.size(), 3u);
 }
 
 TEST(SpscRing, TwoThreadStressPreservesSequence) {
@@ -215,6 +267,41 @@ TEST(QueueManager, DropsCountedWhenRingFull) {
   EXPECT_EQ(qm.depth(s), 1u);
   EXPECT_EQ(reg.counter("qm.enqueued").value(), 1u);
   EXPECT_EQ(reg.counter("qm.ring_full_pushes").value(), 1u);
+}
+
+// produce_n counts exactly what the per-frame loop it replaces counts
+// (produce until one fails): the frames enqueued, one full-ring push
+// when the ring is short of room, and the occupancy high-water mark.
+TEST(QueueManager, ProduceNMetricsMatchPerFrameProduce) {
+  std::vector<Frame> frames(12);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    frames[i].seq = i;
+    frames[i].arrival_ns = 10 * i;
+  }
+  telemetry::MetricsRegistry bulk_reg, one_reg;
+  telemetry::QueueMetrics bulk_m = telemetry::QueueMetrics::create(bulk_reg);
+  telemetry::QueueMetrics one_m = telemetry::QueueMetrics::create(one_reg);
+  QueueManager bulk, one;
+  bulk.attach_metrics(&bulk_m);
+  one.attach_metrics(&one_m);
+  const auto s = bulk.add_stream(8);  // 7 usable slots
+  ASSERT_EQ(one.add_stream(8), s);
+  // Runs that fit, that empty into nothing, that overflow a part-full
+  // ring and that meet a full one, with pops in between.
+  for (const std::size_t n : {3u, 0u, 7u, 12u, 2u, 5u}) {
+    const std::size_t k = bulk.produce_n(s, frames.data(), n);
+    std::size_t j = 0;
+    while (j < n && one.produce(s, frames[j])) ++j;
+    EXPECT_EQ(k, j) << "run of " << n;
+    EXPECT_EQ(bulk.depth(s), one.depth(s));
+    EXPECT_EQ(bulk_reg.to_json(), one_reg.to_json()) << "run of " << n;
+    for (int pops = 0; pops < 3; ++pops) {
+      const std::optional<Frame> a = bulk.consume(s);
+      const std::optional<Frame> b = one.consume(s);
+      ASSERT_EQ(a, b);
+    }
+  }
+  EXPECT_GT(bulk_reg.counter("qm.ring_full_pushes").value(), 0u);
 }
 
 TEST(QueueManager, BatchArrivalsQuantizesAndDrains) {

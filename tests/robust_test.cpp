@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "robust/fault_plan.hpp"
@@ -22,6 +23,7 @@
 #include "testing/scenario.hpp"
 #include "testing/trace_io.hpp"
 #include "testing/workload_fuzzer.hpp"
+#include "util/rng.hpp"
 
 namespace ss::robust {
 namespace {
@@ -351,6 +353,74 @@ TEST(GuardedScheduler, ChipDeathExhaustsRetriesAndFailsOver) {
   EXPECT_EQ(got.vtimes, want.vtimes);
   EXPECT_EQ(got.met, want.met);
   EXPECT_GT(count(guard.overhead_ns()), 0u);
+}
+
+// push_requests(s, a, n) is n push_request calls with one stamp: only a
+// request into an idle slot latches its arrival.  Two guards with
+// fault-free plans (so each keeps its lockstep shadow), one fed bulk
+// pushes and one the same requests one at a time, must agree on every
+// decision: grants (slot, emit time, deadline met), drops, every slot's
+// counters and backlog, and the chip's whole block.  Halfway through both
+// fail over, so the shadow's bulk push is checked the same way.
+TEST(GuardedScheduler, BulkPushEqualsOneByOnePushes) {
+  struct Mode {
+    bool block;
+    unsigned depth;
+  };
+  for (const Mode m : {Mode{false, 0}, Mode{true, 0}, Mode{true, 1},
+                       Mode{true, 4}}) {
+    hw::ChipConfig cc = small_chip();
+    cc.slots = 8;
+    cc.block_mode = m.block;
+    cc.batch_depth = m.depth;
+    hw::SchedulerChip bulk_chip(cc), one_chip(cc);
+    FaultPlan bulk_plan(profile(1)), one_plan(profile(1));
+    GuardedScheduler bulk(bulk_chip, &bulk_plan), one(one_chip, &one_plan);
+    for (unsigned i = 0; i < cc.slots; ++i) {
+      const testing::StreamSetup s = setup_for(i);
+      const auto cfg = testing::to_slot_config(testing::Discipline::kDwcs, s);
+      const auto spec = testing::to_stream_spec(testing::Discipline::kDwcs, s);
+      bulk.load_slot(static_cast<hw::SlotId>(i), cfg, spec);
+      one.load_slot(static_cast<hw::SlotId>(i), cfg, spec);
+    }
+    Rng rng(1000 + m.depth + (m.block ? 10 : 0));
+    hw::DecisionOutcome a, b;
+    constexpr int kCycles = 4000;
+    for (int c = 0; c < kCycles; ++c) {
+      if (c == kCycles / 2) {
+        bulk.force_failover();
+        one.force_failover();
+      }
+      for (unsigned i = 0; i < cc.slots; ++i) {
+        const auto slot = static_cast<hw::SlotId>(i);
+        const auto n =
+            static_cast<std::uint32_t>(rng.chance(0.3) ? rng.below(4) : 0);
+        const std::uint64_t stamp = bulk.vtime() + rng.below(8);
+        bulk.push_requests(slot, stamp, n);
+        for (std::uint32_t j = 0; j < n; ++j) one.push_request(slot, stamp);
+      }
+      bulk.run_decision_cycle(a);
+      one.run_decision_cycle(b);
+      const std::string at = "block " + std::to_string(m.block) + " depth " +
+                             std::to_string(m.depth) + " decision " +
+                             std::to_string(c);
+      ASSERT_EQ(a.idle, b.idle) << at;
+      ASSERT_EQ(a.grants.size(), b.grants.size()) << at;
+      for (std::size_t g = 0; g < a.grants.size(); ++g) {
+        ASSERT_EQ(a.grants[g].slot, b.grants[g].slot) << at;
+        ASSERT_EQ(a.grants[g].emit_vtime, b.grants[g].emit_vtime) << at;
+        ASSERT_EQ(a.grants[g].met_deadline, b.grants[g].met_deadline) << at;
+      }
+      ASSERT_EQ(a.block, b.block) << at;
+      ASSERT_EQ(a.drops, b.drops) << at;
+      ASSERT_EQ(bulk_chip.last_block(), one_chip.last_block()) << at;
+      for (unsigned i = 0; i < cc.slots; ++i) {
+        ASSERT_EQ(bulk.counters(i), one.counters(i)) << at << " slot " << i;
+        ASSERT_EQ(bulk.backlog(i), one.backlog(i)) << at << " slot " << i;
+      }
+    }
+    EXPECT_TRUE(bulk.failed_over());
+  }
 }
 
 TEST(GuardedScheduler, TransientStallsRecoverWithoutFailover) {

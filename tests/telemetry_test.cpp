@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -228,38 +229,14 @@ TEST(TelemetryHistogram, PercentileExtremeTails) {
   }
 }
 
-// The log bins' same-bin fast path answers from a cached bin range
-// instead of taking the logarithm; it must never place a sample in a bin
-// other than the one the exact slow path picks.  A long-lived histogram
-// (cache warm, hit or refreshed on every sample) and a fresh histogram per
-// sample (cache always empty) must agree bin for bin, on a seeded sweep
-// that repeats values, walks up and down inside a bin, and lands within
-// 1e-9 (relative) of both edges of the bin the cache holds.
-TEST(TelemetryHistogram, SameBinFastPathNeverChangesABin) {
+// Feeds `xs` in order to one long-lived log histogram over [0.01, 1e7)
+// with 1024 bins (its cache warm: hit, stepped or refreshed on every
+// sample) and checks each sample lands in the bin a fresh histogram (its
+// cache empty, so index_of decides) picks.
+void expect_cached_bins_match_index_of(const std::vector<double>& xs) {
   constexpr double kLo = 0.01, kHi = 1e7;
   constexpr std::size_t kBins = 1024;
   telemetry::Histogram warm(kLo, kHi, kBins, /*log_scale=*/true);
-  Rng rng(20030422);
-  std::vector<double> xs;
-  for (std::size_t b = 0; b < kBins; b += 1 + rng.below(3)) {
-    const double lo = warm.bin_lo(b), hi = warm.bin_hi(b);
-    const double mid = std::sqrt(lo * hi);
-    // Warm the cache on bin b, repeat it, then probe both edges.
-    for (std::uint64_t r = 1 + rng.below(4); r > 0; --r) xs.push_back(mid);
-    for (const double edge : {lo, hi}) {
-      for (const double rel : {-1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12,
-                               1e-9}) {
-        xs.push_back(edge * (1.0 + rel));
-        xs.push_back(mid);  // back into bin b: the cache holds b again
-      }
-      xs.push_back(std::nextafter(edge, 0.0));
-      xs.push_back(mid);
-      xs.push_back(std::nextafter(edge, kHi));
-      xs.push_back(mid);
-    }
-    xs.push_back(lo + (hi - lo) * rng.uniform());
-  }
-  std::size_t checked = 0;
   for (const double x : xs) {
     telemetry::Histogram fresh(kLo, kHi, kBins, /*log_scale=*/true);
     fresh.observe(x);
@@ -272,9 +249,74 @@ TEST(TelemetryHistogram, SameBinFastPathNeverChangesABin) {
     warm.observe(x);
     ASSERT_EQ(warm.bin_count(want), before + 1)
         << "x=" << x << " left bin " << want;
-    ++checked;
   }
-  EXPECT_EQ(warm.count(), checked);
+  EXPECT_EQ(warm.count(), xs.size());
+}
+
+// The log bins' same-bin fast path answers from a cached bin range
+// instead of taking the logarithm; it must never place a sample in a bin
+// other than the one the exact slow path picks: on a seeded sweep that
+// repeats values, walks up and down inside a bin, and lands within 1e-9
+// (relative) of both edges of the bin the cache holds.
+TEST(TelemetryHistogram, SameBinFastPathNeverChangesABin) {
+  const telemetry::Histogram h(0.01, 1e7, 1024, /*log_scale=*/true);
+  Rng rng(20030422);
+  std::vector<double> xs;
+  for (std::size_t b = 0; b < h.bins(); b += 1 + rng.below(3)) {
+    const double lo = h.bin_lo(b), hi = h.bin_hi(b);
+    const double mid = std::sqrt(lo * hi);
+    // Warm the cache on bin b, repeat it, then probe both edges.
+    for (std::uint64_t r = 1 + rng.below(4); r > 0; --r) xs.push_back(mid);
+    for (const double edge : {lo, hi}) {
+      for (const double rel : {-1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12,
+                               1e-9}) {
+        xs.push_back(edge * (1.0 + rel));
+        xs.push_back(mid);  // back into bin b: the cache holds b again
+      }
+      xs.push_back(std::nextafter(edge, 0.0));
+      xs.push_back(mid);
+      xs.push_back(std::nextafter(edge, 1e7));
+      xs.push_back(mid);
+    }
+    xs.push_back(lo + (hi - lo) * rng.uniform());
+  }
+  expect_cached_bins_match_index_of(xs);
+}
+
+// A sample just above the cached bin first tries the next bin (one
+// std::exp for its upper edge) before index_of.  Every bin that step
+// picks must be index_of's: on a monotone geometric sweep over the whole
+// range whose ratio is a third of a bin (so nearly every miss steps); on
+// samples in the margin slivers of each edge the step crosses, met from
+// the bin below; and in the last bin and at or above hi, where there is
+// no next bin.
+TEST(TelemetryHistogram, NextBinStepPicksIndexOfsBin) {
+  const telemetry::Histogram h(0.01, 1e7, 1024, /*log_scale=*/true);
+  const double bin_ratio = h.bin_hi(0) / h.bin_lo(0);
+  std::vector<double> xs;
+  for (double x = 0.01; x < 1.5e7; x *= 1.0 + (bin_ratio - 1.0) / 3.0) {
+    xs.push_back(x);
+  }
+  for (std::size_t b = 1; b < h.bins(); ++b) {
+    const double below = std::sqrt(h.bin_lo(b - 1) * h.bin_hi(b - 1));
+    const double edge = h.bin_lo(b);
+    for (const double rel : {-1e-10, 0.0, 1e-10, 1e-9, 2e-9}) {
+      xs.push_back(below);  // the cache holds bin b - 1
+      xs.push_back(edge * (1.0 + rel));
+    }
+    xs.push_back(below);
+    xs.push_back(std::nextafter(edge, 0.0));
+    xs.push_back(below);
+    xs.push_back(std::nextafter(edge, 1e7));
+  }
+  const double last_mid =
+      std::sqrt(h.bin_lo(h.bins() - 1) * h.bin_hi(h.bins() - 1));
+  for (const double x : {1e7 * (1.0 - 1e-10), 1e7, 1e7 * (1.0 + 1e-9), 1e8,
+                         std::numeric_limits<double>::infinity()}) {
+    xs.push_back(last_mid);  // the cache holds the last bin
+    xs.push_back(x);
+  }
+  expect_cached_bins_match_index_of(xs);
 }
 
 TEST(FrameTraceTest, RingBoundsRetentionButCountsEverything) {

@@ -11,6 +11,7 @@
 // as the absence of data races rather than as throughput.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -34,6 +35,40 @@ TEST(SpscRingStress, TinyRingTwoThreadOrderAndConservation) {
   std::thread producer([&] {
     for (std::uint64_t v = 0; v < kItems; ++v) {
       while (!ring.try_push(v)) std::this_thread::yield();
+    }
+  });
+
+  std::uint64_t expected = 0;
+  std::uint64_t out = 0;
+  while (expected < kItems) {
+    if (ring.try_pop(out)) {
+      ASSERT_EQ(out, expected);
+      ++expected;
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  producer.join();
+  EXPECT_TRUE(ring.empty());
+}
+
+// A bulk producer publishes each run with one index store; a consumer
+// popping concurrently must still see every value once, in order,
+// however much of a run the ring had room for.  Runs of 1 to 11 items
+// meet the 16-slot buffer end at every offset.
+TEST(SpscRingStress, BulkProducerRacesAPoppingConsumer) {
+  constexpr std::uint64_t kItems = 200000;
+  queueing::SpscRing<std::uint64_t> ring(16);  // 15 usable slots
+
+  std::thread producer([&] {
+    std::uint64_t run[11];
+    for (std::uint64_t next = 0; next < kItems;) {
+      const std::size_t n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(1 + next % 11, kItems - next));
+      for (std::size_t j = 0; j < n; ++j) run[j] = next + j;
+      const std::size_t k = ring.try_push_n(run, n);
+      if (k == 0) std::this_thread::yield();
+      next += k;
     }
   });
 

@@ -291,33 +291,6 @@ TEST(Rng, ChanceProbability) {
 
 // ----------------------------------------------------------------- stats
 
-TEST(RunningStats, KnownValues) {
-  RunningStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.n(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, EmptyIsSafe) {
-  RunningStats s;
-  EXPECT_EQ(s.n(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(RunningStats, ResetClears) {
-  RunningStats s;
-  s.add(5);
-  s.reset();
-  EXPECT_EQ(s.n(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-}
-
 TEST(PercentileSampler, MedianAndExtremes) {
   PercentileSampler p;
   for (int i = 1; i <= 101; ++i) p.add(i);
@@ -345,19 +318,6 @@ TEST(PercentileSampler, AddAfterQueryResorts) {
 TEST(PercentileSampler, EmptyReturnsZero) {
   PercentileSampler p;
   EXPECT_EQ(p.percentile(50), 0.0);
-}
-
-TEST(JitterTracker, MeanAbsoluteConsecutiveDifference) {
-  JitterTracker j;
-  for (double d : {10.0, 12.0, 8.0, 8.0}) j.add(d);
-  // |12-10| + |8-12| + |8-8| = 6 over 3 gaps.
-  EXPECT_DOUBLE_EQ(j.mean_jitter(), 2.0);
-}
-
-TEST(JitterTracker, SingleSampleHasZeroJitter) {
-  JitterTracker j;
-  j.add(99.0);
-  EXPECT_EQ(j.mean_jitter(), 0.0);
 }
 
 // ------------------------------------------------------------------- csv
